@@ -198,14 +198,8 @@ writeArtifact(runner::RunResult artifact)
 {
     const char *env = std::getenv("PCCS_ARTIFACT_DIR");
     const std::string dir = env && *env ? env : ".";
-    artifact.cache = runner::SweepEngine::global().cache().stats();
     const std::string path = artifact.writeArtifacts(dir);
-    std::printf("artifact: %s (+ .csv; engine cache: %llu hits / "
-                "%llu misses)\n",
-                path.c_str(),
-                static_cast<unsigned long long>(artifact.cache.hits),
-                static_cast<unsigned long long>(
-                    artifact.cache.misses));
+    std::printf("artifact: %s (+ .csv)\n", path.c_str());
 }
 
 } // namespace pccs::bench

@@ -8,9 +8,8 @@
  * the working directory) with the same data.
  *
  * All simulator evaluations route through the process-wide
- * `runner::SweepEngine`: sweep points run in parallel and overlapping
- * sweeps (model calibration, figure ladders, frequency grids) are
- * memoized instead of recomputed.
+ * `runner::SweepEngine`, which runs SoC sweep points inline on the
+ * calling thread.
  */
 
 #ifndef PCCS_BENCH_COMMON_HH
@@ -70,7 +69,7 @@ struct SweepResult
  * Sweep one kernel on one PU across the external ladder, collecting
  * actual (simulated) and predicted (PCCS + Gables) relative speeds.
  * The actual points are evaluated through `engine` (the process-wide
- * engine when null), in parallel and memoized.
+ * engine when null).
  */
 SweepResult sweepKernel(const soc::SocSimulator &sim, std::size_t pu,
                         const soc::KernelProfile &kernel,
@@ -90,11 +89,7 @@ void printSweepReport(const std::vector<SweepResult> &results,
 void printErrorSummary(const std::vector<SweepResult> &results,
                        double paper_pccs, double paper_gables);
 
-/**
- * Start a machine-readable artifact for this experiment. The SoC/PU
- * names and the global engine's cache counters are filled in when the
- * artifact is written.
- */
+/** Start a machine-readable artifact for this experiment. */
 runner::RunResult makeArtifact(const std::string &experiment,
                                const std::string &title,
                                const std::string &paper_ref,
@@ -116,8 +111,7 @@ runner::RunResult sweepArtifact(const std::string &experiment,
 
 /**
  * Write the artifact's JSON and CSV files into $PCCS_ARTIFACT_DIR
- * (default: the working directory), stamping in the engine's cache
- * counters, and announce the JSON path.
+ * (default: the working directory) and announce the JSON path.
  */
 void writeArtifact(runner::RunResult artifact);
 

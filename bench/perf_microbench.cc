@@ -507,48 +507,21 @@ sweepBatch(const soc::SocSimulator &sim, std::size_t gpu)
     return points;
 }
 
-/**
- * Engine throughput on a cold cache: evaluateBatch of 64 sweep
- * points, serial (jobs=1) vs the hardware-sized pool.
- */
+/** Engine throughput: evaluateBatch of 64 sweep points. */
 void
 BM_EngineSweepThroughput(benchmark::State &state)
 {
     const soc::SocSimulator sim(xavier());
     const std::size_t gpu = static_cast<std::size_t>(
         xavier().puIndex(soc::PuKind::Gpu));
-    runner::SweepEngine engine(
-        static_cast<unsigned>(state.range(0)));
+    const runner::SweepEngine engine(1);
     const auto points = sweepBatch(sim, gpu);
-    for (auto _ : state) {
-        engine.cache().clear();
-        benchmark::DoNotOptimize(engine.evaluateBatch(sim, points));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(points.size()));
-}
-BENCHMARK(BM_EngineSweepThroughput)
-    ->Arg(1)
-    ->Arg(0) // 0 = hardware concurrency (or PCCS_JOBS)
-    ->ArgNames({"jobs"})
-    ->Unit(benchmark::kMillisecond);
-
-/** Warm-cache hit path: the same batch re-evaluated repeatedly. */
-void
-BM_EngineCacheHit(benchmark::State &state)
-{
-    const soc::SocSimulator sim(xavier());
-    const std::size_t gpu = static_cast<std::size_t>(
-        xavier().puIndex(soc::PuKind::Gpu));
-    runner::SweepEngine engine(1);
-    const auto points = sweepBatch(sim, gpu);
-    engine.evaluateBatch(sim, points); // warm the cache
     for (auto _ : state)
         benchmark::DoNotOptimize(engine.evaluateBatch(sim, points));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(points.size()));
 }
-BENCHMARK(BM_EngineCacheHit);
+BENCHMARK(BM_EngineSweepThroughput)->Unit(benchmark::kMillisecond);
 
 /**
  * Console output as usual, plus an in-memory snapshot of every

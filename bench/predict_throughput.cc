@@ -13,8 +13,7 @@
  *     explorer and co-run solver use;
  *  3. design exploration: wall clock of Table-9-style frequency
  *     selection with the full-scan strategy vs the binary-searched
- *     (pruned) strategy, on fresh engines so memoization cannot leak
- *     between the two.
+ *     (pruned) strategy.
  *
  * Every batched result is checked bitwise against the scalar path
  * before timing — the bench doubles as the parity oracle, so `--smoke`
@@ -152,8 +151,7 @@ gridJson(const GridResult &r)
 
 /**
  * Wall clock of `queries` frequency selections (PCCS-guided and
- * ground truth) with the given strategy, on a fresh serial engine so
- * the memoization cache starts cold for both strategies.
+ * ground truth) with the given strategy.
  */
 double
 measureExploration(const soc::SocConfig &soc,

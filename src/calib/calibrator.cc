@@ -91,8 +91,7 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
                                static_cast<double>(spec.numExternal));
     }
 
-    // The rela matrix is a batch of independent points; the engine
-    // evaluates them in parallel and memoizes each one.
+    // The rela matrix is a batch of independent points.
     std::vector<runner::EvalPoint> points;
     points.reserve(m.numKernels() * m.numExternal());
     for (std::size_t i = 0; i < m.numKernels(); ++i)

@@ -86,9 +86,7 @@ struct SweepSpec
  * Run the processor-centric calibration of one PU: no application
  * co-run measurements, only calibrators against calibrators. The
  * sweep's (kernel, external) points are evaluated through `engine`
- * (the process-wide engine when null): in parallel, and memoized so
- * later sweeps sharing points with the calibration ladder hit the
- * cache.
+ * (the process-wide engine when null) on the calling thread.
  */
 CalibrationMatrix calibrate(const soc::SocSimulator &sim,
                             std::size_t pu_index,

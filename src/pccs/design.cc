@@ -83,14 +83,11 @@ DesignExplorer::selectLowest(
     const std::size_t n = sorted.size();
 
     if (!pruneSelection_) {
-        // Full scan: every grid point's performance on the engine's
-        // pool (the points are independent; repeated selections over
-        // the same grid hit the engine cache), then a serial scan —
-        // deterministic and identical to the serial early-exit loop.
+        // Full scan: every grid point's performance, then the first
+        // acceptable point — identical to the early-exit loop.
         std::vector<double> perfs(n, 0.0);
-        engine_->parallelFor(n, [&](std::size_t i) {
+        for (std::size_t i = 0; i < n; ++i)
             perfs[i] = perf_at(sorted[i]);
-        });
 
         DesignSelection sel;
         sel.referencePerformance = perfs.back();
@@ -154,14 +151,14 @@ DesignExplorer::corunPerformanceGrid(
     const SlowdownPredictor &predictor) const
 {
     const std::size_t n = grid.size();
-    // Stage 1: standalone profiles of every candidate configuration,
-    // in parallel and memoized (the expensive, simulator-backed part).
+    // Stage 1: standalone profiles of every candidate configuration
+    // (the simulator-backed part).
     std::vector<soc::StandaloneProfile> solos(n);
-    engine_->parallelFor(n, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const soc::SocSimulator sim(
             configured(pu_index, grid[i], 0.0));
         solos[i] = engine_->profile(sim, pu_index, kernel);
-    });
+    }
 
     // Stage 2: the whole grid's slowdowns in one batch call over the
     // structure-of-arrays demands.

@@ -45,9 +45,7 @@ class DesignExplorer
     /**
      * @param config the SoC whose design space is explored
      * @param engine evaluation engine for ground-truth simulator
-     *        points (grid sweeps are evaluated in parallel and
-     *        memoized across select* calls); the process-wide engine
-     *        when null
+     *        points; the process-wide engine when null
      */
     explicit DesignExplorer(const soc::SocConfig &config,
                             runner::SweepEngine *engine = nullptr);
@@ -69,8 +67,8 @@ class DesignExplorer
 
     /**
      * Predicted co-run performance at every frequency of `grid` in
-     * one pass: the standalone profiles are evaluated in parallel on
-     * the engine pool (memoized), and the whole grid's slowdowns come
+     * one pass: the standalone profiles are evaluated through the
+     * engine, and the whole grid's slowdowns come
      * from a single `BatchPredictor` call (falling back to the scalar
      * adapter for predictors without a native kernel). Element i is
      * bit-exact with `corunPerformance(pu, kernel, grid[i], ...)`.

@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "common/logging.hh"
-#include "runner/sweep_engine.hh"
+#include "soc/simulator.hh"
 
 namespace pccs::model {
 
@@ -38,10 +38,7 @@ explorePowerBudget(const PowerBudgetProblem &problem)
     }
 
     // Precompute, per PU and grid point: power, standalone demand,
-    // and standalone rate; plus the full-clock reference rate. The
-    // per-point profiles are independent simulator evaluations, so
-    // they go through the sweep engine: in parallel, memoized across
-    // repeated explorations of overlapping grids.
+    // and standalone rate; plus the full-clock reference rate.
     struct Point
     {
         MHz frequency;
@@ -49,36 +46,22 @@ explorePowerBudget(const PowerBudgetProblem &problem)
         GBps demand;
         double rate;
     };
-    runner::SweepEngine &eng = runner::SweepEngine::global();
     std::vector<std::vector<Point>> points(n);
     std::vector<double> reference_rate(n);
-    std::vector<std::pair<std::size_t, std::size_t>> flat;
     for (std::size_t i = 0; i < n; ++i) {
-        points[i].resize(problem.grids[i].size());
-        // Grid index g addresses grids[i][g]; n + g below marks the
-        // extra full-clock reference evaluation of PU i.
-        for (std::size_t g = 0; g <= problem.grids[i].size(); ++g)
-            flat.emplace_back(i, g);
-    }
-    eng.parallelFor(flat.size(), [&](std::size_t idx) {
-        const auto [i, g] = flat[idx];
-        const bool reference = g == problem.grids[i].size();
-        const MHz f = reference ? problem.soc.pus[i].maxFrequency
-                                : problem.grids[i][g];
-        soc::SocConfig cfg = problem.soc;
-        cfg.pus[i].frequency = f;
-        const soc::SocSimulator sim(cfg);
-        const soc::StandaloneProfile prof =
-            eng.profile(sim, i, problem.kernels[i]);
-        if (reference) {
-            reference_rate[i] = prof.rate;
-        } else {
-            points[i][g] = {f,
-                            puPower(problem.power[i], f,
-                                    problem.soc.pus[i].maxFrequency),
-                            prof.bandwidthDemand, prof.rate};
+        const MHz fmax = problem.soc.pus[i].maxFrequency;
+        const auto profile = [&](MHz f) {
+            soc::SocConfig cfg = problem.soc;
+            cfg.pus[i].frequency = f;
+            return soc::SocSimulator(cfg).profile(i, problem.kernels[i]);
+        };
+        for (const MHz f : problem.grids[i]) {
+            const soc::StandaloneProfile prof = profile(f);
+            points[i].push_back({f, puPower(problem.power[i], f, fmax),
+                                 prof.bandwidthDemand, prof.rate});
         }
-    });
+        reference_rate[i] = profile(fmax).rate;
+    }
 
     PowerBudgetResult best;
     best.worstRelativePerformance = -1.0;

@@ -149,11 +149,7 @@ RunResult::toJson() const
         out += "]}";
     }
     out += tables.empty() ? "]" : "\n  ]";
-    out += ",\n  \"cache\": {\"hits\": " +
-           std::to_string(cache.hits) +
-           ", \"misses\": " + std::to_string(cache.misses) +
-           ", \"hitRate\": " + jsonNumber(cache.hitRate()) + "}\n";
-    out += "}\n";
+    out += "\n}\n";
     return out;
 }
 

@@ -21,8 +21,7 @@
  *       ],
  *       "tables": [
  *         {"title": "...", "headers": [...], "rows": [[...], ...]}
- *       ],
- *       "cache": {"hits": 120, "misses": 240, "hitRate": 0.333}
+ *       ]
  *     }
  *
  * The CSV rendering is long-format for curves (kernel, series,
@@ -37,7 +36,6 @@
 
 #include "common/table.hh"
 #include "common/units.hh"
-#include "runner/eval_cache.hh"
 
 namespace pccs::runner {
 
@@ -88,8 +86,6 @@ struct RunResult
     RunSpec spec;
     std::vector<KernelRun> kernels;
     std::vector<NamedTable> tables;
-    /** Engine cache counters at export time. */
-    CacheStats cache;
 
     /** Attach a rendered Table under a title. */
     void addTable(std::string table_title, const Table &t)

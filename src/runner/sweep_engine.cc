@@ -106,50 +106,30 @@ SweepEngine::SweepEngine(unsigned jobs)
 
 double
 SweepEngine::evaluate(const soc::SocSimulator &sim, std::size_t pu_index,
-                      const soc::KernelProfile &kernel, GBps external)
+                      const soc::KernelProfile &kernel,
+                      GBps external) const
 {
-    const PointKey key =
-        speedKey(sim.config(), pu_index, kernel, external);
-    if (const auto cached = cache_.lookupSpeed(key))
-        return *cached;
-    const double rs =
-        sim.relativeSpeedUnderPressure(pu_index, kernel, external);
-    cache_.storeSpeed(key, rs);
-    return rs;
+    return sim.relativeSpeedUnderPressure(pu_index, kernel, external);
 }
 
 std::vector<double>
 SweepEngine::evaluateBatch(const soc::SocSimulator &sim,
-                           const std::vector<EvalPoint> &points)
+                           const std::vector<EvalPoint> &points) const
 {
-    std::vector<double> results(points.size(), 0.0);
-    const std::uint64_t fp = socFingerprint(sim.config());
-    pool_.run(points.size(), [&](std::size_t i) {
-        const EvalPoint &p = points[i];
-        const PointKey key =
-            speedKey(fp, p.puIndex, p.kernel, p.externalBw);
-        if (const auto cached = cache_.lookupSpeed(key)) {
-            results[i] = *cached;
-            return;
-        }
-        const double rs = sim.relativeSpeedUnderPressure(
-            p.puIndex, p.kernel, p.externalBw);
-        cache_.storeSpeed(key, rs);
-        results[i] = rs;
-    });
+    std::vector<double> results;
+    results.reserve(points.size());
+    for (const EvalPoint &p : points) {
+        results.push_back(sim.relativeSpeedUnderPressure(
+            p.puIndex, p.kernel, p.externalBw));
+    }
     return results;
 }
 
 soc::StandaloneProfile
 SweepEngine::profile(const soc::SocSimulator &sim, std::size_t pu_index,
-                     const soc::KernelProfile &kernel)
+                     const soc::KernelProfile &kernel) const
 {
-    const PointKey key = profileKey(sim.config(), pu_index, kernel);
-    if (const auto cached = cache_.lookupProfile(key))
-        return *cached;
-    const soc::StandaloneProfile prof = sim.profile(pu_index, kernel);
-    cache_.storeProfile(key, prof);
-    return prof;
+    return sim.profile(pu_index, kernel);
 }
 
 void
@@ -162,7 +142,7 @@ SweepEngine::parallelFor(std::size_t count,
 SweepEngine &
 SweepEngine::global()
 {
-    static SweepEngine engine;
+    static SweepEngine &engine = *new SweepEngine;
     return engine;
 }
 

@@ -1,23 +1,24 @@
 /**
  * @file
- * The sweep engine: one parallel, memoizing evaluation layer under
- * every sweep-shaped consumer of the SoC simulator.
+ * The sweep engine: the evaluation entry point of sweep-shaped
+ * consumers of the SoC simulator, plus a worker pool for DRAM point
+ * fan-out.
  *
  * Calibration (`calib::calibrate`), the predicted-vs-actual benches
- * (`bench::sweepKernel`), the design explorer, and the power-budget
- * explorer all reduce to evaluating independent (SoC, PU, kernel,
- * external-BW) points. The engine owns a simple thread pool that
- * evaluates such points in parallel while guaranteeing bit-identical
- * results to serial execution — point ordering is deterministic, each
- * point writes only its own result slot, and every evaluated function
- * is pure (`SocSimulator::run` and friends are const) — and routes
- * all evaluations through a shared `EvalCache` so overlapping sweeps
- * (the calibration ladder, the figure ladders, the frequency grids)
- * stop recomputing common points.
+ * (`bench::sweepKernel`), the design explorer and the QoS controller
+ * evaluate (SoC, PU, kernel, external-BW) points through the engine.
+ * Each such point is a closed-form `SocSimulator` call of about a
+ * microsecond, so the engine runs them inline on the calling thread:
+ * no memo (distinct designs almost never repeat a point) and no pool
+ * hand-off (waking workers costs more than the batch).
  *
- * Pool sizing: `std::thread::hardware_concurrency()` by default,
- * overridable with the `PCCS_JOBS` environment variable. `PCCS_JOBS=1`
- * disables the pool entirely (pure serial fallback).
+ * The pool serves work whose points are whole DRAM simulations
+ * (`calib::calibrateMultiMc`, sharded multi-MC runs). Its results are
+ * bit-identical to serial execution: point ordering is deterministic
+ * and each point writes only its own result slot. Pool sizing:
+ * `std::thread::hardware_concurrency()` by default, overridable with
+ * the `PCCS_JOBS` environment variable. `PCCS_JOBS=1` disables the
+ * pool entirely (pure serial fallback).
  */
 
 #ifndef PCCS_RUNNER_SWEEP_ENGINE_HH
@@ -31,10 +32,27 @@
 #include <thread>
 #include <vector>
 
-#include "runner/eval_cache.hh"
 #include "soc/simulator.hh"
 
 namespace pccs::runner {
+
+/** Hit/miss counters of `SweepEngine::cache()`, which are always 0. */
+struct CacheStats
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+
+    std::uint64_t lookups() const { return hits + misses; }
+
+    /** @return hits / lookups in [0, 1]; 0 when never consulted. */
+    double hitRate() const
+    {
+        return lookups() > 0
+                   ? static_cast<double>(hits) /
+                         static_cast<double>(lookups())
+                   : 0.0;
+    }
+};
 
 /** One independent sweep point: a kernel on a PU under pressure. */
 struct EvalPoint
@@ -93,10 +111,10 @@ class ThreadPool
 };
 
 /**
- * Parallel, cached evaluation of sweep points. One engine (usually
- * the process-wide `global()` instance) is shared by calibration,
- * benches, and the explorers so their overlapping sweep matrices hit
- * the same cache.
+ * Evaluation of sweep points, plus the pool for DRAM fan-out. One
+ * engine (usually the process-wide `global()` instance) is shared by
+ * calibration, benches, the explorers and the DRAM calibration
+ * ladders.
  */
 class SweepEngine
 {
@@ -112,44 +130,56 @@ class SweepEngine
     unsigned jobs() const { return jobs_; }
 
     /**
-     * Achieved relative speed (%) of one point, memoized. Identical
-     * to `sim.relativeSpeedUnderPressure(pu, kernel, external)`.
+     * Achieved relative speed (%) of one point:
+     * `sim.relativeSpeedUnderPressure(pu, kernel, external)`.
      */
     double evaluate(const soc::SocSimulator &sim, std::size_t pu_index,
-                    const soc::KernelProfile &kernel, GBps external);
+                    const soc::KernelProfile &kernel,
+                    GBps external) const;
 
     /**
-     * Evaluate all points on `sim` in parallel; result[i] is point
-     * i's relative speed, bit-identical to a serial loop.
+     * Evaluate all points on `sim`, in order, on the calling thread;
+     * result[i] is point i's relative speed.
      */
-    std::vector<double> evaluateBatch(const soc::SocSimulator &sim,
-                                      const std::vector<EvalPoint> &points);
+    std::vector<double>
+    evaluateBatch(const soc::SocSimulator &sim,
+                  const std::vector<EvalPoint> &points) const;
 
-    /** Standalone profile of a kernel on a PU, memoized. */
+    /** Standalone profile of a kernel on a PU: `sim.profile(...)`. */
     soc::StandaloneProfile profile(const soc::SocSimulator &sim,
                                    std::size_t pu_index,
-                                   const soc::KernelProfile &kernel);
+                                   const soc::KernelProfile &kernel) const;
 
     /**
      * Deterministic parallel loop over [0, count) on the engine's
-     * pool, for sweep-shaped work that is not a plain speed
-     * evaluation (grid precomputes, per-config sweeps).
+     * pool, for independent DRAM simulations.
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &body);
 
-    EvalCache &cache() { return cache_; }
-    const EvalCache &cache() const { return cache_; }
+    struct EmptyCache
+    {
+        CacheStats stats() const { return {}; }
+        std::size_t size() const { return 0; }
+    };
 
     /**
-     * The process-wide engine. Created on first use; sized from
-     * PCCS_JOBS / hardware_concurrency at that moment.
+     * Always-empty cache view: the engine keeps no memo. It exists
+     * because the end-to-end benchmark harness (perfbench/) reads
+     * these counters.
+     */
+    EmptyCache cache() const { return {}; }
+
+    /**
+     * The process-wide engine. Created on first use, sized from
+     * PCCS_JOBS / hardware_concurrency at that moment, and never
+     * destroyed, so a process exiting from any thread (or from a
+     * forked child that has no pool threads) never joins its workers.
      */
     static SweepEngine &global();
 
   private:
     unsigned jobs_;
-    EvalCache cache_;
     ThreadPool pool_;
 };
 

@@ -154,14 +154,12 @@ QosController::buildGrid(const soc::KernelProfile &kernel,
                          std::size_t pu, GridCache &cache)
 {
     // Stage 1 of DesignExplorer::corunPerformanceGrid, verbatim: the
-    // standalone profile of every candidate clock, evaluated in
-    // parallel and memoized on the shared engine cache — so scheduler
-    // decisions and explorer queries over the same grid share points.
+    // standalone profile of every candidate clock.
     const std::vector<MHz> &grid = grids_[pu];
     const std::size_t n = grid.size();
     cache.demand.resize(n);
     cache.rate.resize(n);
-    engine_->parallelFor(n, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
         soc::SocConfig cfg = config_;
         cfg.pus[pu].frequency = grid[i];
         const soc::SocSimulator sim(std::move(cfg));
@@ -169,7 +167,7 @@ QosController::buildGrid(const soc::KernelProfile &kernel,
             engine_->profile(sim, pu, kernel);
         cache.demand[i] = solo.bandwidthDemand;
         cache.rate[i] = solo.rate;
-    });
+    }
     cache.built = true;
     cache.feasible = true;
 }

@@ -8,8 +8,8 @@
  * Jobs arrive as (kernel profile, slowdown SLO, optional deadline).
  * For each arrival the controller picks a {PU, frequency} pair via
  * the same batched evaluation paths the design explorer uses — the
- * standalone profiles of every candidate clock come from one memoized
- * parallel sweep (corunPerformanceGrid stage 1) and the whole grid's
+ * standalone profiles of every candidate clock come from one sweep
+ * (corunPerformanceGrid stage 1) and the whole grid's
  * slowdowns from one SoA `relativeSpeedBroadcast` call — and admits
  * the job only if its own predicted slowdown and every resident job's
  * predicted slowdown stay within their SLOs. Arrivals that do not fit

@@ -296,7 +296,7 @@ Metrics::uptimeSeconds() const
 }
 
 Json
-Metrics::toJson(const runner::CacheStats &cache) const
+Metrics::toJson() const
 {
     // Aggregate the shards into plain snapshots first (insertion
     // into the ordered map keeps the endpoint listing alphabetical,
@@ -404,16 +404,10 @@ Metrics::toJson(const runner::CacheStats &cache) const
         batches.set("sizes", std::move(sizes));
     }
 
-    Json cacheJson = Json::object();
-    cacheJson.set("hits", cache.hits);
-    cacheJson.set("misses", cache.misses);
-    cacheJson.set("hitRate", cache.hitRate());
-
     Json out = Json::object();
     out.set("uptimeSeconds", uptimeSeconds());
     out.set("endpoints", std::move(endpoints));
     out.set("batches", std::move(batches));
-    out.set("cache", std::move(cacheJson));
     return out;
 }
 

@@ -37,7 +37,6 @@
 #include <string>
 #include <string_view>
 
-#include "runner/eval_cache.hh"
 #include "serve/json.hh"
 
 namespace pccs::serve {
@@ -148,11 +147,8 @@ class Metrics
     void enableDebugSizes(bool on) { debugSizes_.store(on); }
     bool debugSizesEnabled() const { return debugSizes_.load(); }
 
-    /**
-     * Render everything as the `stats` result object; `cache` is the
-     * shared sweep-engine cache counters to report alongside.
-     */
-    Json toJson(const runner::CacheStats &cache) const;
+    /** Render everything as the `stats` result object. */
+    Json toJson() const;
 
     /** Recording shards; fixed, independent of server shard count. */
     static constexpr std::size_t kShards = 16;

@@ -980,7 +980,7 @@ Dispatcher::doReload(const Json &request)
 Json
 Dispatcher::doStats() const
 {
-    Json stats = metrics_.toJson(engine_->cache().stats());
+    Json stats = metrics_.toJson();
     Json models = Json::array();
     for (const auto &entry : registry_.list()) {
         Json m = Json::object();

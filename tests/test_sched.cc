@@ -238,7 +238,7 @@ TEST_F(QosTest, GridEvaluationMatchesDesignExplorer)
 {
     // The controller's admission grid is documented bit-exact with
     // DesignExplorer::corunPerformanceGrid over the same grid, model,
-    // and (memoizing) engine.
+    // and engine.
     QosController ctl(soc);
     const JobRequest req = request(2.0, gpu);
     std::vector<double> mine;

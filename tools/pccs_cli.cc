@@ -16,8 +16,8 @@
  *   region --model FILE --demand X
  *       Classify a demand into its contention region.
  *   sweep --soc S --pu P --bench NAME [--max-external Y] [--steps N]
- *       Sweep a kernel under external pressure through the parallel
- *       sweep engine and write JSON/CSV artifacts.
+ *       Sweep a kernel under external pressure through the sweep
+ *       engine and write JSON/CSV artifacts.
  *   serve [--host H] [--port N] [--shards N]
  *         [--model NAME=FILE,...] [--calibrate SOC:PU,...]
  *       Run the prediction service: newline-delimited JSON over TCP
@@ -44,11 +44,12 @@
  *
  *
  * `pccs --version` prints the tool version. Global options:
- * --jobs N caps the sweep engine's worker threads (equivalent to
- * setting PCCS_JOBS=N); --dram-reference selects the per-cycle
- * reference DRAM loops (single-MC reference core + multi-MC
- * lockstep); --mc-parallel selects the sharded-parallel multi-MC run
- * mode (PCCS_MC_SHARDS sizes the worker team).
+ * --jobs N caps the sweep engine's worker threads, which run DRAM
+ * calibration points (equivalent to setting PCCS_JOBS=N);
+ * --dram-reference selects the per-cycle reference DRAM loops
+ * (single-MC reference core + multi-MC lockstep); --mc-parallel
+ * selects the sharded-parallel multi-MC run mode (PCCS_MC_SHARDS
+ * sizes the worker team).
  */
 
 #include <cctype>
@@ -348,7 +349,6 @@ cmdSweep(const ArgMap &args)
     kr.series.push_back({"pccs", prd});
     kr.series.push_back({"gables", gab});
     artifact.kernels.push_back(std::move(kr));
-    artifact.cache = engine.cache().stats();
 
     std::vector<std::string> headers{"series"};
     for (GBps y : ladder)
@@ -366,13 +366,6 @@ cmdSweep(const ArgMap &args)
                           : (env && *env ? env : ".");
     const std::string path = artifact.writeArtifacts(dir);
     std::printf("artifact: %s (+ .csv)\n", path.c_str());
-    std::printf("engine: %u job(s), cache %llu hit(s) / %llu "
-                "miss(es)\n",
-                engine.jobs(),
-                static_cast<unsigned long long>(
-                    artifact.cache.hits),
-                static_cast<unsigned long long>(
-                    artifact.cache.misses));
     return 0;
 }
 
