@@ -3,8 +3,8 @@
  * google-benchmark microbenchmarks of the library's hot paths: model
  * evaluation, model construction, bandwidth allocation, the DRAM
  * simulator's cycle loop (reference and event-driven), and the SoC
- * co-run solver. These quantify the cost of using PCCS inside a
- * design-space-exploration loop.
+ * simulator's sweep point and per-PU calibration. These quantify the
+ * cost of using PCCS inside a design-space-exploration loop.
  *
  * Beyond the standard google-benchmark flags, `--json <path>` writes a
  * machine-readable snapshot ({benchmark, ns/op, items/s}) of every run
@@ -155,8 +155,9 @@ BM_StandaloneProfile(benchmark::State &state)
 }
 BENCHMARK(BM_StandaloneProfile);
 
+/** One SoC sweep point: a calibrator under synthetic pressure. */
 void
-BM_CorunSolve(benchmark::State &state)
+BM_SocRelativeSpeed(benchmark::State &state)
 {
     const soc::SocSimulator sim(xavier());
     const std::size_t gpu = static_cast<std::size_t>(
@@ -169,8 +170,21 @@ BM_CorunSolve(benchmark::State &state)
             sim.relativeSpeedUnderPressure(gpu, k, y));
         y = y < 100.0 ? y + 1.0 : 10.0;
     }
+    state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_CorunSolve);
+BENCHMARK(BM_SocRelativeSpeed);
+
+/** The Sec. 3.2 calibration of one PU: calibrators plus rela matrix. */
+void
+BM_SocCalibrate(benchmark::State &state)
+{
+    const soc::SocSimulator sim(xavier());
+    const std::size_t gpu = static_cast<std::size_t>(
+        xavier().puIndex(soc::PuKind::Gpu));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(calib::calibrate(sim, gpu));
+}
+BENCHMARK(BM_SocCalibrate)->Unit(benchmark::kMicrosecond);
 
 void
 BM_ModelConstruction(benchmark::State &state)

@@ -23,28 +23,37 @@ makeCalibrator(const soc::ExecutionModel &model, const soc::PuParams &pu,
 
     // Standalone demand is monotonically non-increasing in operational
     // intensity: more flops per byte -> more compute-bound -> less
-    // bandwidth. Bisect intensity to hit the target.
+    // bandwidth. Bisect intensity to hit the target. Only the
+    // intensity varies, so the PU's rate terms are computed once.
+    const soc::RateTerms terms = model.rateTerms(pu, locality);
+    const auto demand = [&terms](double intensity) -> GBps {
+        return terms.rate(intensity, 0.0, 0.0) / bytesPerGB;
+    };
     double lo = 1e-4;  // essentially pure streaming
     double hi = 1e5;   // essentially pure compute
     kernel.intensity = lo;
-    const GBps max_demand =
-        model.standalone(pu, kernel).bandwidthDemand;
-    if (target_bw >= max_demand) {
+    if (target_bw >= demand(lo)) {
         // Target beyond what the PU can draw: return the most
         // memory-bound calibrator.
         return kernel;
     }
 
-    for (int iter = 0; iter < 80; ++iter) {
-        kernel.intensity = std::sqrt(lo * hi); // geometric bisection
-        const GBps demand =
-            model.standalone(pu, kernel).bandwidthDemand;
-        if (demand > target_bw)
-            lo = kernel.intensity;
+    // Geometric bisection, stopped at its fixed point: the result is
+    // the one all 80 steps would give. Once mid == lo or mid == hi,
+    // the step either leaves (lo, hi) unchanged, so every later step
+    // repeats it, or collapses the bracket to lo == hi == mid, where
+    // sqrt(mid * mid) == mid exactly (true of correctly rounded binary
+    // floating point short of overflow and underflow). Either way
+    // every later midpoint, and the final one, is mid.
+    double mid = std::sqrt(lo * hi);
+    for (int iter = 0; iter < 80 && mid != lo && mid != hi; ++iter) {
+        if (demand(mid) > target_bw)
+            lo = mid;
         else
-            hi = kernel.intensity;
+            hi = mid;
+        mid = std::sqrt(lo * hi);
     }
-    kernel.intensity = std::sqrt(lo * hi);
+    kernel.intensity = mid;
     return kernel;
 }
 

@@ -9,54 +9,26 @@ namespace pccs::soc {
 
 ExecutionModel::ExecutionModel(const MemoryParams &mem) : mem_(mem) {}
 
-double
-ExecutionModel::rate(const PuParams &pu, const KernelProfile &kernel,
-                     GBps grant, double interference) const
+RateTerms
+ExecutionModel::rateTerms(const PuParams &pu, double locality) const
 {
-    const double compute = pu.computeGflops() * 1e9; // flops/s
-    PCCS_ASSERT(compute > 0.0, "PU %s has no compute throughput",
+    RateTerms terms;
+    terms.compute = pu.computeGflops() * 1e9; // flops/s
+    PCCS_ASSERT(terms.compute > 0.0, "PU %s has no compute throughput",
                 pu.name.c_str());
-    const double t_c = kernel.intensity / compute; // s per byte
 
     // Solo memory service rate: the PU's draw capability bounded by
     // what the memory system delivers to a single source with this
     // stream's row locality.
-    std::vector<BandwidthDemand> solo{
-        {1.0, kernel.locality, pu.fairShareWeight}};
+    const BandwidthDemand solo{1.0, locality, pu.fairShareWeight};
     const double service =
         std::min(pu.drawBandwidth() * bytesPerGB,
-                 mem_.effectiveBandwidth(solo) * bytesPerGB);
-    const double t_m = 1.0 / service; // s per byte, standalone
-
-    // Base time per byte with compute/memory overlap.
-    const double t_base = std::max(t_c, t_m) +
-                          (1.0 - pu.overlap) * std::min(t_c, t_m);
-
-    // Queueing-latency inflation: interference (the fraction of
-    // effective bandwidth served to *other* sources) lengthens every
-    // access of this PU's stream, pacing the whole kernel — the
-    // per-PU latency sensitivity encodes how much of that inflation
-    // the PU's parallelism hides. The inflation is independent of the
-    // kernel's own demand, matching the observation that the paper's
-    // minor-region slope (MRMC) is a per-PU constant.
-    const double inflation = 1.0 + pu.latencySensitivity *
-                                       mem_.params().latencyLoad *
-                                       interference;
-
-    // Bandwidth constraint: progress can never outrun the granted
-    // bandwidth. Unconstrained kernels have grant == demand, where
-    // 1/grant == t_base and the latency path dominates.
-    double t = t_base * inflation;
-    if (grant > 0.0)
-        t = std::max(t, 1.0 / (grant * bytesPerGB));
-    return 1.0 / t; // bytes per second
-}
-
-GBps
-ExecutionModel::rawDemand(const PuParams &pu,
-                          const KernelProfile &kernel) const
-{
-    return rate(pu, kernel, 0.0, 0.0) / bytesPerGB;
+                 mem_.effectiveBandwidth({&solo, 1}) * bytesPerGB);
+    terms.serviceTime = 1.0 / service; // s per byte, standalone
+    terms.overlap = pu.overlap;
+    terms.latencySlope =
+        pu.latencySensitivity * mem_.params().latencyLoad;
+    return terms;
 }
 
 StandaloneProfile
@@ -66,7 +38,8 @@ ExecutionModel::standalone(const PuParams &pu,
     // Standalone there is no interference and the grant equals the
     // demand, so the achieved rate is the unconstrained rate directly.
     StandaloneProfile prof;
-    prof.rate = rate(pu, kernel, 0.0, 0.0);
+    prof.rate =
+        rateTerms(pu, kernel.locality).rate(kernel.intensity, 0.0, 0.0);
     prof.bandwidthDemand = prof.rate / bytesPerGB;
     prof.seconds =
         prof.rate > 0.0 ? kernel.workBytes / prof.rate : 0.0;
@@ -101,9 +74,10 @@ ExecutionModel::corun(const std::vector<PuParams> &pus,
                 ? (served - result.allocation.grants[i]) /
                       result.allocation.effectiveBandwidth
                 : 0.0;
-        result.rates.push_back(rate(pus[i], kernels[i],
-                                    result.allocation.grants[i],
-                                    interference));
+        result.rates.push_back(
+            rateTerms(pus[i], kernels[i].locality)
+                .rate(kernels[i].intensity, result.allocation.grants[i],
+                      interference));
     }
     return result;
 }
@@ -111,28 +85,36 @@ ExecutionModel::corun(const std::vector<PuParams> &pus,
 double
 ExecutionModel::relativeSpeed(
     const PuParams &pu, const KernelProfile &kernel,
-    const std::vector<BandwidthDemand> &external) const
+    std::span<const BandwidthDemand> external) const
 {
-    const StandaloneProfile solo = standalone(pu, kernel);
+    DemandBuffer buf(external.size() + 1);
+    const std::span<BandwidthDemand> demands = buf.span();
+    std::copy(external.begin(), external.end(), demands.begin() + 1);
+    return relativeSpeedInPlace(pu, kernel, demands);
+}
 
-    std::vector<BandwidthDemand> demands;
-    demands.reserve(external.size() + 1);
-    demands.push_back(
-        {solo.bandwidthDemand, kernel.locality, pu.fairShareWeight});
-    for (const auto &e : external)
-        demands.push_back(e);
+double
+ExecutionModel::relativeSpeedInPlace(
+    const PuParams &pu, const KernelProfile &kernel,
+    std::span<BandwidthDemand> demands) const
+{
+    PCCS_ASSERT(!demands.empty(), "relativeSpeedInPlace needs slot 0");
+    const RateTerms terms = rateTerms(pu, kernel.locality);
+    const double solo_rate = terms.rate(kernel.intensity, 0.0, 0.0);
+    demands[0] = {solo_rate / bytesPerGB, kernel.locality,
+                  pu.fairShareWeight};
 
-    const AllocationResult alloc = mem_.allocate(demands);
+    InlineBuffer<GBps, inlineDemands> grant_buf(demands.size());
+    const std::span<GBps> grants = grant_buf.span();
+    const GBps eff = mem_.allocateInto(demands, grants);
     double served = 0.0;
-    for (GBps g : alloc.grants)
+    for (GBps g : grants)
         served += g;
     const double interference =
-        alloc.effectiveBandwidth > 0.0
-            ? (served - alloc.grants[0]) / alloc.effectiveBandwidth
-            : 0.0;
+        eff > 0.0 ? (served - grants[0]) / eff : 0.0;
     const double corun_rate =
-        rate(pu, kernel, alloc.grants[0], interference);
-    return solo.rate > 0.0 ? 100.0 * corun_rate / solo.rate : 0.0;
+        terms.rate(kernel.intensity, grants[0], interference);
+    return solo_rate > 0.0 ? 100.0 * corun_rate / solo_rate : 0.0;
 }
 
 } // namespace pccs::soc

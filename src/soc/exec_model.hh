@@ -31,8 +31,11 @@
 #ifndef PCCS_SOC_EXEC_MODEL_HH
 #define PCCS_SOC_EXEC_MODEL_HH
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
+#include "common/inline_buffer.hh"
 #include "soc/kernel.hh"
 #include "soc/memory_model.hh"
 #include "soc/pu.hh"
@@ -58,6 +61,59 @@ struct CorunRates
     /** The bandwidth allocation that produced the rates. */
     AllocationResult allocation;
 };
+
+/**
+ * The terms of the rate formula that do not depend on the kernel's
+ * intensity, for one PU and one stream locality. rate() evaluates the
+ * formula for an intensity, so a search over intensities (the
+ * calibrator bisection) pays for these terms once.
+ */
+struct RateTerms
+{
+    /** Compute throughput, flops/s. */
+    double compute = 0.0;
+    /** Solo memory service time t_m, s per byte. */
+    double serviceTime = 0.0;
+    /** Compute/memory overlap quality o of the PU. */
+    double overlap = 0.0;
+    /** Latency inflation per unit of interference. */
+    double latencySlope = 0.0;
+
+    /** Bytes/second given a grant (GB/s) and interference share. */
+    double rate(double intensity, GBps grant, double interference) const
+    {
+        const double t_c = intensity / compute; // s per byte
+        const double t_m = serviceTime;
+
+        // Base time per byte with compute/memory overlap.
+        const double t_base =
+            std::max(t_c, t_m) + (1.0 - overlap) * std::min(t_c, t_m);
+
+        // Queueing-latency inflation: interference (the fraction of
+        // effective bandwidth served to *other* sources) lengthens
+        // every access of this PU's stream, pacing the whole kernel —
+        // the per-PU latency sensitivity encodes how much of that
+        // inflation the PU's parallelism hides. The inflation is
+        // independent of the kernel's own demand, matching the
+        // observation that the paper's minor-region slope (MRMC) is a
+        // per-PU constant.
+        const double inflation = 1.0 + latencySlope * interference;
+
+        // Bandwidth constraint: progress can never outrun the granted
+        // bandwidth. Unconstrained kernels have grant == demand, where
+        // 1/grant == t_base and the latency path dominates.
+        double t = t_base * inflation;
+        if (grant > 0.0)
+            t = std::max(t, 1.0 / (grant * bytesPerGB));
+        return 1.0 / t; // bytes per second
+    }
+};
+
+/** Demand lists up to this many sources are built on the stack. */
+inline constexpr std::size_t inlineDemands = 8;
+
+/** Scratch demand list for one co-run evaluation. */
+using DemandBuffer = InlineBuffer<BandwidthDemand, inlineDemands>;
 
 /**
  * Steady-state execution model over a shared memory system.
@@ -87,18 +143,24 @@ class ExecutionModel
      * figures plot.
      */
     double relativeSpeed(const PuParams &pu, const KernelProfile &kernel,
-                         const std::vector<BandwidthDemand> &external) const;
+                         std::span<const BandwidthDemand> external) const;
+
+    /**
+     * relativeSpeed() over a caller-built demand list: demands[1..]
+     * are the external sources, and demands[0] is overwritten with
+     * the kernel's own standalone demand. Allocation-free for up to
+     * inlineDemands sources.
+     */
+    double relativeSpeedInPlace(const PuParams &pu,
+                                const KernelProfile &kernel,
+                                std::span<BandwidthDemand> demands) const;
+
+    /** The intensity-independent rate terms of `pu` at `locality`. */
+    RateTerms rateTerms(const PuParams &pu, double locality) const;
 
     const SharedMemorySystem &memory() const { return mem_; }
 
   private:
-    /** Bytes/second given a grant (GB/s) and interference share. */
-    double rate(const PuParams &pu, const KernelProfile &kernel,
-                GBps grant, double interference) const;
-
-    /** Unconstrained demand used to seed the solo fixed point. */
-    GBps rawDemand(const PuParams &pu, const KernelProfile &kernel) const;
-
     SharedMemorySystem mem_;
 };
 

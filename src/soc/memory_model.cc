@@ -18,7 +18,7 @@ SharedMemorySystem::SharedMemorySystem(const MemoryParams &params)
 
 GBps
 SharedMemorySystem::effectiveBandwidth(
-    const std::vector<BandwidthDemand> &demands) const
+    std::span<const BandwidthDemand> demands) const
 {
     double total = 0.0;
     for (const auto &d : demands)
@@ -53,50 +53,56 @@ SharedMemorySystem::effectiveBandwidth(
     return params_.peakBandwidth * efficiency;
 }
 
-std::vector<GBps>
-SharedMemorySystem::waterFill(const std::vector<BandwidthDemand> &demands,
-                              GBps capacity)
+void
+SharedMemorySystem::waterFill(std::span<const BandwidthDemand> demands,
+                              GBps capacity, std::span<GBps> grants)
 {
     const std::size_t n = demands.size();
-    std::vector<GBps> grants(n, 0.0);
     double total = 0.0;
     for (const auto &d : demands)
         total += d.demand;
     if (total <= capacity) {
         for (std::size_t i = 0; i < n; ++i)
             grants[i] = demands[i].demand;
-        return grants;
+        return;
     }
 
     // Find the fill level f such that sum(min(d_i, w_i * f)) == capacity
     // by bisection on f; min(d_i, w_i*f) is monotone in f.
+    //
+    // The loop exits at its fixed point, which gives the same fill as
+    // running all 64 steps. Once f == lo or f == hi, the step either
+    // leaves (lo, hi) unchanged, so every later step repeats it, or
+    // collapses the bracket to lo == hi == f, where 0.5 * (f + f) == f
+    // exactly (doubling and halving a binary float are exact short of
+    // overflow). Either
+    // way every later midpoint, and the final one, is f.
     double lo = 0.0;
     double hi = capacity;
     for (const auto &d : demands)
         if (d.weight > 0.0)
             hi = std::max(hi, d.demand / d.weight);
-    for (int iter = 0; iter < 64; ++iter) {
-        const double f = 0.5 * (lo + hi);
+    double fill = 0.5 * (lo + hi);
+    for (int iter = 0; iter < 64 && fill != lo && fill != hi; ++iter) {
         double served = 0.0;
         for (const auto &d : demands)
-            served += std::min(d.demand, d.weight * f);
+            served += std::min(d.demand, d.weight * fill);
         if (served < capacity)
-            lo = f;
+            lo = fill;
         else
-            hi = f;
+            hi = fill;
+        fill = 0.5 * (lo + hi);
     }
-    const double fill = 0.5 * (lo + hi);
     for (std::size_t i = 0; i < n; ++i)
         grants[i] = std::min(demands[i].demand, demands[i].weight * fill);
-    return grants;
 }
 
 AllocationResult
-SharedMemorySystem::allocate(
-    const std::vector<BandwidthDemand> &demands) const
+SharedMemorySystem::allocate(std::span<const BandwidthDemand> demands) const
 {
     AllocationResult res;
-    res.effectiveBandwidth = effectiveBandwidth(demands);
+    res.grants.resize(demands.size());
+    res.effectiveBandwidth = allocateInto(demands, res.grants);
     res.efficiency = res.effectiveBandwidth / params_.peakBandwidth;
 
     double total = 0.0;
@@ -106,24 +112,36 @@ SharedMemorySystem::allocate(
                         ? std::min(total, res.effectiveBandwidth) /
                               res.effectiveBandwidth
                         : 0.0;
+    return res;
+}
 
+GBps
+SharedMemorySystem::allocateInto(std::span<const BandwidthDemand> demands,
+                                 std::span<GBps> grants) const
+{
+    PCCS_ASSERT(grants.size() == demands.size(),
+                "allocateInto: %zu grants for %zu demands", grants.size(),
+                demands.size());
+    const GBps eff = effectiveBandwidth(demands);
     switch (params_.policy) {
       case AllocationPolicy::FairWaterFill:
-        res.grants = waterFill(demands, res.effectiveBandwidth);
+        waterFill(demands, eff, grants);
         break;
       case AllocationPolicy::Proportional: {
         // The Gables assumption: no reduction until the *nominal* peak
         // is exceeded; then pro-rate demands into the peak.
-        res.grants.resize(demands.size());
+        double total = 0.0;
+        for (const auto &d : demands)
+            total += d.demand;
         const double scale = total > params_.peakBandwidth
                                  ? params_.peakBandwidth / total
                                  : 1.0;
         for (std::size_t i = 0; i < demands.size(); ++i)
-            res.grants[i] = demands[i].demand * scale;
+            grants[i] = demands[i].demand * scale;
         break;
       }
     }
-    return res;
+    return eff;
 }
 
 } // namespace pccs::soc

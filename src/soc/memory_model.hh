@@ -28,6 +28,7 @@
 #ifndef PCCS_SOC_MEMORY_MODEL_HH
 #define PCCS_SOC_MEMORY_MODEL_HH
 
+#include <span>
 #include <vector>
 
 #include "common/units.hh"
@@ -110,7 +111,8 @@ struct AllocationResult
 
 /**
  * The shared-memory bandwidth allocator (one call = one steady-state
- * epoch).
+ * epoch). Demand lists are taken as spans, so callers may pass a
+ * std::vector or a stack buffer alike.
  */
 class SharedMemorySystem
 {
@@ -119,24 +121,32 @@ class SharedMemorySystem
 
     /** Allocate bandwidth among the given concurrent demands. */
     AllocationResult allocate(
-        const std::vector<BandwidthDemand> &demands) const;
+        std::span<const BandwidthDemand> demands) const;
+
+    /**
+     * Allocation-free core of allocate(): writes the grant of
+     * demands[i] to grants[i] (grants.size() == demands.size()) and
+     * returns the effective total bandwidth, GB/s.
+     */
+    GBps allocateInto(std::span<const BandwidthDemand> demands,
+                      std::span<GBps> grants) const;
 
     /**
      * Effective total bandwidth under the given demand set, GB/s
      * (before division among sources).
      */
     GBps effectiveBandwidth(
-        const std::vector<BandwidthDemand> &demands) const;
+        std::span<const BandwidthDemand> demands) const;
 
     const MemoryParams &params() const { return params_; }
 
   private:
     /**
      * Weighted water-filling: find grants g_i = min(d_i, w_i * f) with
-     * sum(g_i) = min(sum(d_i), capacity).
+     * sum(g_i) = min(sum(d_i), capacity), written to `grants`.
      */
-    static std::vector<GBps> waterFill(
-        const std::vector<BandwidthDemand> &demands, GBps capacity);
+    static void waterFill(std::span<const BandwidthDemand> demands,
+                          GBps capacity, std::span<GBps> grants);
 
     MemoryParams params_;
 };

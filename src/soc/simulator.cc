@@ -39,8 +39,14 @@ SocSimulator::relativeSpeedUnderPressure(std::size_t pu_index,
 {
     PCCS_ASSERT(pu_index < config_.pus.size(), "bad PU index %zu",
                 pu_index);
-    const auto ext = externalDemands(config_, pu_index, external);
-    return model_.relativeSpeed(config_.pus[pu_index], kernel, ext);
+    // Slot 0 is the kernel's own demand; the other PUs' synthetic
+    // demands are written behind it.
+    DemandBuffer buf(config_.pus.size());
+    const std::span<BandwidthDemand> demands = buf.span();
+    const std::size_t n =
+        externalDemands(config_, pu_index, external, demands.subspan(1));
+    return model_.relativeSpeedInPlace(config_.pus[pu_index], kernel,
+                                       demands.first(n + 1));
 }
 
 CorunOutcome

@@ -142,23 +142,26 @@ snapdragonLike()
     return soc;
 }
 
-std::vector<BandwidthDemand>
+std::size_t
 externalDemands(const SocConfig &soc, std::size_t target_pu,
-                GBps total_demand)
+                GBps total_demand, std::span<BandwidthDemand> out)
 {
     PCCS_ASSERT(target_pu < soc.pus.size(), "bad target PU index %zu",
                 target_pu);
-    std::vector<BandwidthDemand> out;
+    PCCS_ASSERT(out.size() + 1 >= soc.pus.size(),
+                "room for %zu external demands, need %zu", out.size(),
+                soc.pus.size() - 1);
     if (total_demand <= 0.0)
-        return out;
+        return 0;
 
     double cap_sum = 0.0;
     for (std::size_t i = 0; i < soc.pus.size(); ++i)
         if (i != target_pu)
             cap_sum += soc.pus[i].drawBandwidth();
     if (cap_sum <= 0.0)
-        return out;
+        return 0;
 
+    std::size_t n = 0;
     for (std::size_t i = 0; i < soc.pus.size(); ++i) {
         if (i == target_pu)
             continue;
@@ -167,9 +170,18 @@ externalDemands(const SocConfig &soc, std::size_t target_pu,
             std::min(cap, total_demand * cap / cap_sum);
         if (share > 0.0) {
             // Calibrator kernels are streaming and row-friendly.
-            out.push_back({share, 0.97, soc.pus[i].fairShareWeight});
+            out[n++] = {share, 0.97, soc.pus[i].fairShareWeight};
         }
     }
+    return n;
+}
+
+std::vector<BandwidthDemand>
+externalDemands(const SocConfig &soc, std::size_t target_pu,
+                GBps total_demand)
+{
+    std::vector<BandwidthDemand> out(soc.pus.size());
+    out.resize(externalDemands(soc, target_pu, total_demand, out));
     return out;
 }
 

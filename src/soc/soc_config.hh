@@ -8,6 +8,7 @@
 #ifndef PCCS_SOC_SOC_CONFIG_HH
 #define PCCS_SOC_SOC_CONFIG_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,7 +61,15 @@ SocConfig snapdragonLike();
  * running calibrator kernels on the other PUs). Demands beyond what
  * the other PUs can draw are clipped, mirroring the note under
  * Figure 3 that actual pressure can be lower than demanded.
+ *
+ * Writes the demands to the front of `out`, which must have room for
+ * one per PU other than `target_pu`, and returns how many it wrote.
  */
+std::size_t externalDemands(const SocConfig &soc, std::size_t target_pu,
+                            GBps total_demand,
+                            std::span<BandwidthDemand> out);
+
+/** externalDemands() into a new vector. */
 std::vector<BandwidthDemand> externalDemands(const SocConfig &soc,
                                              std::size_t target_pu,
                                              GBps total_demand);

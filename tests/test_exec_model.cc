@@ -150,7 +150,7 @@ TEST_F(ExecModelTest, CorunMatchesRelativeSpeed)
     const auto solo_c = model.standalone(pus[1], kc);
     const double rs_direct = model.relativeSpeed(
         pus[0], kg,
-        {{solo_c.bandwidthDemand, kc.locality,
+        std::vector<BandwidthDemand>{{solo_c.bandwidthDemand, kc.locality,
           pus[1].fairShareWeight}});
     EXPECT_NEAR(rs_corun, rs_direct, 1e-6);
 }

@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "soc/memory_model.hh"
 
 namespace pccs::soc {
 namespace {
+
+/** Demand lists are spans; braced lists need a named container. */
+using Demands = std::vector<BandwidthDemand>;
 
 MemoryParams
 xavierMem()
@@ -22,7 +27,7 @@ xavierMem()
 TEST(EffectiveBandwidth, SingleStreamingSourceNearBase)
 {
     SharedMemorySystem mem(xavierMem());
-    const GBps eff = mem.effectiveBandwidth({{100.0, 0.97, 1.0}});
+    const GBps eff = mem.effectiveBandwidth(Demands{{100.0, 0.97, 1.0}});
     EXPECT_NEAR(eff, 137.0 * 0.93, 2.0);
 }
 
@@ -36,9 +41,9 @@ TEST(EffectiveBandwidth, IdleSystemIsBase)
 TEST(EffectiveBandwidth, MixingDegrades)
 {
     SharedMemorySystem mem(xavierMem());
-    const GBps solo = mem.effectiveBandwidth({{120.0, 0.97, 1.0}});
+    const GBps solo = mem.effectiveBandwidth(Demands{{120.0, 0.97, 1.0}});
     const GBps duo = mem.effectiveBandwidth(
-        {{60.0, 0.97, 1.0}, {60.0, 0.97, 1.0}});
+        Demands{{60.0, 0.97, 1.0}, {60.0, 0.97, 1.0}});
     EXPECT_LT(duo, solo - 1.0);
 }
 
@@ -46,17 +51,17 @@ TEST(EffectiveBandwidth, MoreSourcesDegradeMore)
 {
     SharedMemorySystem mem(xavierMem());
     const GBps duo = mem.effectiveBandwidth(
-        {{70.0, 0.97, 1.0}, {70.0, 0.97, 1.0}});
+        Demands{{70.0, 0.97, 1.0}, {70.0, 0.97, 1.0}});
     const GBps trio = mem.effectiveBandwidth(
-        {{47.0, 0.97, 1.0}, {47.0, 0.97, 1.0}, {46.0, 0.97, 1.0}});
+        Demands{{47.0, 0.97, 1.0}, {47.0, 0.97, 1.0}, {46.0, 0.97, 1.0}});
     EXPECT_LT(trio, duo);
 }
 
 TEST(EffectiveBandwidth, PoorLocalityDegrades)
 {
     SharedMemorySystem mem(xavierMem());
-    const GBps good = mem.effectiveBandwidth({{80.0, 0.97, 1.0}});
-    const GBps bad = mem.effectiveBandwidth({{80.0, 0.50, 1.0}});
+    const GBps good = mem.effectiveBandwidth(Demands{{80.0, 0.97, 1.0}});
+    const GBps bad = mem.effectiveBandwidth(Demands{{80.0, 0.50, 1.0}});
     EXPECT_LT(bad, good - 5.0);
 }
 
@@ -76,9 +81,9 @@ TEST(EffectiveBandwidth, DemandSaturationFreezesDegradation)
     // effective bandwidth (this produces the flat curve tails).
     SharedMemorySystem mem(xavierMem());
     const GBps at_sat = mem.effectiveBandwidth(
-        {{70.0, 0.97, 1.0}, {70.0, 0.97, 1.0}});
+        Demands{{70.0, 0.97, 1.0}, {70.0, 0.97, 1.0}});
     const GBps beyond = mem.effectiveBandwidth(
-        {{70.0, 0.97, 1.0}, {500.0, 0.97, 1.0}});
+        Demands{{70.0, 0.97, 1.0}, {500.0, 0.97, 1.0}});
     // Not equal (shares differ) but the heavier case cannot collapse.
     EXPECT_GT(beyond, at_sat * 0.9);
 }
@@ -87,7 +92,7 @@ TEST(WaterFill, AllMetUnderCapacity)
 {
     SharedMemorySystem mem(xavierMem());
     const auto res =
-        mem.allocate({{30.0, 0.97, 1.0}, {40.0, 0.97, 1.0}});
+        mem.allocate(Demands{{30.0, 0.97, 1.0}, {40.0, 0.97, 1.0}});
     EXPECT_DOUBLE_EQ(res.grants[0], 30.0);
     EXPECT_DOUBLE_EQ(res.grants[1], 40.0);
 }
@@ -96,7 +101,7 @@ TEST(WaterFill, SmallDemandProtected)
 {
     SharedMemorySystem mem(xavierMem());
     const auto res =
-        mem.allocate({{10.0, 0.97, 1.0}, {500.0, 0.97, 1.0}});
+        mem.allocate(Demands{{10.0, 0.97, 1.0}, {500.0, 0.97, 1.0}});
     EXPECT_NEAR(res.grants[0], 10.0, 1e-6);
     EXPECT_LT(res.grants[1], 500.0);
 }
@@ -105,7 +110,7 @@ TEST(WaterFill, EqualDemandsSplitEqually)
 {
     SharedMemorySystem mem(xavierMem());
     const auto res =
-        mem.allocate({{200.0, 0.97, 1.0}, {200.0, 0.97, 1.0}});
+        mem.allocate(Demands{{200.0, 0.97, 1.0}, {200.0, 0.97, 1.0}});
     EXPECT_NEAR(res.grants[0], res.grants[1], 1e-6);
     EXPECT_NEAR(res.grants[0] + res.grants[1], res.effectiveBandwidth,
                 1e-6);
@@ -115,17 +120,17 @@ TEST(WaterFill, WeightsBiasShares)
 {
     SharedMemorySystem mem(xavierMem());
     const auto res =
-        mem.allocate({{200.0, 0.97, 2.0}, {200.0, 0.97, 1.0}});
+        mem.allocate(Demands{{200.0, 0.97, 2.0}, {200.0, 0.97, 1.0}});
     EXPECT_NEAR(res.grants[0], 2.0 * res.grants[1], 1e-6);
 }
 
 TEST(WaterFill, LoadRatioSaturatesAtOne)
 {
     SharedMemorySystem mem(xavierMem());
-    const auto light = mem.allocate({{30.0, 0.97, 1.0}});
+    const auto light = mem.allocate(Demands{{30.0, 0.97, 1.0}});
     EXPECT_LT(light.loadRatio, 1.0);
     const auto heavy =
-        mem.allocate({{300.0, 0.97, 1.0}, {300.0, 0.97, 1.0}});
+        mem.allocate(Demands{{300.0, 0.97, 1.0}, {300.0, 0.97, 1.0}});
     EXPECT_NEAR(heavy.loadRatio, 1.0, 1e-9);
 }
 
@@ -135,7 +140,7 @@ TEST(Proportional, NoReductionBelowPeak)
     m.policy = AllocationPolicy::Proportional;
     SharedMemorySystem mem(m);
     const auto res =
-        mem.allocate({{60.0, 0.97, 1.0}, {70.0, 0.97, 1.0}});
+        mem.allocate(Demands{{60.0, 0.97, 1.0}, {70.0, 0.97, 1.0}});
     // The Gables assumption: total below the *nominal* peak -> all met.
     EXPECT_DOUBLE_EQ(res.grants[0], 60.0);
     EXPECT_DOUBLE_EQ(res.grants[1], 70.0);
@@ -147,7 +152,7 @@ TEST(Proportional, ProRatedAbovePeak)
     m.policy = AllocationPolicy::Proportional;
     SharedMemorySystem mem(m);
     const auto res =
-        mem.allocate({{100.0, 0.97, 1.0}, {100.0, 0.97, 1.0}});
+        mem.allocate(Demands{{100.0, 0.97, 1.0}, {100.0, 0.97, 1.0}});
     EXPECT_NEAR(res.grants[0], 100.0 * 137.0 / 200.0, 1e-9);
     EXPECT_NEAR(res.grants[1], res.grants[0], 1e-9);
 }
