@@ -2,9 +2,11 @@
  * @file
  * google-benchmark microbenchmarks of the library's hot paths: model
  * evaluation, model construction, bandwidth allocation, the DRAM
- * simulator's cycle loop (reference and event-driven), and the SoC
- * simulator's sweep point and per-PU calibration. These quantify the
- * cost of using PCCS inside a design-space-exploration loop.
+ * simulator's cycle loop (reference and event-driven), the SoC
+ * simulator's sweep point and per-PU calibration, and the serve
+ * path's JSON number I/O and predict-burst dispatch. These quantify
+ * the cost of using PCCS inside a design-space-exploration loop and
+ * behind `pccs serve`.
  *
  * Beyond the standard google-benchmark flags, `--json <path>` writes a
  * machine-readable snapshot ({benchmark, ns/op, items/s}) of every run
@@ -32,7 +34,9 @@
 #include "dram/system.hh"
 #include "gables/gables.hh"
 #include "pccs/builder.hh"
+#include "runner/run_spec.hh"
 #include "runner/sweep_engine.hh"
+#include "serve/protocol.hh"
 #include "soc/simulator.hh"
 
 using namespace pccs;
@@ -130,6 +134,89 @@ BM_GablesPredictBatch(benchmark::State &state)
                             static_cast<std::int64_t>(xs.size()));
 }
 BENCHMARK(BM_GablesPredictBatch)->Arg(4096)->ArgNames({"points"});
+
+/** Full-precision model answers: what a predict reply carries. */
+std::vector<double>
+replyNumbers(std::size_t n)
+{
+    std::vector<double> xs, ys;
+    fillDemandGrid(xs, ys, n);
+    std::vector<double> out(n);
+    gpuModel().relativeSpeedBatch(xs, ys, out);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = i % 2 ? 100.0 / out[i] : out[i] / 3.0;
+    return out;
+}
+
+void
+BM_JsonNumberWrite(benchmark::State &state)
+{
+    const std::vector<double> values = replyNumbers(1024);
+    std::string out;
+    for (auto _ : state) {
+        out.clear();
+        for (const double v : values)
+            runner::appendJsonNumber(out, v);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(values.size()));
+}
+BENCHMARK(BM_JsonNumberWrite);
+
+void
+BM_JsonNumberRead(benchmark::State &state)
+{
+    std::vector<std::string> tokens;
+    for (const double v : replyNumbers(1024))
+        tokens.push_back(runner::jsonNumber(v));
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (const std::string &t : tokens)
+            sum += runner::parseJsonNumber(t);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(tokens.size()));
+}
+BENCHMARK(BM_JsonNumberRead);
+
+/** One Dispatcher::handleFrames call over a burst of predict frames,
+ *  no sockets: parse, batch evaluation and reply serialization. */
+void
+BM_ServePredictBurst(benchmark::State &state)
+{
+    serve::ModelRegistry registry;
+    registry.addFromParams("gpu", gpuModel().params(), "bench");
+    serve::Metrics metrics;
+    serve::Dispatcher dispatcher(registry, metrics);
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    std::vector<std::string> texts;
+    for (std::size_t i = 0; i < n; ++i) {
+        const double k = static_cast<double>(i);
+        texts.push_back("{\"op\":\"predict\",\"id\":" +
+                        std::to_string(i) +
+                        ",\"model\":\"gpu\",\"demand\":" +
+                        runner::jsonNumber(10.0 + k * 1.7320508075688772) +
+                        ",\"external\":" +
+                        runner::jsonNumber(5.0 + k * 0.7071067811865476) +
+                        "}");
+    }
+    std::vector<serve::FrameBuffer::View> frames;
+    for (const std::string &t : texts)
+        frames.push_back({t});
+    serve::Dispatcher::Scratch scratch;
+    for (auto _ : state) {
+        dispatcher.handleFrames(frames.data(), frames.size(), scratch);
+        benchmark::DoNotOptimize(scratch.wire.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ServePredictBurst)->Arg(64)->ArgNames({"frames"})->Unit(
+    benchmark::kMicrosecond);
 
 void
 BM_WaterFillAllocation(benchmark::State &state)

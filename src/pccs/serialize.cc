@@ -10,22 +10,26 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "runner/run_spec.hh"
 
 namespace pccs::model {
 
 std::string
 paramsToText(const PccsParams &params)
 {
-    std::ostringstream os;
-    os << "pccs-model v1\n";
-    char buf[64];
+    std::string out = "pccs-model v1\n";
     auto emit = [&](const char *key, double v) {
+        out += key;
         if (std::isnan(v)) {
-            os << key << " NA\n";
+            out += " NA";
+        } else if (std::isinf(v)) {
+            // Spelled as printf prints it; loading rejects it.
+            out += v > 0 ? " inf" : " -inf";
         } else {
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-            os << key << " " << buf << "\n";
+            out += ' ';
+            runner::appendJsonNumber(out, v);
         }
+        out += '\n';
     };
     emit("normalBw", params.normalBw);
     emit("intensiveBw", params.intensiveBw);
@@ -34,7 +38,7 @@ paramsToText(const PccsParams &params)
     emit("tbwdc", params.tbwdc);
     emit("rateN", params.rateN);
     emit("peakBw", params.peakBw);
-    return os.str();
+    return out;
 }
 
 namespace {

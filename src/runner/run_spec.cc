@@ -1,7 +1,9 @@
 #include "run_spec.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -9,12 +11,11 @@
 
 namespace pccs::runner {
 
-std::string
-jsonEscape(const std::string &s)
+void
+appendJsonEscaped(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (unsigned char c : s) {
+    for (const char raw : s) {
+        const unsigned char c = static_cast<unsigned char>(raw);
         switch (c) {
           case '"':
             out += "\\\"";
@@ -43,24 +44,74 @@ jsonEscape(const std::string &s)
                 std::snprintf(buf, sizeof(buf), "\\u%04x", c);
                 out += buf;
             } else {
-                out += static_cast<char>(c);
+                out += raw;
             }
         }
     }
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendJsonEscaped(out, s);
     return out;
+}
+
+void
+appendJsonNumber(std::string &out, double v)
+{
+    if (!std::isfinite(v)) {
+        out += "null"; // JSON has no NaN/Inf
+        return;
+    }
+    // The standard defines to_chars(general, precision) as printf's
+    // %.*g, so these are the bytes of "%.17g" (at most 24 of them:
+    // sign, 17 digits, point, "e-308"), without printf's format
+    // parsing and locale machinery.
+    char buf[32];
+    const std::to_chars_result r = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::general, 17);
+    out.append(buf, r.ptr);
 }
 
 std::string
 jsonNumber(double v)
 {
-    if (!std::isfinite(v))
-        return "null"; // JSON has no NaN/Inf
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    std::string out;
+    appendJsonNumber(out, v);
+    return out;
+}
+
+double
+parseJsonNumber(std::string_view token)
+{
+    const char *first = token.data();
+    const char *last = first + token.size();
+    double v = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, v);
+    if (r.ec == std::errc::result_out_of_range) {
+        // from_chars leaves v untouched on overflow and underflow;
+        // strtod's inf / 0 / nearest-subnormal answers are the
+        // contract. The token needs a terminator, so copy it; this
+        // path runs only for tokens past the double range.
+        const std::string copy(token);
+        return std::strtod(copy.c_str(), nullptr);
+    }
+    return v;
 }
 
 namespace {
+
+/** Append `s` as a quoted, escaped JSON string. */
+void
+appendQuoted(std::string &out, std::string_view s)
+{
+    out += '"';
+    appendJsonEscaped(out, s);
+    out += '"';
+}
 
 void
 appendNumberArray(std::string &out, const std::vector<double> &values)
@@ -69,7 +120,7 @@ appendNumberArray(std::string &out, const std::vector<double> &values)
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             out += ", ";
-        out += jsonNumber(values[i]);
+        appendJsonNumber(out, values[i]);
     }
     out += "]";
 }
@@ -82,7 +133,7 @@ appendStringArray(std::string &out,
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i)
             out += ", ";
-        out += "\"" + jsonEscape(values[i]) + "\"";
+        appendQuoted(out, values[i]);
     }
     out += "]";
 }
@@ -109,25 +160,34 @@ RunResult::toJson() const
 {
     std::string out;
     out += "{\n";
-    out += "  \"experiment\": \"" + jsonEscape(spec.experiment) +
-           "\",\n";
-    out += "  \"title\": \"" + jsonEscape(spec.title) + "\",\n";
-    out += "  \"paperRef\": \"" + jsonEscape(spec.paperRef) + "\",\n";
-    out += "  \"soc\": \"" + jsonEscape(spec.socName) + "\",\n";
-    out += "  \"pu\": \"" + jsonEscape(spec.puName) + "\",\n";
+    const auto field = [&out](const char *key, const std::string &value) {
+        out += "  \"";
+        out += key;
+        out += "\": ";
+        appendQuoted(out, value);
+        out += ",\n";
+    };
+    field("experiment", spec.experiment);
+    field("title", spec.title);
+    field("paperRef", spec.paperRef);
+    field("soc", spec.socName);
+    field("pu", spec.puName);
     out += "  \"externalBw\": ";
     appendNumberArray(out, spec.externalBw);
     out += ",\n  \"kernels\": [";
     for (std::size_t k = 0; k < kernels.size(); ++k) {
         const KernelRun &kr = kernels[k];
         out += k ? ",\n    {" : "\n    {";
-        out += "\"name\": \"" + jsonEscape(kr.name) + "\", ";
-        out += "\"demand\": " + jsonNumber(kr.demand) + ", ";
-        out += "\"series\": {";
+        out += "\"name\": ";
+        appendQuoted(out, kr.name);
+        out += ", \"demand\": ";
+        appendJsonNumber(out, kr.demand);
+        out += ", \"series\": {";
         for (std::size_t s = 0; s < kr.series.size(); ++s) {
             if (s)
                 out += ", ";
-            out += "\"" + jsonEscape(kr.series[s].name) + "\": ";
+            appendQuoted(out, kr.series[s].name);
+            out += ": ";
             appendNumberArray(out, kr.series[s].values);
         }
         out += "}}";
@@ -137,8 +197,9 @@ RunResult::toJson() const
     for (std::size_t t = 0; t < tables.size(); ++t) {
         const NamedTable &nt = tables[t];
         out += t ? ",\n    {" : "\n    {";
-        out += "\"title\": \"" + jsonEscape(nt.title) + "\", ";
-        out += "\"headers\": ";
+        out += "\"title\": ";
+        appendQuoted(out, nt.title);
+        out += ", \"headers\": ";
         appendStringArray(out, nt.headers);
         out += ", \"rows\": [";
         for (std::size_t r = 0; r < nt.rows.size(); ++r) {

@@ -32,6 +32,7 @@
 #define PCCS_RUNNER_RUN_SPEC_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hh"
@@ -108,11 +109,30 @@ struct RunResult
     std::string writeArtifacts(const std::string &dir = ".") const;
 };
 
+/** Append `s` with minimal JSON escaping (quotes, backslashes,
+ *  control bytes); the surrounding quotes are the caller's. */
+void appendJsonEscaped(std::string &out, std::string_view s);
+
 /** Minimal JSON string escaping (quotes, backslashes, control). */
 std::string jsonEscape(const std::string &s);
 
-/** Round-trippable JSON number formatting for doubles. */
+/**
+ * Append `v` as a round-trippable JSON number: exactly the bytes of
+ * printf("%.17g", v), or `null` for NaN and infinities (JSON has
+ * neither). This is the one number writer of every JSON path.
+ */
+void appendJsonNumber(std::string &out, double v);
+
+/** appendJsonNumber into a fresh string. */
 std::string jsonNumber(double v);
+
+/**
+ * Read a token that already matched the RFC 8259 number grammar
+ * (`-`? int frac? exp?). Bit-equal to strtod on that grammar,
+ * including out-of-range tokens (`1e999` reads as inf, `1e-400` as
+ * 0). This is the one number reader of every JSON path.
+ */
+double parseJsonNumber(std::string_view token);
 
 } // namespace pccs::runner
 

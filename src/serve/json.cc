@@ -1,8 +1,5 @@
 #include "json.hh"
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "runner/run_spec.hh"
 
 namespace pccs::serve {
@@ -76,11 +73,11 @@ dumpTo(const Json &v, std::string &out)
         out += v.asBool() ? "true" : "false";
         break;
       case Json::Kind::Number:
-        out += runner::jsonNumber(v.asNumber());
+        runner::appendJsonNumber(out, v.asNumber());
         break;
       case Json::Kind::String:
         out += '"';
-        out += runner::jsonEscape(v.asString());
+        runner::appendJsonEscaped(out, v.asString());
         out += '"';
         break;
       case Json::Kind::Array: {
@@ -103,7 +100,7 @@ dumpTo(const Json &v, std::string &out)
                 out += ',';
             first = false;
             out += '"';
-            out += runner::jsonEscape(key);
+            runner::appendJsonEscaped(out, key);
             out += "\":";
             dumpTo(value, out);
         }
@@ -442,8 +439,8 @@ class Parser
         }
         if (!atEnd() && isDigit(peek()))
             return failAt(start, "number with a leading zero");
-        const std::string token(text_.substr(start, pos_ - start));
-        out = Json(std::strtod(token.c_str(), nullptr));
+        out = Json(
+            runner::parseJsonNumber(text_.substr(start, pos_ - start)));
         return true;
     }
 

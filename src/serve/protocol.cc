@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "pccs/builder.hh"
 #include "pccs/corun.hh"
@@ -212,60 +209,6 @@ nowMicros(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/** Append `v` rendered exactly like runner::jsonNumber, without
- *  materializing a std::string (the %.17g worst case overflows SSO). */
-void
-appendNumber(std::string &out, double v)
-{
-    if (!std::isfinite(v)) {
-        out += "null"; // JSON has no NaN/Inf
-        return;
-    }
-    char buf[40];
-    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out.append(buf, n > 0 ? static_cast<std::size_t>(n) : 0);
-}
-
-/** Append `s` escaped exactly like runner::jsonEscape. */
-void
-appendEscaped(std::string &out, std::string_view s)
-{
-    for (const char raw : s) {
-        const unsigned char c = static_cast<unsigned char>(raw);
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\b':
-            out += "\\b";
-            break;
-          case '\f':
-            out += "\\f";
-            break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += raw;
-            }
-        }
-    }
-}
-
 /**
  * Cursor of the fast predict scanner. Whitespace and number rules
  * mirror the strict Json parser exactly: anything the scanner
@@ -352,13 +295,7 @@ struct FastScan
         }
         if (pos < text.size() && isDigit(text[pos]))
             return false; // a leading zero: generic rejects it
-        const std::size_t len = pos - start;
-        char buf[64];
-        if (len >= sizeof(buf))
-            return false; // absurd token: let the generic path pay
-        std::memcpy(buf, text.data() + start, len);
-        buf[len] = '\0';
-        out = std::strtod(buf, nullptr);
+        out = runner::parseJsonNumber(text.substr(start, pos - start));
         return true;
     }
 
@@ -538,24 +475,24 @@ Dispatcher::appendPredictResult(const PredictJob &job, double rs,
     if (job.phases.size() == 1) {
         const GBps x = job.phases.front().demand;
         wire += "region\":\"";
-        appendEscaped(wire, model::regionName(m.classify(x)));
+        runner::appendJsonEscaped(wire, model::regionName(m.classify(x)));
         wire += "\",\"demand\":";
-        appendNumber(wire, x);
+        runner::appendJsonNumber(wire, x);
     } else {
         wire += "phases\":";
-        appendNumber(wire,
-                     static_cast<double>(job.phases.size()));
+        runner::appendJsonNumber(
+            wire, static_cast<double>(job.phases.size()));
     }
     wire += ",\"model\":\"";
-    appendEscaped(wire, job.entry->name);
+    runner::appendJsonEscaped(wire, job.entry->name);
     wire += "\",\"version\":";
-    appendNumber(wire, static_cast<double>(job.entry->version));
+    runner::appendJsonNumber(wire, static_cast<double>(job.entry->version));
     wire += ",\"external\":";
-    appendNumber(wire, job.external);
+    runner::appendJsonNumber(wire, job.external);
     wire += ",\"relativeSpeed\":";
-    appendNumber(wire, rs);
+    runner::appendJsonNumber(wire, rs);
     wire += ",\"slowdownFactor\":";
-    appendNumber(wire, slowdown);
+    runner::appendJsonNumber(wire, slowdown);
     wire += '}';
 }
 
@@ -659,7 +596,7 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
         if (s.hasId) {
             w += "\"id\":";
             if (s.idIsNumber)
-                appendNumber(w, s.idNumber);
+                runner::appendJsonNumber(w, s.idNumber);
             else if (s.idValue != nullptr)
                 s.idValue->dumpTo(w);
             else
@@ -680,7 +617,7 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
             }
         } else {
             w += "\"ok\":false,\"error\":\"";
-            appendEscaped(w, s.error);
+            runner::appendJsonEscaped(w, s.error);
             w += '"';
         }
         w += "}\n";
@@ -1130,6 +1067,9 @@ Dispatcher::doSchedule(const Json &request)
     // malformed frame can never fix the SoC's admission policy.
     if (!bundle.sched) {
         sched::SchedOptions opts;
+        // No serve op replays the admit/complete log, and it would
+        // grow by two events per job for the server's lifetime.
+        opts.recordEvents = false;
         if (request.find("policy") != nullptr)
             opts.policy = parsePolicy(request);
         if (request.find("margin") != nullptr)

@@ -160,8 +160,9 @@ TEST(CalibrateMultiMc, ShapeAndSaneValues)
     ASSERT_EQ(m.numExternal(), 2u);
     for (std::size_t i = 0; i < m.numKernels(); ++i) {
         EXPECT_GT(m.standaloneBw[i], 0.0);
-        if (i)
+        if (i) {
             EXPECT_GT(m.standaloneBw[i], m.standaloneBw[i - 1]);
+        }
         for (double r : m.rela[i]) {
             EXPECT_GT(r, 0.0);
             EXPECT_LT(r, 110.0);

@@ -255,8 +255,8 @@ TEST_P(FastPathDifferential, ThreeWayAgreementBursts)
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, FastPathDifferential,
     ::testing::ValuesIn(schedulerNames()),
-    [](const ::testing::TestParamInfo<std::string> &info) {
-        std::string name = info.param;
+    [](const ::testing::TestParamInfo<std::string> &param_info) {
+        std::string name = param_info.param;
         for (char &c : name)
             if (c == '-')
                 c = '_';

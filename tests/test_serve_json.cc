@@ -2,18 +2,27 @@
  * @file
  * Tests for the serve JSON value type and parser, including
  * cross-checks against the runner's JSON writers (jsonEscape,
- * jsonNumber) — the parser must accept everything they emit.
+ * jsonNumber) — the parser must accept everything they emit — and
+ * the equivalence of the shared number writer and reader with
+ * printf("%.17g") and strtod.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "runner/run_spec.hh"
 #include "serve/json.hh"
+#include "serve/protocol.hh"
 
 namespace pccs::serve {
 namespace {
@@ -151,7 +160,9 @@ TEST(JsonDump, EscapedControlCharactersRoundTrip)
     std::string all;
     for (char c = 1; c < 0x20; ++c)
         all += c;
-    const std::string wire = "\"" + runner::jsonEscape(all) + "\"";
+    std::string wire = "\"";
+    wire += runner::jsonEscape(all);
+    wire += '"';
     // The escaped form itself must not contain raw control bytes.
     for (char c : wire)
         EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
@@ -198,6 +209,142 @@ TEST(JsonNumber, SeventeenDigitsRoundTripBitExactly)
         // Bit-exact: the wire format must not lose precision.
         EXPECT_EQ(back.asNumber(), v) << runner::jsonNumber(v);
     }
+}
+
+/** The values the number writer and reader are checked on. */
+std::vector<double>
+numberCorpus()
+{
+    std::vector<double> v = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::denorm_min(),
+                             -std::numeric_limits<double>::denorm_min(),
+                             std::nextafter(DBL_MIN, 0.0),
+                             DBL_MIN / 3.0,
+                             DBL_MIN,
+                             -DBL_MIN,
+                             DBL_MAX,
+                             -DBL_MAX,
+                             0.1,
+                             1.0 / 3.0};
+    for (double p = 1.0; p <= 9007199254740992.0; p *= 2.0) {
+        v.push_back(p - 1.0); // 2^53 - 1 is the largest odd one
+        v.push_back(p);
+        v.push_back(-p);
+    }
+    for (int i = 0; i <= 1000; ++i)
+        v.push_back(i);
+    for (int e = -324; e <= 308; ++e) {
+        const std::string power = "1e" + std::to_string(e);
+        v.push_back(std::strtod(power.c_str(), nullptr));
+    }
+    // Random bit patterns: every exponent, every mantissa shape.
+    std::mt19937_64 rng(20211018);
+    while (v.size() < 120000) {
+        const double d = std::bit_cast<double>(rng());
+        if (std::isfinite(d))
+            v.push_back(d);
+    }
+    return v;
+}
+
+std::string
+printfNumber(double v)
+{
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(JsonNumberIo, WriterIsByteEqualToPrintf)
+{
+    std::size_t mismatches = 0;
+    for (const double v : numberCorpus()) {
+        const std::string got = runner::jsonNumber(v);
+        if (got != printfNumber(v) && ++mismatches <= 10) {
+            ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v)
+                          << ": " << got << " vs " << printfNumber(v);
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    // Appending keeps the prefix and matches the fresh-string form.
+    std::string out = "x=";
+    runner::appendJsonNumber(out, -1.5e-300);
+    EXPECT_EQ(out, "x=" + printfNumber(-1.5e-300));
+}
+
+TEST(JsonNumberIo, ReaderIsBitEqualToStrtod)
+{
+    std::vector<std::string> tokens = {
+        "1e999", "-1e999", "1e-400", "-1e-400", "4.9e-324",
+        "2.2250738585072011e-308", "-0", "0.1", "0", "1E+2",
+        "123456789012345678901234567890"};
+    for (const double v : numberCorpus())
+        tokens.push_back(printfNumber(v));
+
+    std::size_t mismatches = 0;
+    for (const std::string &token : tokens) {
+        const std::uint64_t want =
+            std::bit_cast<std::uint64_t>(std::strtod(token.c_str(), nullptr));
+        const std::uint64_t got =
+            std::bit_cast<std::uint64_t>(runner::parseJsonNumber(token));
+        // The generic parser reads numbers through the same reader.
+        const JsonParse doc = parseJson(token);
+        ASSERT_TRUE(doc.ok()) << token;
+        const std::uint64_t viaParser =
+            std::bit_cast<std::uint64_t>(doc.value->asNumber());
+        if ((got != want || viaParser != want) && ++mismatches <= 10)
+            ADD_FAILURE() << token << ": " << got << " / " << viaParser
+                          << " vs " << want;
+    }
+    EXPECT_EQ(mismatches, 0u);
+
+    EXPECT_EQ(runner::parseJsonNumber("1e999"),
+              std::numeric_limits<double>::infinity());
+    EXPECT_EQ(runner::parseJsonNumber("-1e999"),
+              -std::numeric_limits<double>::infinity());
+    EXPECT_EQ(runner::parseJsonNumber("1e-400"), 0.0);
+    EXPECT_TRUE(std::signbit(runner::parseJsonNumber("-0")));
+}
+
+TEST(JsonNumberIo, FastAndGenericPredictRepliesAreByteIdentical)
+{
+    model::PccsParams p;
+    p.normalBw = 38.1;
+    p.intensiveBw = 96.2;
+    p.mrmc = 4.9;
+    p.cbp = 45.3;
+    p.tbwdc = 87.2;
+    p.rateN = 1.11;
+    p.peakBw = 137.0;
+    ModelRegistry registry;
+    registry.addFromParams("m", p, "test");
+    Metrics metrics;
+    Dispatcher dispatcher(registry, metrics);
+
+    // Same request twice. The second copy spells the op's 'p' as a
+    // unicode escape, which the fast scanner leaves to the generic
+    // parser.
+    const std::string fields =
+        "\",\"id\":0.1,\"model\":\"m\",\"demand\":42.123456789012345,"
+        "\"external\":17.25e0}";
+    const std::string fast = "{\"op\":\"predict" + fields;
+    const std::string generic = "{\"op\":\"\\u0070redict" + fields;
+    const FrameBuffer::View frames[] = {{fast}, {generic}};
+    Dispatcher::Scratch scratch;
+    dispatcher.handleFrames(frames, 2, scratch);
+
+    ASSERT_EQ(scratch.spans.size(), 2u);
+    // Only the generic path keeps a parsed request tree.
+    EXPECT_TRUE(scratch.slots[0].request.isNull());
+    EXPECT_TRUE(scratch.slots[1].request.isObject());
+    const std::string first = scratch.wire.substr(
+        scratch.spans[0].offset, scratch.spans[0].length);
+    const std::string second = scratch.wire.substr(
+        scratch.spans[1].offset, scratch.spans[1].length);
+    EXPECT_NE(first.find("\"ok\":true"), std::string::npos) << first;
+    EXPECT_EQ(first, second);
 }
 
 } // namespace
