@@ -389,6 +389,49 @@ BENCHMARK(BM_DramCyclesSaturated4EventDriven)
     ->Unit(benchmark::kMillisecond);
 
 /**
+ * The Figure 5 shape: eight low-group plus eight high-group cores
+ * (60 + 90 GB/s against the 102.4 GB/s peak), so the request buffers
+ * stay full and most sources sit blocked or at their MLP limit. The
+ * event-driven loop leaves those sources unticked; the reference loop
+ * ticks all sixteen and retries every blocked enqueue each cycle.
+ */
+void
+dramCyclesSaturated16(benchmark::State &state, dram::DramRunMode mode)
+{
+    dram::DramSystem sys(dram::table1Config(), "FR-FCFS",
+                         dram::SchedulerParams{}, mode);
+    for (unsigned c = 0; c < 16; ++c) {
+        dram::TrafficParams p;
+        p.source = c;
+        p.demand = c < 8 ? 60.0 / 8 : 90.0 / 8;
+        p.seed = 40 + c;
+        sys.addGenerator(p);
+    }
+    sys.run(10000); // fill the queues
+    for (auto _ : state)
+        sys.run(static_cast<Cycles>(state.range(0)));
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
+void
+BM_DramCyclesSaturated16Reference(benchmark::State &state)
+{
+    dramCyclesSaturated16(state, dram::DramRunMode::Reference);
+}
+BENCHMARK(BM_DramCyclesSaturated16Reference)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_DramCyclesSaturated16EventDriven(benchmark::State &state)
+{
+    dramCyclesSaturated16(state, dram::DramRunMode::EventDriven);
+}
+BENCHMARK(BM_DramCyclesSaturated16EventDriven)
+    ->Arg(20000)
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * The same saturated workload once per registered policy (event-driven
  * mode), so the fast-pick engine's coverage is visible: every registry
  * policy takes the mask-based issue path now, with the materialized

@@ -74,54 +74,14 @@ ChannelTiming::firstOpenBank() const
     return openRowMask_ ? std::countr_zero(openRowMask_) : -1;
 }
 
-bool
-ChannelTiming::canActivateRank(Cycles now) const
-{
-    if (now < nextActRank_)
-        return false;
-    if (actWindow_.size() >= 4 && now < actWindow_.front() + timing_.tFAW)
-        return false;
-    return true;
-}
-
-Cycles
-ChannelTiming::rankActivateReadyAt() const
-{
-    Cycles ready = nextActRank_;
-    if (actWindow_.size() >= 4)
-        ready = std::max(ready, actWindow_.front() + timing_.tFAW);
-    return ready;
-}
-
 void
 ChannelTiming::recordActivate(Cycles now)
 {
     nextActRank_ = now + timing_.tRRD;
-    actWindow_.push_back(now);
-    while (actWindow_.size() > 4)
-        actWindow_.pop_front();
-}
-
-bool
-ChannelTiming::busAvailable(Cycles now, bool is_write) const
-{
-    if (busFreeAt_ > now + timing_.tCL)
-        return false;
-    if (!is_write && now < readAllowedAt_)
-        return false;
-    return true;
-}
-
-Cycles
-ChannelTiming::busReadyAt(bool is_write) const
-{
-    // busAvailable(c): busFreeAt_ <= c + tCL, and reads additionally
-    // c >= readAllowedAt_.
-    Cycles ready =
-        busFreeAt_ > timing_.tCL ? busFreeAt_ - timing_.tCL : 0;
-    if (!is_write)
-        ready = std::max(ready, readAllowedAt_);
-    return ready;
+    actWindow_[actOldest_] = now;
+    actOldest_ = (actOldest_ + 1) % 4;
+    if (actCount_ < 4)
+        ++actCount_;
 }
 
 void

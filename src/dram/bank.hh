@@ -12,8 +12,9 @@
 #ifndef PCCS_DRAM_BANK_HH
 #define PCCS_DRAM_BANK_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "dram/timing.hh"
@@ -110,13 +111,24 @@ class ChannelTiming
     int firstOpenBank() const;
 
     /** @return true when the rank-level ACT constraints allow an ACT. */
-    bool canActivateRank(Cycles now) const;
+    bool canActivateRank(Cycles now) const
+    {
+        return now >= rankActivateReadyAt();
+    }
 
     /**
      * Earliest cycle at which canActivateRank() becomes true, assuming
      * no further ACTs are recorded in between (monotone thereafter).
      */
-    Cycles rankActivateReadyAt() const;
+    Cycles rankActivateReadyAt() const
+    {
+        // tFAW binds only once four ACTs are on record; the oldest of
+        // the last four is the slot the next ACT overwrites.
+        if (actCount_ < 4)
+            return nextActRank_;
+        return std::max(nextActRank_,
+                        actWindow_[actOldest_] + timing_.tFAW);
+    }
 
     /** Record an ACT at cycle now (updates tFAW window and tRRD). */
     void recordActivate(Cycles now);
@@ -127,13 +139,23 @@ class ChannelTiming
      * additionally respect the write-to-read turnaround (tWTR) after
      * the last write burst.
      */
-    bool busAvailable(Cycles now, bool is_write = false) const;
+    bool busAvailable(Cycles now, bool is_write = false) const
+    {
+        return now >= busReadyAt(is_write);
+    }
 
     /**
      * Earliest cycle at which busAvailable(cycle, is_write) becomes
      * true, assuming no bus reservations in between.
      */
-    Cycles busReadyAt(bool is_write = false) const;
+    Cycles busReadyAt(bool is_write = false) const
+    {
+        // busAvailable(c): busFreeAt_ <= c + tCL, and reads additionally
+        // c >= readAllowedAt_.
+        const Cycles ready =
+            busFreeAt_ > timing_.tCL ? busFreeAt_ - timing_.tCL : 0;
+        return is_write ? ready : std::max(ready, readAllowedAt_);
+    }
 
     /** Reserve the data bus for a CAS issued at cycle now. */
     void reserveBus(Cycles now, bool is_write = false);
@@ -152,7 +174,12 @@ class ChannelTiming
     std::vector<Bank> banks_;
     /** Banks with an open row (maintained by the *Bank wrappers). */
     std::uint64_t openRowMask_ = 0;
-    std::deque<Cycles> actWindow_;
+    /** The last four ACT cycles, a ring (tFAW window). */
+    std::array<Cycles, 4> actWindow_{};
+    /** Ring slot of the oldest recorded ACT (the next one to go). */
+    unsigned actOldest_ = 0;
+    /** ACTs recorded so far, saturating at 4. */
+    unsigned actCount_ = 0;
     Cycles nextActRank_ = 0;
     Cycles busFreeAt_ = 0;
     Cycles readAllowedAt_ = 0; // tWTR after the last write burst

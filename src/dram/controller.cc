@@ -47,30 +47,26 @@ MemoryController::setLazyChannelScan(bool on)
 }
 
 bool
-MemoryController::canAccept(Addr addr) const
-{
-    const unsigned ch = mapper_.decode(addr).channel;
-    return !queues_[ch].full();
-}
-
-bool
 MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
                           Cycles now)
 {
     PCCS_ASSERT(source < Scheduler::maxSources,
                 "source id %u exceeds the %u-source limit", source,
                 Scheduler::maxSources);
+    const DecodedAddr loc = mapper_.decode(addr);
+    auto &queue = queues_[loc.channel];
+    if (queue.full())
+        return false;
+    // Ids are only ever compared (arrival serials, PARBS batch marks),
+    // and acceptance order is the same whether or not rejected
+    // retries happen, so every run mode assigns identical ids.
     Request req;
     req.id = nextId_++;
     req.source = source;
     req.isWrite = is_write;
     req.addr = addr;
-    req.loc = mapper_.decode(addr);
+    req.loc = loc;
     req.arrival = now;
-
-    auto &queue = queues_[req.loc.channel];
-    if (queue.full())
-        return false;
     const Bank &bank = channels_[req.loc.channel].bank(req.loc.bank);
     const bool row_hit =
         bank.openRow() == static_cast<std::int64_t>(req.loc.row);
@@ -119,9 +115,12 @@ bool
 MemoryController::drainCompletions(Cycles now)
 {
     bool drained = false;
-    while (!inflight_.empty() && inflight_.top().completion <= now) {
-        const Request req = inflight_.top().req;
-        inflight_.pop();
+    // Requests completing on the same cycle are delivered in issue
+    // order; no observer depends on that order (delivery only
+    // decrements outstanding counts and adds to sums).
+    while (!inflight_.empty() && inflight_.front().completion <= now) {
+        const Request req = inflight_.front();
+        inflight_.pop_front();
         stats_.totalLatency += req.completion - req.arrival;
         ++stats_.completed;
         ++stats_.completedPerSource[req.source];
@@ -329,7 +328,10 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
         stats_.bytesTransferred += cfg_.lineBytes;
         stats_.bytesPerSource[req.source] += cfg_.lineBytes;
         scheduler_->onService(req, now, cfg_.lineBytes);
-        inflight_.push(Inflight{done, req});
+        PCCS_ASSERT(inflight_.empty() ||
+                        inflight_.back().completion <= done,
+                    "CAS completions must be pushed in order");
+        inflight_.push_back(req);
         queue.erase(slot); // unlinks the bank and hit lists too
         // This CAS may have drained the open row's last pending hit,
         // unmasking a conflicting PRE that the build loop excluded
@@ -630,7 +632,7 @@ MemoryController::nextEventCycle(Cycles now) const
 {
     Cycles best = kNoEvent;
     if (!inflight_.empty())
-        best = std::max(inflight_.top().completion, now + 1);
+        best = std::max(inflight_.front().completion, now + 1);
     // Scheduler tick events (ATLAS/TCM quantum and shuffle boundaries)
     // mutate scheduler state even on otherwise-idle cycles; their
     // rearm chains must advance exactly as in the reference loop.

@@ -9,10 +9,10 @@
 #define PCCS_DRAM_CONTROLLER_HH
 
 #include <array>
+#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -84,16 +84,20 @@ class MemoryController : public MemoryPort
     MemoryController(const DramConfig &cfg,
                      std::unique_ptr<Scheduler> scheduler);
 
-    /** @return true if channel owning `addr` has queue space. */
-    bool canAccept(Addr addr) const;
-
     /**
-     * Enqueue a request.
+     * Enqueue a request. Its id is assigned only on acceptance, so a
+     * rejected attempt changes no controller state.
      * @return false when the target channel's queue is full (the caller
      *         must retry later; this is the request-buffer backpressure)
      */
     bool enqueue(unsigned source, Addr addr, bool is_write,
                  Cycles now) override;
+
+    /** The queue of the channel `addr` decodes to. */
+    const RequestQueue &requestQueue(Addr addr) const override
+    {
+        return queues_[mapper_.decode(addr).channel];
+    }
 
     unsigned lineBytes() const override { return cfg_.lineBytes; }
     double cycleSeconds() const override
@@ -191,16 +195,6 @@ class MemoryController : public MemoryPort
     double effectiveBandwidthFraction(Cycles cycles) const;
 
   private:
-    struct Inflight
-    {
-        Cycles completion;
-        Request req;
-        bool operator>(const Inflight &o) const
-        {
-            return completion > o.completion;
-        }
-    };
-
     enum class RefreshOutcome
     {
         NotDue,     ///< no refresh work; normal scheduling proceeds
@@ -273,9 +267,13 @@ class MemoryController : public MemoryPort
     std::unique_ptr<Scheduler> scheduler_;
     std::vector<ChannelTiming> channels_;
     std::vector<RequestQueue> queues_;
-    std::priority_queue<Inflight, std::vector<Inflight>,
-                        std::greater<Inflight>>
-        inflight_;
+    /**
+     * Issued CASes awaiting completion, oldest first. Every CAS, read
+     * or write, completes a fixed tCL + tBURST after it issues, and
+     * commands issue in cycle order, so requests arrive here in
+     * non-decreasing completion order and a FIFO drains them on time.
+     */
+    std::deque<Request> inflight_;
     ControllerStats stats_;
     CompletionCallback onComplete_;
     std::uint64_t nextId_ = 1;

@@ -106,6 +106,12 @@ MultiMcSystem::enqueue(unsigned source, Addr addr, bool is_write,
                                       is_write, now);
 }
 
+const RequestQueue &
+MultiMcSystem::requestQueue(Addr addr) const
+{
+    return mcs_[route(addr)]->requestQueue(localAddress(addr));
+}
+
 unsigned
 MultiMcSystem::lineBytes() const
 {
@@ -156,19 +162,12 @@ MultiMcSystem::run(Cycles cycles)
 }
 
 bool
-MultiMcSystem::stepCycle()
+MultiMcSystem::stepCycle(bool skip_idle)
 {
     bool active = false;
     for (auto &mc : mcs_)
         active |= mc->tick(now_);
-    // Same rotated issue order as DramSystem::stepCycle: the offset is
-    // a pure function of now_, so skipping quiet cycles (on which
-    // every generator's tick is a no-op regardless of order) cannot
-    // perturb it.
-    const std::size_t n = generators_.size();
-    const std::size_t start = n ? now_ % n : 0;
-    for (std::size_t i = 0; i < n; ++i)
-        active |= generators_[(start + i) % n]->tick(now_);
+    active |= tickRotated(generators_, now_, skip_idle);
     return active;
 }
 
@@ -178,7 +177,7 @@ MultiMcSystem::runLockstep(Cycles end)
     // The original cycle-by-cycle loop, kept as the equivalence oracle
     // (--dram-reference / PCCS_DRAM_REFERENCE).
     while (now_ < end) {
-        stepCycle();
+        stepCycle(false);
         ++now_;
     }
 }
@@ -187,7 +186,7 @@ void
 MultiMcSystem::runEventDriven(Cycles end)
 {
     while (now_ < end) {
-        if (stepCycle()) {
+        if (stepCycle(true)) {
             ++now_;
             continue;
         }
@@ -274,8 +273,10 @@ MultiMcSystem::runIndependentShards(
                 for (std::size_t k = 0; k < gens.size(); ++k) {
                     if (it == gens.end())
                         it = gens.begin();
-                    active |= generators_[*it]->tick(now);
+                    CoreTrafficGenerator &gen = *generators_[*it];
                     ++it;
+                    if (!gen.idleAt(now))
+                        active |= gen.tick(now);
                 }
                 if (active) {
                     ++now;
@@ -303,7 +304,6 @@ MultiMcSystem::runEpochSharded(Cycles end, unsigned team)
     // replays completion delivery in controller index order followed
     // by the rotated generator ticks — the exact lockstep order.
     const unsigned mcs = numControllers();
-    const std::size_t n = generators_.size();
     deferCompletions_ = true;
     for (auto &d : deferred_)
         d.clear();
@@ -347,9 +347,7 @@ MultiMcSystem::runEpochSharded(Cycles end, unsigned team)
                 deliver(req);
             deferred_[m].clear();
         }
-        const std::size_t start = n ? now % n : 0;
-        for (std::size_t i = 0; i < n; ++i)
-            active |= generators_[(start + i) % n]->tick(now);
+        active |= tickRotated(generators_, now, true);
         if (active) {
             ++now;
             continue;

@@ -72,6 +72,8 @@ class MultiMcSystem : public MemoryPort
     // MemoryPort
     bool enqueue(unsigned source, Addr addr, bool is_write,
                  Cycles now) override;
+    /** Routed like enqueue(): the owning MC's queue for `addr`. */
+    const RequestQueue &requestQueue(Addr addr) const override;
     unsigned lineBytes() const override;
     double cycleSeconds() const override;
     Addr addressSpan() const override;
@@ -134,8 +136,12 @@ class MultiMcSystem : public MemoryPort
     Addr localAddress(Addr addr) const;
 
   private:
-    /** One lockstep cycle at now_; @return true when anything moved. */
-    bool stepCycle();
+    /**
+     * One cycle at now_; @return true when anything moved. `skip_idle`
+     * leaves sources that provably cannot issue unticked
+     * (event-driven); lockstep ticks every source.
+     */
+    bool stepCycle(bool skip_idle);
     /** The original per-cycle loop (the equivalence oracle). */
     void runLockstep(Cycles end);
     /** Single-threaded cycle-skipping loop (fused wake min-scan). */

@@ -9,6 +9,7 @@
 #define PCCS_DRAM_PORT_HH
 
 #include "common/units.hh"
+#include "dram/request_queue.hh"
 
 namespace pccs::dram {
 
@@ -24,6 +25,13 @@ class MemoryPort
      */
     virtual bool enqueue(unsigned source, Addr addr, bool is_write,
                          Cycles now) = 0;
+
+    /**
+     * The request buffer `addr` lands in: enqueue() of that address is
+     * rejected exactly while this queue is full. Lets a blocked source
+     * wait on one inline load instead of retrying the enqueue.
+     */
+    virtual const RequestQueue &requestQueue(Addr addr) const = 0;
 
     /** @return the transfer granularity, bytes. */
     virtual unsigned lineBytes() const = 0;

@@ -25,7 +25,10 @@ struct DecodedAddr
 /** A single cache-line-sized memory request. */
 struct Request
 {
-    /** Monotonically increasing id, assigned at enqueue. */
+    /**
+     * Monotonically increasing per-controller id, assigned when the
+     * controller accepts the request (a rejected enqueue takes none).
+     */
     std::uint64_t id = 0;
     /** Id of the requesting core / processing unit. */
     unsigned source = 0;

@@ -46,7 +46,8 @@ void setDefaultDramRunMode(DramRunMode mode);
  *  - EventDriven: one thread, per-MC nextEventCycle/nextIssueEvent
  *    bounds fused into a single min-scan, so stretches on which every
  *    controller and generator is provably quiet are skipped in one
- *    jump (idle channels cost nothing);
+ *    jump (idle channels cost nothing), and on active cycles sources
+ *    that provably cannot issue are not ticked;
  *  - Sharded: EventDriven semantics with the controllers spread over
  *    worker threads. RangePartitioned mappings whose sources each
  *    live in a single controller's slice decompose into fully

@@ -66,23 +66,14 @@ DramSystem::run(Cycles cycles)
 }
 
 bool
-DramSystem::stepCycle()
+DramSystem::stepCycle(bool skip_idle)
 {
+    // Completions drain inside the controller tick, before any source
+    // ticks, so a source's idleAt() sees every slot and MLP credit this
+    // cycle frees.
     bool active = controller_->tick(now_);
-    // Rotate the issue order each cycle: with full request queues,
-    // a fixed order would hand every freed slot to the lowest-
-    // indexed generator (an arbitration bias no real interconnect
-    // has). The rotation offset is a pure function of now_, so it is
-    // unchanged by skipping quiet cycles (on which every generator's
-    // tick is a no-op regardless of order).
-    const std::size_t n = generators_.size();
-    const std::size_t r = replays_.size();
-    const std::size_t start = n ? now_ % n : 0;
-    for (std::size_t i = 0; i < n; ++i)
-        active |= generators_[(start + i) % n]->tick(now_);
-    const std::size_t rstart = r ? now_ % r : 0;
-    for (std::size_t i = 0; i < r; ++i)
-        active |= replays_[(rstart + i) % r]->tick(now_);
+    active |= tickRotated(generators_, now_, skip_idle);
+    active |= tickRotated(replays_, now_, skip_idle);
     return active;
 }
 
@@ -90,9 +81,10 @@ void
 DramSystem::runReference(Cycles end)
 {
     // The original cycle-by-cycle loop, kept as the equivalence oracle
-    // (--dram-reference / PCCS_DRAM_REFERENCE).
+    // (--dram-reference / PCCS_DRAM_REFERENCE): every source ticks, and
+    // a blocked one retries its enqueue, on every cycle.
     while (now_ < end) {
-        stepCycle();
+        stepCycle(false);
         ++now_;
     }
 }
@@ -101,7 +93,7 @@ void
 DramSystem::runEventDriven(Cycles end)
 {
     while (now_ < end) {
-        if (stepCycle()) {
+        if (stepCycle(true)) {
             // Something happened: the very next cycle may react to it
             // (a freed queue slot, a drained row hit, a legal command),
             // so no skipping is safe.

@@ -57,7 +57,8 @@ class DramSystem
      * events, and token-bucket issue crossings — are skipped in one
      * jump; every simulated state transition, statistic, and RNG draw
      * is bit-identical to Reference mode (see DESIGN.md and
-     * tests/test_dram_equivalence.cc).
+     * tests/test_dram_equivalence.cc). On the cycles it does step,
+     * sources that provably cannot issue (idleAt()) are not ticked.
      */
     void run(Cycles cycles);
 
@@ -91,8 +92,12 @@ class DramSystem
   private:
     void runReference(Cycles end);
     void runEventDriven(Cycles end);
-    /** One full simulated cycle; @return true when anything happened. */
-    bool stepCycle();
+    /**
+     * One full simulated cycle; @return true when anything happened.
+     * `skip_idle` leaves sources that provably cannot issue unticked
+     * (event-driven); the reference loop ticks every source.
+     */
+    bool stepCycle(bool skip_idle);
 
     DramRunMode mode_;
     std::unique_ptr<MemoryController> controller_;

@@ -55,57 +55,48 @@ loadTrace(const std::string &path)
 TraceReplayGenerator::TraceReplayGenerator(const ReplayParams &params,
                                            std::vector<TraceEntry> trace,
                                            MemoryPort &port)
-    : params_(params), trace_(std::move(trace)), port_(port)
+    : params_(params), trace_(std::move(trace)), port_(port),
+      bucket_(params.demand * bytesPerGB * port.cycleSeconds(),
+              port.lineBytes())
 {
     PCCS_ASSERT(!trace_.empty(), "replay needs a non-empty trace");
     PCCS_ASSERT(params_.demand > 0.0, "replay demand must be positive");
     PCCS_ASSERT(params_.mlp > 0, "replay mlp must be positive");
     PCCS_ASSERT(params_.source < Scheduler::maxSources,
                 "source id %u out of range", params_.source);
-    tokensPerCycle_ =
-        params_.demand * bytesPerGB * port_.cycleSeconds();
-    tokenCap_ = 8.0 * port_.lineBytes();
     // Keep addresses inside the port's space and line-aligned.
     const Addr mask = ~Addr{port_.lineBytes() - 1};
     for (auto &e : trace_)
         e.addr = (e.addr % port_.addressSpan()) & mask;
 }
 
-void
-TraceReplayGenerator::advanceTokens(Cycles n)
-{
-    // Same bit-exactness contract as the synthetic generator: one
-    // capped addition per elapsed cycle, cap is absorbing.
-    for (Cycles i = 0; i < n && tokens_ < tokenCap_; ++i)
-        tokens_ = std::min(tokens_ + tokensPerCycle_, tokenCap_);
-}
-
 bool
 TraceReplayGenerator::tick(Cycles now)
 {
-    PCCS_ASSERT(now + 1 >= tickedThrough_, "replay ticked backwards");
-    advanceTokens(now + 1 - tickedThrough_);
-    tickedThrough_ = now + 1;
+    bucket_.accrueThrough(now);
     bool issued = false;
-    const double line = port_.lineBytes();
-    while (tokens_ >= line && outstanding_ < params_.mlp) {
+    while (bucket_.holdsLine() && outstanding_ < params_.mlp) {
         if (position_ >= trace_.size()) {
             if (!params_.loop)
-                return issued;
+                break;
             position_ = 0;
         }
         const TraceEntry &e = trace_[position_];
         if (!port_.enqueue(params_.source, e.addr, e.isWrite, now)) {
-            blocked_ = true;
-            break; // backpressure: retry the same entry next cycle
+            // Backpressure: retry the same entry once there is room.
+            if (!blockedOn_) // same entry, same queue as last time
+                blockedOn_ = &port_.requestQueue(e.addr);
+            ++rejectedEnqueues_;
+            break;
         }
-        blocked_ = false;
+        blockedOn_ = nullptr;
         ++position_;
-        tokens_ -= line;
+        bucket_.spendLine();
         ++outstanding_;
         ++issuedLines_;
         issued = true;
     }
+    bucket_.settle();
     return issued;
 }
 
@@ -114,17 +105,12 @@ TraceReplayGenerator::nextIssueEvent(Cycles now) const
 {
     // Queue backpressure and the MLP limit only clear through
     // controller activity (a CAS dequeue / a completion), which is
-    // itself a wake; an exhausted non-looping trace never issues again.
-    if (exhausted() || outstanding_ >= params_.mlp || blocked_)
+    // itself a wake; an exhausted non-looping trace never issues
+    // again. Rejected enqueues change no controller state, and the
+    // event-driven loops skip them entirely (idleAt()).
+    if (exhausted() || outstanding_ >= params_.mlp || blockedOn_)
         return kNoEvent;
-    const double line = port_.lineBytes();
-    if (tokens_ >= line)
-        return now + 1;
-    double est = (line - tokens_) / tokensPerCycle_;
-    if (!(est < 1.0e15))
-        est = 1.0e15;
-    const auto cycles = static_cast<Cycles>(est);
-    return now + (cycles > 3 ? cycles - 2 : 1);
+    return std::max(bucket_.lineReadyAt(), now + 1);
 }
 
 void
@@ -143,6 +129,7 @@ TraceReplayGenerator::resetMeasurement()
 {
     completedLines_ = 0;
     issuedLines_ = 0;
+    rejectedEnqueues_ = 0;
 }
 
 } // namespace pccs::dram

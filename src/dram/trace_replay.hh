@@ -20,6 +20,7 @@
 
 #include "dram/port.hh"
 #include "dram/request.hh"
+#include "dram/token_bucket.hh"
 
 namespace pccs::dram {
 
@@ -67,6 +68,19 @@ class TraceReplayGenerator
     bool tick(Cycles now);
 
     /**
+     * True when tick(now) provably could not issue (same rule as
+     * CoreTrafficGenerator::idleAt(), plus an exhausted non-looping
+     * trace); ask it at the source's own turn in the cycle.
+     */
+    bool idleAt(Cycles now) const
+    {
+        return outstanding_ >= params_.mlp ||
+               now < bucket_.lineReadyAt() ||
+               (blockedOn_ != nullptr && blockedOn_->full()) ||
+               exhausted();
+    }
+
+    /**
      * Earliest cycle >= now + 1 at which tick() could issue a request,
      * given no completions arrive in between; kNoEvent when gated on
      * external progress (MLP, backpressure, exhausted trace).
@@ -85,6 +99,8 @@ class TraceReplayGenerator
 
     std::uint64_t completedLines() const { return completedLines_; }
     std::uint64_t issuedLines() const { return issuedLines_; }
+    /** Rejected enqueue attempts (see CoreTrafficGenerator). */
+    std::uint64_t rejectedEnqueues() const { return rejectedEnqueues_; }
     unsigned outstanding() const { return outstanding_; }
     unsigned source() const { return params_.source; }
 
@@ -95,20 +111,18 @@ class TraceReplayGenerator
     ReplayParams params_;
     std::vector<TraceEntry> trace_;
     MemoryPort &port_;
-    /** Apply `n` single-cycle capped token additions. */
-    void advanceTokens(Cycles n);
+    TokenBucket bucket_;
 
     std::size_t position_ = 0;
-    double tokens_ = 0.0;
-    double tokensPerCycle_;
-    double tokenCap_;
-    /** Tokens are accrued for every cycle < tickedThrough_. */
-    Cycles tickedThrough_ = 0;
-    /** Last attempt hit request-buffer backpressure. */
-    bool blocked_ = false;
+    /**
+     * The request buffer that rejected trace_[position_]; non-null
+     * while that entry waits for room.
+     */
+    const RequestQueue *blockedOn_ = nullptr;
     unsigned outstanding_ = 0;
     std::uint64_t completedLines_ = 0;
     std::uint64_t issuedLines_ = 0;
+    std::uint64_t rejectedEnqueues_ = 0;
 };
 
 } // namespace pccs::dram

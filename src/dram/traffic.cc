@@ -8,13 +8,12 @@ namespace pccs::dram {
 
 CoreTrafficGenerator::CoreTrafficGenerator(const TrafficParams &params,
                                            MemoryPort &port)
-    : params_(params), port_(port), rng_(params.seed)
+    : params_(params), port_(port), rng_(params.seed),
+      bucket_(params.demand * bytesPerGB * port.cycleSeconds(),
+              port.lineBytes())
 {
     PCCS_ASSERT(params_.demand > 0.0, "traffic demand must be positive");
     PCCS_ASSERT(params_.mlp > 0, "traffic mlp must be positive");
-    tokensPerCycle_ =
-        params_.demand * bytesPerGB * port_.cycleSeconds();
-    tokenCap_ = 8.0 * port_.lineBytes();
 
     // Give each source a private slice of the address space so sources
     // never share rows: slice the row index range.
@@ -42,46 +41,34 @@ CoreTrafficGenerator::nextAddress()
     return addr;
 }
 
-void
-CoreTrafficGenerator::advanceTokens(Cycles n)
-{
-    // One capped addition per elapsed cycle, never a closed form: the
-    // float results must be bit-identical no matter how the cycles are
-    // batched. The cap is absorbing (the addition is min-clamped), so
-    // once full the remaining iterations are skippable no-ops.
-    for (Cycles i = 0; i < n && tokens_ < tokenCap_; ++i)
-        tokens_ = std::min(tokens_ + tokensPerCycle_, tokenCap_);
-}
-
 bool
 CoreTrafficGenerator::tick(Cycles now)
 {
-    PCCS_ASSERT(now + 1 >= tickedThrough_,
-                "traffic generator ticked backwards");
-    advanceTokens(now + 1 - tickedThrough_);
-    tickedThrough_ = now + 1;
+    bucket_.accrueThrough(now);
     bool issued = false;
-    const double line = port_.lineBytes();
-    while (tokens_ >= line && outstanding_ < params_.mlp) {
-        if (!hasPending_) {
+    while (bucket_.holdsLine() && outstanding_ < params_.mlp) {
+        if (!blockedOn_) {
             pendingAddr_ = nextAddress();
             pendingWrite_ = rng_.chance(params_.writeFraction);
-            hasPending_ = true;
         }
         if (!port_.enqueue(params_.source, pendingAddr_, pendingWrite_,
                            now)) {
             // Request buffer full: hold the tokens *and the address*
-            // and retry next cycle. Advancing the stream on failed
-            // attempts would shred its row locality under
+            // and retry once the buffer has room. Advancing the stream
+            // on failed attempts would shred its row locality under
             // backpressure.
+            if (!blockedOn_) // same address, same queue as last time
+                blockedOn_ = &port_.requestQueue(pendingAddr_);
+            ++rejectedEnqueues_;
             break;
         }
-        hasPending_ = false;
-        tokens_ -= line;
+        blockedOn_ = nullptr;
+        bucket_.spendLine();
         ++outstanding_;
         ++issuedLines_;
         issued = true;
     }
+    bucket_.settle();
     return issued;
 }
 
@@ -90,22 +77,13 @@ CoreTrafficGenerator::nextIssueEvent(Cycles now) const
 {
     // Gated on a completion (MLP) or on queue space (backpressure):
     // both only clear through controller activity, which is itself a
-    // wake, so no standalone event is needed. Retries on intervening
-    // cycles are pure no-ops (no RNG, no state change).
-    if (outstanding_ >= params_.mlp || hasPending_)
+    // wake, so no standalone event is needed. A rejected enqueue
+    // changes no controller state (request ids are assigned on
+    // acceptance), and the event-driven loops do not even retry until
+    // the buffer has room (idleAt()).
+    if (outstanding_ >= params_.mlp || blockedOn_)
         return kNoEvent;
-    const double line = port_.lineBytes();
-    if (tokens_ >= line)
-        return now + 1;
-    // Estimate when the bucket reaches one line. The closed form can
-    // differ from the capped sequential adds by a few ulps, so wake a
-    // couple of cycles early; early wakes are no-op ticks, late wakes
-    // would break equivalence.
-    double est = (line - tokens_) / tokensPerCycle_;
-    if (!(est < 1.0e15))
-        est = 1.0e15; // demand so low it may as well be an epoch away
-    const auto cycles = static_cast<Cycles>(est);
-    return now + (cycles > 3 ? cycles - 2 : 1);
+    return std::max(bucket_.lineReadyAt(), now + 1);
 }
 
 void
@@ -124,6 +102,7 @@ CoreTrafficGenerator::resetMeasurement()
 {
     completedLines_ = 0;
     issuedLines_ = 0;
+    rejectedEnqueues_ = 0;
 }
 
 GBps

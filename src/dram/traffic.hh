@@ -13,11 +13,15 @@
 #ifndef PCCS_DRAM_TRAFFIC_HH
 #define PCCS_DRAM_TRAFFIC_HH
 
+#include <memory>
+#include <vector>
+
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "dram/port.hh"
 #include "dram/request.hh"
 #include "dram/scheduler.hh"
+#include "dram/token_bucket.hh"
 
 namespace pccs::dram {
 
@@ -62,6 +66,22 @@ class CoreTrafficGenerator
     bool tick(Cycles now);
 
     /**
+     * True when tick(now) provably could not issue, so the event-driven
+     * loops may skip it: the source is at its MLP limit, the request it
+     * holds targets a still-full request buffer, or its bucket cannot
+     * hold a line yet. A skipped tick only defers token accrual, which
+     * batches bit-identically. Must be asked at the source's own turn
+     * in the cycle (after the controllers ticked and after the sources
+     * ahead of it in the rotation), as tick() would run there.
+     */
+    bool idleAt(Cycles now) const
+    {
+        return outstanding_ >= params_.mlp ||
+               now < bucket_.lineReadyAt() ||
+               (blockedOn_ != nullptr && blockedOn_->full());
+    }
+
+    /**
      * Earliest cycle >= now + 1 at which tick() could issue a request,
      * given no completions arrive in between. kNoEvent when issue is
      * gated on external progress (MLP limit or queue backpressure),
@@ -78,6 +98,14 @@ class CoreTrafficGenerator
 
     /** @return lines issued since the last resetMeasurement(). */
     std::uint64_t issuedLines() const { return issuedLines_; }
+
+    /**
+     * @return enqueue attempts the request buffer rejected since the
+     * last resetMeasurement(). Differs between run modes: the
+     * reference loop retries a blocked request every cycle, the
+     * event-driven loops only once its buffer has room.
+     */
+    std::uint64_t rejectedEnqueues() const { return rejectedEnqueues_; }
 
     /** Zero the measurement counters (start of a window). */
     void resetMeasurement();
@@ -109,20 +137,15 @@ class CoreTrafficGenerator
 
   private:
     Addr nextAddress();
-    /** Apply `n` single-cycle capped token additions. */
-    void advanceTokens(Cycles n);
 
     TrafficParams params_;
     MemoryPort &port_;
     Rng rng_;
-    double tokens_ = 0.0;
-    double tokensPerCycle_;
-    double tokenCap_;
-    /** Tokens are accrued for every cycle < tickedThrough_. */
-    Cycles tickedThrough_ = 0;
+    TokenBucket bucket_;
     unsigned outstanding_ = 0;
     std::uint64_t completedLines_ = 0;
     std::uint64_t issuedLines_ = 0;
+    std::uint64_t rejectedEnqueues_ = 0;
     /** Linear line cursor within this source's address region. */
     std::uint64_t cursor_ = 0;
     Addr regionBase_;
@@ -130,8 +153,44 @@ class CoreTrafficGenerator
     /** Address generated but not yet accepted by the controller. */
     Addr pendingAddr_ = 0;
     bool pendingWrite_ = false;
-    bool hasPending_ = false;
+    /**
+     * The request buffer that rejected the pending address; non-null
+     * exactly while a request is pending.
+     */
+    const RequestQueue *blockedOn_ = nullptr;
 };
+
+/**
+ * Tick every source in `sources` (synthetic or trace replay) for cycle
+ * `now`, starting at index now % size and wrapping. The rotation keeps
+ * a full request buffer from handing every freed slot to the
+ * lowest-indexed source (an arbitration bias no real interconnect
+ * has); its offset is a pure function of `now`, so skipping quiet
+ * cycles cannot perturb it. With `skip_idle`, sources whose idleAt()
+ * holds at their turn are not ticked (the event-driven loops); the
+ * reference loops tick every source every cycle.
+ * @return true when any source issued a line.
+ */
+template <class Source>
+bool
+tickRotated(const std::vector<std::unique_ptr<Source>> &sources,
+            Cycles now, bool skip_idle)
+{
+    const std::size_t n = sources.size();
+    if (n == 0)
+        return false;
+    bool issued = false;
+    std::size_t k = static_cast<std::size_t>(now % n);
+    for (std::size_t i = 0; i < n; ++i) {
+        Source &src = *sources[k];
+        if (++k == n)
+            k = 0;
+        if (skip_idle && src.idleAt(now))
+            continue;
+        issued |= src.tick(now);
+    }
+    return issued;
+}
 
 } // namespace pccs::dram
 

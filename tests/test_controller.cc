@@ -119,9 +119,32 @@ TEST_F(ControllerTest, QueueBackpressure)
             ++accepted;
     }
     EXPECT_EQ(accepted, cap);
-    EXPECT_FALSE(ctrl.canAccept(0x0));
+    EXPECT_TRUE(ctrl.requestQueue(0x0).full());
     // Another channel still has space.
-    EXPECT_TRUE(ctrl.canAccept(cfg.lineBytes));
+    EXPECT_FALSE(ctrl.requestQueue(cfg.lineBytes).full());
+}
+
+TEST_F(ControllerTest, RejectedEnqueueUsesNoId)
+{
+    const DramConfig &cfg = ctrl.config();
+    const unsigned cap = cfg.queuePerChannel();
+    for (unsigned i = 0; i < cap; ++i) {
+        ASSERT_TRUE(ctrl.enqueue(
+            0, Addr{i} * cfg.lineBytes * cfg.channels, false, now));
+    }
+    ASSERT_TRUE(ctrl.requestQueue(0x0).full());
+    for (int retry = 0; retry < 3; ++retry)
+        EXPECT_FALSE(ctrl.enqueue(1, 0x0, false, now));
+    // The next accepted request (on another channel) takes the id
+    // right after the last accepted one.
+    ASSERT_TRUE(ctrl.enqueue(1, cfg.lineBytes, false, now));
+    const unsigned full_ch = ctrl.mapper().decode(0x0).channel;
+    const unsigned ch = ctrl.mapper().decode(cfg.lineBytes).channel;
+    ASSERT_NE(ch, full_ch);
+    const std::vector<Request> q = ctrl.queueSnapshot(ch);
+    ASSERT_EQ(q.size(), 1u);
+    EXPECT_EQ(q[0].id, ctrl.queueSnapshot(full_ch).back().id + 1);
+    EXPECT_EQ(ctrl.pendingRequests(), cap + 1);
 }
 
 TEST_F(ControllerTest, BytesAccountedPerSource)

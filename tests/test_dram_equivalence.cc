@@ -169,6 +169,8 @@ expectIdentical(DramSystem &a, DramSystem &b)
                   b.generator(i).issuedLines());
         EXPECT_EQ(a.generator(i).completedLines(),
                   b.generator(i).completedLines());
+        EXPECT_EQ(a.generator(i).outstanding(),
+                  b.generator(i).outstanding());
         // Bandwidth is a float derived from identical integers over an
         // identical window: exact double equality is required.
         EXPECT_EQ(a.achievedBandwidth(i), b.achievedBandwidth(i));
@@ -178,9 +180,26 @@ expectIdentical(DramSystem &a, DramSystem &b)
         EXPECT_EQ(a.replay(i).issuedLines(), b.replay(i).issuedLines());
         EXPECT_EQ(a.replay(i).completedLines(),
                   b.replay(i).completedLines());
+        EXPECT_EQ(a.replay(i).outstanding(), b.replay(i).outstanding());
     }
     EXPECT_EQ(a.effectiveBandwidthFraction(),
               b.effectiveBandwidthFraction());
+    // The queued requests themselves, ids included: ids are assigned
+    // on acceptance, so a rejected retry (made every cycle by the
+    // reference loop, skipped by the event-driven one) must not shift
+    // them.
+    ASSERT_EQ(a.controller().config().channels,
+              b.controller().config().channels);
+    for (unsigned ch = 0; ch < a.controller().config().channels; ++ch) {
+        const std::vector<Request> qa = a.controller().queueSnapshot(ch);
+        const std::vector<Request> qb = b.controller().queueSnapshot(ch);
+        ASSERT_EQ(qa.size(), qb.size()) << "channel " << ch;
+        for (std::size_t k = 0; k < qa.size(); ++k) {
+            EXPECT_EQ(qa[k].id, qb[k].id) << "channel " << ch;
+            EXPECT_EQ(qa[k].arrival, qb[k].arrival) << "channel " << ch;
+            EXPECT_EQ(qa[k].addr, qb[k].addr) << "channel " << ch;
+        }
+    }
 }
 
 /**
@@ -368,6 +387,97 @@ TEST(DramEquivalence, SchedulerTickEventsUnderQuietTraffic)
             expectIdentical(*ref, *evt);
         }
     }
+}
+
+/**
+ * Sixteen synthetic sources plus one trace replay against a request
+ * buffer of only `per_channel` entries per channel, with aggregate
+ * demand well above peak: nearly every source spends most cycles
+ * blocked on a full buffer or at its MLP limit, the states the
+ * event-driven loop leaves unticked.
+ */
+std::unique_ptr<DramSystem>
+buildBackpressured(std::string_view policy, unsigned per_channel,
+                   std::uint64_t seed, DramRunMode mode)
+{
+    DramConfig cfg = table1Config();
+    cfg.requestBufferEntries = per_channel * cfg.channels;
+    auto sys = std::make_unique<DramSystem>(cfg, policy,
+                                            SchedulerParams{}, mode);
+    for (unsigned s = 0; s < 16; ++s) {
+        TrafficParams p;
+        p.source = s;
+        p.demand = 4.0 + 1.5 * s;
+        p.rowLocality = s % 2 ? 0.95 : 0.6;
+        p.writeFraction = (s % 4) * 0.1;
+        p.mlp = 4u << (s % 4);
+        p.seed = seed * 53 + s;
+        sys->addGenerator(p);
+    }
+    Rng trng(seed * 977 + 11);
+    std::vector<TraceEntry> trace;
+    trace.reserve(300);
+    for (unsigned i = 0; i < 300; ++i)
+        trace.push_back({trng.next(), trng.chance(0.3)});
+    ReplayParams rp;
+    rp.source = 16;
+    rp.demand = 12.0;
+    rp.mlp = 16;
+    sys->addReplay(rp, std::move(trace));
+    return sys;
+}
+
+TEST(DramEquivalence, TinyRequestBuffersMatrix)
+{
+    for (const std::string &policy : testPolicies()) {
+        for (unsigned per_channel : {2u, 4u}) {
+            SCOPED_TRACE(testing::Message()
+                         << policy << " entries/ch=" << per_channel);
+            auto ref = buildBackpressured(policy, per_channel, 1,
+                                          DramRunMode::Reference);
+            auto evt = buildBackpressured(policy, per_channel, 1,
+                                          DramRunMode::EventDriven);
+            runWindow(*ref);
+            runWindow(*evt);
+            expectIdentical(*ref, *evt);
+        }
+    }
+}
+
+TEST(DramEquivalence, SaturatedRetriesOnlyInReference)
+{
+    // The Figure 5 shape (eight low-group plus eight high-group cores,
+    // 60 + 90 GB/s against 102.4 GB/s): the event-driven loop retries
+    // a rejected request only once its buffer has room, so each
+    // rejection is followed by that request's acceptance; the
+    // reference loop retries every cycle.
+    auto build = [](DramRunMode mode) {
+        auto sys = std::make_unique<DramSystem>(
+            table1Config(), "FR-FCFS", SchedulerParams{}, mode);
+        for (unsigned c = 0; c < 16; ++c) {
+            TrafficParams p;
+            p.source = c;
+            p.demand = c < 8 ? 60.0 / 8 : 90.0 / 8;
+            p.seed = 300 + c;
+            sys->addGenerator(p);
+        }
+        return sys;
+    };
+    auto ref = build(DramRunMode::Reference);
+    auto evt = build(DramRunMode::EventDriven);
+    runWindow(*ref);
+    runWindow(*evt);
+    expectIdentical(*ref, *evt);
+    std::uint64_t ref_rejected = 0, evt_rejected = 0;
+    for (std::size_t i = 0; i < evt->numGenerators(); ++i) {
+        const CoreTrafficGenerator &gen = evt->generator(i);
+        EXPECT_LE(gen.rejectedEnqueues(), gen.issuedLines() + 1)
+            << "source " << gen.source();
+        evt_rejected += gen.rejectedEnqueues();
+        ref_rejected += ref->generator(i).rejectedEnqueues();
+    }
+    EXPECT_GT(evt_rejected, 0u); // the buffers really were full
+    EXPECT_GT(ref_rejected, evt_rejected);
 }
 
 TEST(DramEquivalence, ModeSwitchMidRun)

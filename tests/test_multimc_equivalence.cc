@@ -157,6 +157,23 @@ expectIdentical(MultiMcSystem &a, MultiMcSystem &b)
         EXPECT_EQ(a.controller(m).pendingRequests(),
                   b.controller(m).pendingRequests());
         EXPECT_EQ(a.bytesServed(m), b.bytesServed(m));
+        // The queued requests themselves, ids included (assigned on
+        // acceptance, so lockstep's every-cycle retries of a rejected
+        // request cannot shift them).
+        const unsigned channels = a.controller(m).config().channels;
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            const std::vector<Request> qa =
+                a.controller(m).queueSnapshot(ch);
+            const std::vector<Request> qb =
+                b.controller(m).queueSnapshot(ch);
+            ASSERT_EQ(qa.size(), qb.size()) << "channel " << ch;
+            for (std::size_t k = 0; k < qa.size(); ++k) {
+                EXPECT_EQ(qa[k].id, qb[k].id) << "channel " << ch;
+                EXPECT_EQ(qa[k].arrival, qb[k].arrival)
+                    << "channel " << ch;
+                EXPECT_EQ(qa[k].addr, qb[k].addr) << "channel " << ch;
+            }
+        }
     }
     EXPECT_EQ(a.now(), b.now());
     ASSERT_EQ(a.numGenerators(), b.numGenerators());
@@ -388,6 +405,52 @@ TEST(MultiMcEquivalence, SchedulerTickEventsUnderQuietTraffic)
                     SCOPED_TRACE(mcRunModeName(mode));
                     auto fast = buildSystem(policy, 4, mapping, scale,
                                             3, mode, sp);
+                    runWindow(*fast);
+                    expectIdentical(*ref, *fast);
+                }
+            }
+        }
+    }
+}
+
+TEST(MultiMcEquivalence, TinyRequestBuffersMatrix)
+{
+    // Two MCs with only 2 or 4 request-buffer entries per channel and
+    // twelve sources demanding ~2.3x their combined peak: the fast
+    // modes leave blocked and MLP-limited sources unticked, and must
+    // still match lockstep (which retries every blocked request every
+    // cycle) bit for bit.
+    for (const std::string &policy : testPolicies()) {
+        for (McMapping mapping : kMappings) {
+            for (unsigned per_channel : {2u, 4u}) {
+                SCOPED_TRACE(testing::Message()
+                             << policy << " " << mcMappingName(mapping)
+                             << " entries/ch=" << per_channel);
+                auto build = [&](McRunMode mode) {
+                    DramConfig cfg = table1Config();
+                    cfg.channels = 2;
+                    cfg.requestBufferEntries = per_channel * 2;
+                    auto sys = std::make_unique<MultiMcSystem>(
+                        cfg, 2, policy, mapping, SchedulerParams{},
+                        mode);
+                    for (unsigned g = 0; g < 12; ++g) {
+                        TrafficParams p;
+                        p.source = g * 5;
+                        p.demand = 4.0 + 1.2 * g;
+                        p.rowLocality = g % 2 ? 0.95 : 0.7;
+                        p.writeFraction = (g % 3) * 0.15;
+                        p.mlp = 4u << (g % 4);
+                        p.seed = 700 + g;
+                        sys->addGenerator(p);
+                    }
+                    return sys;
+                };
+                auto ref = build(McRunMode::Lockstep);
+                runWindow(*ref);
+                for (McRunMode mode :
+                     {McRunMode::EventDriven, McRunMode::Sharded}) {
+                    SCOPED_TRACE(mcRunModeName(mode));
+                    auto fast = build(mode);
                     runWindow(*fast);
                     expectIdentical(*ref, *fast);
                 }
