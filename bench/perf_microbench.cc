@@ -433,10 +433,8 @@ BENCHMARK(BM_DramCyclesSaturated16EventDriven)
 
 /**
  * The same saturated workload once per registered policy (event-driven
- * mode), so the fast-pick engine's coverage is visible: every registry
- * policy takes the mask-based issue path now, with the materialized
- * scan held in reserve for fastPick fallback states (a starved ATLAS
- * entry). Registered programmatically from main() so each row carries
+ * mode, so every row measures that policy's mask-based fastPick()).
+ * Registered programmatically from main() so each row carries
  * its policy name (`BM_DramCyclesSaturatedPolicy/FR-FCFS`) instead of
  * a registry index, and so `--policies` can restrict the set.
  */
@@ -699,9 +697,9 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
     /**
      * Enforce a throughput floor on every saturated single-MC DRAM
      * row that ran: the headline event-driven row plus each
-     * per-policy row (CI perf smoke; with all eight policies
-     * fast-pick eligible the floor binds on the whole registry, and
-     * `--policies` narrows the checked set along with the run set).
+     * per-policy row (CI perf smoke; the floor binds on the whole
+     * registry, and `--policies` narrows the checked set along with
+     * the run set).
      * @return true when at least one such row ran and all met the
      *         floor.
      */

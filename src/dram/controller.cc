@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "common/logging.hh"
-#include "dram/run_mode.hh"
 
 namespace pccs::dram {
 
@@ -17,8 +16,6 @@ MemoryController::MemoryController(const DramConfig &cfg,
     PCCS_ASSERT(cfg_.banksPerChannel <= 32,
                 "row-hit preservation bitmask supports <= 32 banks");
     purePick_ = scheduler_->pickIsPure();
-    fastEnabled_ = dramFastPathEnabled();
-    fastEligible_ = scheduler_->fastPickEligible();
     channels_.reserve(cfg_.channels);
     queues_.reserve(cfg_.channels);
     for (unsigned c = 0; c < cfg_.channels; ++c) {
@@ -188,18 +185,17 @@ MemoryController::scheduleChannel(unsigned ch, Cycles now, Cycles *wake)
         return true;
     }
 
-    // The fast issue engine serves the lazy (event-driven) scan for
-    // eligible policies; the reference core (wake == nullptr) always
-    // takes the materialized path — it is the executable
-    // specification the fast engine is measured and verified against.
-    if (wake && fastEnabled_ && fastEligible_)
-        return scheduleChannelFast(ch, now, wake);
-    return scheduleChannelSlow(ch, now, wake);
+    // The fast issue engine serves the lazy (event-driven) scan; the
+    // reference core (wake == nullptr) takes the materialized path —
+    // the executable specification the fast engine is verified
+    // against.
+    if (wake)
+        return scheduleChannelFast(ch, now, *wake);
+    return scheduleChannelSlow(ch, now);
 }
 
 bool
-MemoryController::scheduleChannelSlow(unsigned ch, Cycles now,
-                                      Cycles *wake)
+MemoryController::scheduleChannelSlow(unsigned ch, Cycles now)
 {
     ChannelTiming &timing = channels_[ch];
     RequestQueue &queue = queues_[ch];
@@ -217,20 +213,14 @@ MemoryController::scheduleChannelSlow(unsigned ch, Cycles now,
     // Build the scheduler's view: for each request, the cycle its
     // *next needed command* (CAS for an open matching row, otherwise
     // PRE or ACT) first becomes legal; issuable means that cycle has
-    // arrived. The legality cycles double as the wake-bound input for
-    // the lazy scan, so no second queue scan is ever needed. The bank
-    // accessors are exact (canX(now) == now >= nextXAt), so this is
-    // the same predicate the per-cycle reference loop evaluates.
+    // arrived. The bank accessors are exact (canX(now) == now >=
+    // nextXAt).
     const std::size_t scratch_cap = scratchEntries_.capacity();
     scratchEntries_.clear();
     scratchSlots_.clear();
     const Cycles rank_ready = timing.rankActivateReadyAt();
     const Cycles bus_ready_rd = timing.busReadyAt(false);
     const Cycles bus_ready_wr = timing.busReadyAt(true);
-    unsigned ready_hit = 0;    // issuable row-hit (CAS) entries
-    unsigned ready_other = 0;  // issuable PRE/ACT entries
-    Cycles future = kNoEvent;  // earliest not-yet-legal entry
-    std::uint32_t masked_banks = 0; // banks with a masked conflict PRE
     for (int s = queue.head(); s >= 0; s = queue.next(s)) {
         const Request &r = queue.slot(s);
         const Bank &bank = timing.bank(r.loc.bank);
@@ -244,22 +234,14 @@ MemoryController::scheduleChannelSlow(unsigned ch, Cycles now,
                          r.isWrite ? bus_ready_wr : bus_ready_rd);
         } else if (bank.openRow() != Bank::noRow) {
             // A conflicting PRE stays masked until the open row's
-            // pending hits drain; draining is in-channel activity,
-            // which recomputes this channel's wake anyway.
-            if (pending_hits & (1u << r.loc.bank)) {
-                masked_banks |= 1u << r.loc.bank;
-                t = kNoEvent;
-            } else {
-                t = bank.nextPrechargeAt();
-            }
+            // pending hits drain.
+            t = (pending_hits & (1u << r.loc.bank))
+                    ? kNoEvent
+                    : bank.nextPrechargeAt();
         } else {
             t = std::max(bank.nextActivateAt(), rank_ready);
         }
         e.issuable = t <= now;
-        if (e.issuable)
-            ++(e.rowHit ? ready_hit : ready_other);
-        else
-            future = std::min(future, t);
         scratchEntries_.push_back(e);
         scratchSlots_.push_back(s);
     }
@@ -269,28 +251,13 @@ MemoryController::scheduleChannelSlow(unsigned ch, Cycles now,
                 "scheduler-view gather reallocated mid-run");
 
     const int idx = scheduler_->pick(ch, scratchEntries_, now);
-    if (idx < 0) {
-        if (wake) {
-            // An issuable entry the policy declined (FCFS's in-order
-            // window) forces per-cycle stepping, as in the reference.
-            *wake = (ready_hit + ready_other)
-                        ? now + 1
-                        : std::max(std::min(future, nextRefresh_[ch]),
-                                   now + 1);
-        }
+    if (idx < 0)
         return false;
-    }
     PCCS_ASSERT(static_cast<std::size_t>(idx) < scratchEntries_.size() &&
                     scratchEntries_[idx].issuable,
                 "scheduler picked a non-issuable entry %d", idx);
-
-    const bool row_hit = scratchEntries_[idx].rowHit;
-    const Cycles own = issueCommand(ch, scratchSlots_[idx], row_hit,
-                                    now, masked_banks);
-    if (wake) {
-        *wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other,
-                                future, own, now);
-    }
+    issueCommand(ch, scratchSlots_[idx], scratchEntries_[idx].rowHit, now,
+                 0);
     return true;
 }
 
@@ -305,7 +272,7 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
 
     // Post-command legality of the *chosen* request's next command
     // (kNoEvent for a CAS: the request leaves the queue). Every other
-    // entry's pre-command bound in the caller's `future` can only be
+    // entry's pre-command bound in the fast engine's `future` can only be
     // pushed later by the command, so reusing it wakes at worst early
     // (a no-op evaluation that recomputes a fresh bound), never late.
     Cycles own = kNoEvent;
@@ -391,7 +358,7 @@ MemoryController::issuedWakeBound(unsigned ch, bool row_hit,
 
 bool
 MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
-                                      Cycles *wake)
+                                      Cycles &wake)
 {
     ChannelTiming &timing = channels_[ch];
     RequestQueue &queue = queues_[ch];
@@ -402,9 +369,8 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     // write hits: CAS + write bus; conflicts: PRE; closed: ACT + rank
     // windows), so the per-entry walk of the materialized path
     // collapses to an O(occupied banks) mask build over the queue's
-    // incrementally maintained candidate lists. The counts and
-    // `future` reproduce the materialized path's values exactly —
-    // they feed the same wake-bound formulas.
+    // incrementally maintained candidate lists. The issuable counts
+    // and the earliest not-yet-legal bound `future` feed the wake.
     FastIssueView v;
     v.queue = &queue;
     v.numBanks = cfg_.banksPerChannel;
@@ -474,16 +440,10 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     bool row_hit = false;
     // Impure policies (SMS/PARBS) mutate state inside pick() on
     // no-issuable evaluations too (rebatch checks, RNG); their
-    // fastPick must run on exactly the cycles the lazy materialized
-    // path would call pick(), which is every evaluated cycle.
+    // fastPick must run on every evaluated cycle, exactly where the
+    // reference would have called pick() with the same outcome.
     if (ready_hit + ready_other || !purePick_) {
-        const int r = scheduler_->fastPick(v, ch, now);
-        if (r == Scheduler::kFastPickFallback) {
-            // Policy state the masks cannot express (e.g. a starved
-            // ATLAS entry): materialize the full entry list.
-            return scheduleChannelSlow(ch, now, wake);
-        }
-        slot = r;
+        slot = scheduler_->fastPick(v, ch, now);
         if (slot >= 0) {
             row_hit = queue.isHit(slot);
             PCCS_ASSERT(v.slotIssuable(slot),
@@ -491,9 +451,9 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
         }
     }
     if (slot < 0) {
-        // Same wake rule as the materialized path: a declined
-        // issuable entry (FCFS's window) forces per-cycle stepping.
-        *wake = (ready_hit + ready_other)
+        // An issuable entry the policy declined (FCFS's in-order
+        // window) forces per-cycle stepping, as in the reference.
+        wake = (ready_hit + ready_other)
                     ? now + 1
                     : std::max(std::min(future, nextRefresh_[ch]),
                                now + 1);
@@ -501,8 +461,8 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     }
 
     const Cycles own = issueCommand(ch, slot, row_hit, now, masked_banks);
-    *wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other, future,
-                            own, now);
+    wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other, future,
+                           own, now);
     return true;
 }
 
@@ -549,49 +509,15 @@ MemoryController::channelNextEvent(unsigned ch, Cycles now) const
         return std::max(next, pre_at);
     }
 
-    if (fastEnabled_)
-        return channelNextEventFast(ch, now);
-
     // Normal scheduling: the earliest cycle any queued request's next
     // command becomes legal, or the refresh deadline, whichever first.
     // These are conservative lower bounds (issuing a command only
     // pushes legality later, and any command issue wakes the core at
-    // now + 1 anyway), so no first-legality edge is ever skipped.
-    const ChannelTiming &timing = channels_[ch];
-    const bool preserve = scheduler_->preservesRowHits();
-    Cycles cand = nextRefresh_[ch];
-    for (const Request &r : queues_[ch]) {
-        const Bank &bank = timing.bank(r.loc.bank);
-        Cycles t;
-        if (bank.openRow() == static_cast<std::int64_t>(r.loc.row)) {
-            t = std::max(bank.nextAccessAt(),
-                         timing.busReadyAt(r.isWrite));
-        } else if (bank.openRow() != Bank::noRow) {
-            // A conflicting PRE stays masked until the pending row
-            // hits drain; draining is activity, which wakes the core.
-            if (preserve && queues_[ch].hitCount(r.loc.bank) > 0)
-                continue;
-            t = bank.nextPrechargeAt();
-        } else {
-            t = std::max(bank.nextActivateAt(),
-                         timing.rankActivateReadyAt());
-        }
-        cand = std::min(cand, t);
-    }
-    return std::max(cand, next);
-}
-
-Cycles
-MemoryController::channelNextEventFast(unsigned ch, Cycles now) const
-{
-    // The bank-mask form of the queue walk above: per occupied bank,
-    // each candidate class shares one legality bound, so the min over
-    // entries equals the min over the (bank, class) pairs — valid for
-    // every policy (the bound depends only on bank state and the
-    // request's bank/row/direction, all mirrored in the queue's SoA).
-    // Both the single-controller event loop and the multi-MC
-    // event-driven/sharded loops fold this bound into their next-event
-    // min-scans.
+    // now + 1 anyway), so no first-legality edge is ever skipped. Per
+    // occupied bank each candidate class shares one legality bound, so
+    // the min over (bank, class) pairs is the min over entries. A
+    // conflicting PRE masked by pending row hits is left out: draining
+    // the hits is activity, which wakes the core.
     const ChannelTiming &timing = channels_[ch];
     const RequestQueue &queue = queues_[ch];
     const bool preserve = scheduler_->preservesRowHits();

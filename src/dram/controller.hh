@@ -132,19 +132,18 @@ class MemoryController : public MemoryPort
     Cycles nextEventCycle(Cycles now) const;
 
     /**
-     * Enable/disable the lazy per-channel scan used by the
-     * event-driven core: while a channel's cached wake cycle lies in
-     * the future, tick() skips rebuilding and re-evaluating that
-     * channel's scheduler view entirely. The cache is refreshed after
-     * every evaluation; for side-effect-free policies (pickIsPure())
-     * it additionally survives enqueues (tightened by the newcomer's
-     * own bound) and command issues (advanced to the next legality
-     * bound), while SMS and PARBS invalidate on both so their
-     * rebatching picks run on exactly the reference cycles. Off by
-     * default so the
-     * reference mode stays the plain every-cycle-evaluates-everything
-     * specification; bit-exact either way (skipped evaluations are
-     * provably no-ops — see the audit notes in the sched_*.cc files).
+     * Enable/disable the event-driven evaluation: woken channels are
+     * decided by the fast issue engine (fastPick()), and while a
+     * channel's cached wake cycle lies in the future, tick() skips
+     * evaluating it entirely. The cache is refreshed after every
+     * evaluation; for side-effect-free policies (pickIsPure()) it
+     * additionally survives enqueues (tightened by the newcomer's own
+     * bound) and command issues (advanced to the next legality bound),
+     * while SMS and PARBS invalidate on both so their rebatching picks
+     * run on exactly the reference cycles. Off by default so the
+     * reference mode stays the plain every-cycle pick() specification;
+     * bit-exact either way (skipped evaluations are provably no-ops —
+     * see the audit notes in the sched_*.cc files).
      */
     void setLazyChannelScan(bool on);
 
@@ -203,34 +202,43 @@ class MemoryController : public MemoryPort
     };
 
     /**
-     * @return true when a command (ACT/PRE/CAS) was issued.
-     * When `wake` is non-null (lazy scan), it receives a conservative
-     * lower bound on the channel's next interesting cycle, computed as
-     * a byproduct of the scheduler-view build — no second queue scan.
-     * Dispatches to the fast issue engine (bank-mask and source-mask
-     * evaluation over the queue's candidate lists) when the policy is
-     * eligible and PCCS_DRAM_FASTPATH is on; the materialized
-     * full-scan path is retained both as the escape hatch (fastPick
-     * fallback states) and as the reference the engine is verified
-     * against.
+     * Run the refresh prologue, then evaluate the channel.
+     * @return true when a command (ACT/PRE/CAS) was issued or refresh
+     *         progressed.
+     * When `wake` is non-null (event-driven lazy scan), the channel is
+     * decided by the fast issue engine and `*wake` receives a
+     * conservative lower bound on its next interesting cycle; with a
+     * null `wake` (reference core) it is decided by the materialized
+     * pick().
      */
     bool scheduleChannel(unsigned ch, Cycles now, Cycles *wake = nullptr);
-    /** The retained materialized evaluation (post-refresh-prologue). */
-    bool scheduleChannelSlow(unsigned ch, Cycles now, Cycles *wake);
-    /** The mask-based fast issue engine (post-refresh-prologue). */
-    bool scheduleChannelFast(unsigned ch, Cycles now, Cycles *wake);
+    /**
+     * The reference evaluation: gather the full QueueEntryView list,
+     * call pick(), issue. The executable specification the fast engine
+     * is verified against.
+     */
+    bool scheduleChannelSlow(unsigned ch, Cycles now);
+    /**
+     * The mask-based fast issue engine (bank-mask and source-mask
+     * evaluation over the queue's candidate lists via fastPick());
+     * sets `wake` to the channel's next interesting cycle.
+     */
+    bool scheduleChannelFast(unsigned ch, Cycles now, Cycles &wake);
     /**
      * Issue the chosen command (CAS for a hit, else PRE/ACT) and apply
      * every side effect: bank/bus timing, stats, scheduler
-     * notification, hit-list maintenance, dequeue. Shared by both
-     * evaluation paths so they cannot drift.
+     * notification, hit-list maintenance, dequeue. Shared by the
+     * reference and fast evaluations so they cannot drift.
+     * @param masked_banks banks with a conflict PRE masked by pending
+     *        hits (fast engine; the reference passes 0).
      * @return the post-command legality bound of the *chosen*
      *         request's next command (kNoEvent for a CAS, unless it
-     *         drained the last hit of a masked bank).
+     *         drained the last hit of a masked bank); only the fast
+     *         engine's wake uses it.
      */
     Cycles issueCommand(unsigned ch, int slot, bool row_hit, Cycles now,
                         std::uint64_t masked_banks);
-    /** The post-issue lazy-wake bound shared by both paths. */
+    /** The fast engine's post-issue lazy-wake bound. */
     Cycles issuedWakeBound(unsigned ch, bool row_hit, unsigned ready_hit,
                            unsigned ready_other, Cycles future,
                            Cycles own, Cycles now) const;
@@ -249,11 +257,10 @@ class MemoryController : public MemoryPort
     int firstReadyBank(unsigned ch, Cycles now, Cycles *pre_at) const;
     /**
      * Earliest cycle >= now + 1 at which channel `ch` (which must have
-     * queued requests) could issue a command or make refresh progress.
+     * queued requests) could issue a command or make refresh progress,
+     * in O(occupied banks) over the queue's bank masks.
      */
     Cycles channelNextEvent(unsigned ch, Cycles now) const;
-    /** The O(occupied banks) bank-mask form of the same bound. */
-    Cycles channelNextEventFast(unsigned ch, Cycles now) const;
     /**
      * Earliest cycle >= now + 1 at which request `r` alone could have
      * its next command issued (kNoEvent when its PRE is masked by
@@ -301,14 +308,6 @@ class MemoryController : public MemoryPort
      * a re-evaluation on the following cycle.
      */
     bool purePick_ = false;
-    /**
-     * dramFastPathEnabled() sampled at construction: gates both the
-     * fast issue engine and the bank-mask next-event bound
-     * (PCCS_DRAM_FASTPATH=0 forces the retained full-scan paths).
-     */
-    bool fastEnabled_ = false;
-    /** Cached scheduler_->fastPickEligible(). */
-    bool fastEligible_ = false;
 };
 
 } // namespace pccs::dram

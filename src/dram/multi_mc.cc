@@ -194,8 +194,7 @@ MultiMcSystem::runEventDriven(Cycles end)
         // earliest cycle at which any of them could act. Idle channels
         // contribute kNoEvent and drop out of the min entirely. Each
         // controller's bound comes from its bank-mask next-event scan
-        // (O(occupied banks), not a queue walk) unless
-        // PCCS_DRAM_FASTPATH=0 forced the full-scan form.
+        // (O(occupied banks), not a queue walk).
         Cycles wake = kNoEvent;
         for (const auto &mc : mcs_)
             wake = std::min(wake, mc->nextEventCycle(now_));

@@ -32,7 +32,7 @@
  *
  * Invariant: a slot is on bank b's hit list iff it is queued, targets
  * bank b, and its row equals the bank's open row — the same predicate
- * the retained full-scan path evaluates per entry per cycle.
+ * the reference path's materialized view evaluates per entry per cycle.
  *
  * The rank-tier engine (PR 10) adds a third, per-source layer so the
  * source-ranked policies (ATLAS/TCM/SMS/PARBS/BLISS) can run their

@@ -55,22 +55,6 @@ defaultMcMode()
     return mode;
 }
 
-bool
-envFastPath()
-{
-    const char *env = std::getenv("PCCS_DRAM_FASTPATH");
-    if (env && *env && std::strcmp(env, "0") == 0)
-        return false;
-    return true;
-}
-
-bool &
-fastPathFlag()
-{
-    static bool on = envFastPath();
-    return on;
-}
-
 } // namespace
 
 const char *
@@ -128,18 +112,6 @@ mcShardWorkers()
 {
     static unsigned shards = envShards();
     return shards;
-}
-
-bool
-dramFastPathEnabled()
-{
-    return fastPathFlag();
-}
-
-void
-setDramFastPathEnabled(bool on)
-{
-    fastPathFlag() = on;
 }
 
 } // namespace pccs::dram

@@ -4,12 +4,14 @@
  *
  * The event-driven core computes the next "interesting" cycle (inflight
  * completion, refresh deadline, bank/bus/rank timing expiry, scheduler
- * quantum, token-bucket accrual) and jumps straight to it; the
- * reference core ticks every bus cycle. Both produce bit-identical
- * results (see tests/test_dram_equivalence.cc); the reference core is
- * kept as the executable specification and as a debugging fallback
- * (`--dram-reference` on the DRAM benches, or PCCS_DRAM_REFERENCE=1 in
- * the environment).
+ * quantum, token-bucket accrual) and jumps straight to it, deciding
+ * each woken channel with the policy's mask-based fastPick(); the
+ * reference core ticks every bus cycle and decides every channel with
+ * the materialized pick(). Both produce bit-identical results (see
+ * tests/test_dram_equivalence.cc and tests/test_dram_fastpath.cc);
+ * the reference core is kept as the executable specification and as
+ * a debugging fallback (`--dram-reference` on the DRAM benches, or
+ * PCCS_DRAM_REFERENCE=1 in the environment).
  */
 
 #ifndef PCCS_DRAM_RUN_MODE_HH
@@ -87,20 +89,6 @@ void setDefaultMcRunMode(McRunMode mode);
  * when the variable is unset or 0.
  */
 unsigned mcShardWorkers();
-
-/**
- * Whether event-driven controllers use the saturated-path fast issue
- * engine (bank-state bitmasks + SoA queue mirrors + per-bank candidate
- * lists with branch-light fast picks for the eligible pure policies).
- * On by default; PCCS_DRAM_FASTPATH=0 forces the original
- * full-queue-scan evaluation path for differential testing. Sampled
- * once per MemoryController at construction; the reference (lockstep)
- * core never uses the fast engine either way.
- */
-bool dramFastPathEnabled();
-
-/** Override the fast-path default (tests; affects new controllers). */
-void setDramFastPathEnabled(bool on);
 
 } // namespace pccs::dram
 

@@ -12,15 +12,16 @@
 // nextTickEvent() so the event core wakes on the precise boundary
 // cycle.
 //
-// Fast-pick audit: with no starved entry the comparator ladder is
-// (least attained service, row hit, age) — a source tier followed by
-// the shared oldest-hit-else-oldest step, which the per-source masks
-// express exactly. The starvation bit is per *entry* and can promote
-// an arbitrary subset past the service ranking, so it is the one
-// documented fallback state; since the queue head has the globally
-// minimal arrival, "head not starved" proves no entry is starved, and
-// the test costs one subtraction. Under saturation queue residence is
-// far below the 20k-cycle default threshold, so the fallback is cold.
+// Fast-pick audit: the comparator ladder is (starved, least attained
+// service, row hit, age). Starvation is per *entry*, but the queue's
+// arrival list is ordered by non-decreasing arrival, so the starved
+// entries are exactly a prefix of it; the starved tier walks that
+// prefix and applies the rest of the ladder to its issuable members
+// (ties to the lower serial, which is walk order). With no issuable
+// starved entry the ladder is a source tier followed by the shared
+// oldest-hit-else-oldest step, which the per-source masks express
+// exactly. An un-starved head costs one subtraction; under saturation
+// queue residence is far below the 20k-cycle default threshold.
 namespace pccs::dram {
 
 AtlasScheduler::AtlasScheduler(const SchedulerParams &params)
@@ -96,13 +97,31 @@ AtlasScheduler::fastPick(const FastIssueView &view, unsigned channel,
                          Cycles now)
 {
     (void)channel;
-    // Starvation is per entry, not per source; once any entry crosses
-    // the threshold the ladder is led by a set the source masks
-    // cannot express. The queue head is the oldest entry overall, so
-    // an un-starved head proves an un-starved queue.
+    // Starved tier: the starved entries are the arrival-ordered prefix
+    // of the queue. Best issuable one by (service, row hit); the walk
+    // visits oldest first, so keeping the first of equal keys applies
+    // the age and lower-serial tie-breaks.
     const RequestQueue &q = *view.queue;
-    if (now - q.slot(q.head()).arrival > params_.starvationThreshold)
-        return kFastPickFallback;
+    int best = -1;
+    double best_svc = 0.0;
+    bool best_hit = false;
+    for (int s = q.head();
+         s >= 0 && now - q.slot(s).arrival > params_.starvationThreshold;
+         s = q.next(s)) {
+        if (!view.slotIssuable(s))
+            continue;
+        const unsigned src = q.slot(s).source;
+        const double svc = totalService_[src] + quantumService_[src];
+        const bool hit = q.isHit(s);
+        if (best < 0 || svc < best_svc ||
+            (svc == best_svc && hit && !best_hit)) {
+            best = s;
+            best_svc = svc;
+            best_hit = hit;
+        }
+    }
+    if (best >= 0)
+        return best;
 
     const std::uint64_t issuable = view.issuableSourceMask();
     if (!issuable)
@@ -139,8 +158,6 @@ registerAtlasPolicy()
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
-        .fastPickEligible = true,
-        .fastPickNote = "falls back while any entry is starved",
     });
 }
 

@@ -16,9 +16,7 @@
 // With an empty blacklist — or every issuable source on one side of
 // it — the split vanishes and the decision is the shared bank-level
 // oldest-hit-else-oldest helper; otherwise the clean tier wins and
-// the per-source masks restrict the same helper to its members. No
-// fallback states (PR 9 fell back whenever the blacklist was
-// non-empty, which under saturation was the common case).
+// the per-source masks restrict the same helper to its members.
 namespace pccs::dram {
 
 BlissScheduler::BlissScheduler(const SchedulerParams &params)
@@ -119,8 +117,6 @@ registerBlissPolicy()
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
 }
 

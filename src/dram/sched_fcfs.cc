@@ -12,8 +12,7 @@
 // cycle yields no command (it never re-skips past a computed
 // issuability edge).
 //
-// Fast-pick audit: both policies are fast-pick eligible with no
-// fallback states. FCFS's window holds the `window` smallest-arrival
+// Fast-pick audit: FCFS's window holds the `window` smallest-arrival
 // entries with earlier queue positions winning arrival ties — since
 // the queue walk is id order and arrival is non-decreasing in id,
 // that is exactly the first `window` slots of the arrival list, and
@@ -125,8 +124,6 @@ registerFcfsPolicies()
         .pickIsPure = true,
         .preservesRowHits = false,
         .needsTickEvents = false,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
     registerSchedulerPolicy({
         .name = "FR-FCFS",
@@ -138,8 +135,6 @@ registerFcfsPolicies()
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = false,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
 }
 

@@ -26,7 +26,6 @@ class FcfsScheduler : public Scheduler
     bool preservesRowHits() const override { return false; }
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
-    bool fastPickEligible() const override { return true; }
     int fastPick(const FastIssueView &view, unsigned channel,
                  Cycles now) override;
 };
@@ -43,7 +42,6 @@ class FrFcfsScheduler : public Scheduler
     const char *name() const override { return "FR-FCFS"; }
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
-    bool fastPickEligible() const override { return true; }
     int fastPick(const FastIssueView &view, unsigned channel,
                  Cycles now) override;
 };

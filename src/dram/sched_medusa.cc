@@ -128,8 +128,6 @@ registerMedusaPolicy()
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = false,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
 }
 

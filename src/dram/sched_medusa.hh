@@ -37,7 +37,6 @@ class MedusaScheduler : public Scheduler
     void onService(const Request &req, Cycles now, unsigned bytes) override;
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
-    bool fastPickEligible() const override { return true; }
     int fastPick(const FastIssueView &view, unsigned channel,
                  Cycles now) override;
 

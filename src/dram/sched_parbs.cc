@@ -33,7 +33,7 @@
 // degenerates to FR-FCFS — the shared bank-level helper. fastPick()
 // performs the same formation mutation pick() would, so the
 // controller calls it on every evaluated cycle (impure-policy
-// contract). No fallback states.
+// contract).
 namespace pccs::dram {
 
 ParbsScheduler::ParbsScheduler(const SchedulerParams &params)
@@ -248,8 +248,6 @@ registerParbsPolicy()
         .pickIsPure = false,
         .preservesRowHits = true,
         .needsTickEvents = false,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
 }
 

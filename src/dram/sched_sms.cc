@@ -25,8 +25,7 @@
 // the first issuable row match in FIFO order. It mutates the same
 // ChannelState and draws the same single RNG chance per reselection,
 // so the controller calls it on every evaluated cycle (impure-policy
-// contract) and the RNG stream stays aligned with the reference. No
-// fallback states.
+// contract) and the RNG stream stays aligned with the reference.
 namespace pccs::dram {
 
 SmsScheduler::SmsScheduler(const SchedulerParams &params)
@@ -279,8 +278,6 @@ registerSmsPolicy()
         .pickIsPure = false,
         .preservesRowHits = true,
         .needsTickEvents = false,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
 }
 

@@ -33,7 +33,6 @@ class SmsScheduler : public Scheduler
     bool pickIsPure() const override { return false; }
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
-    bool fastPickEligible() const override { return true; }
     int fastPick(const FastIssueView &view, unsigned channel,
                  Cycles now) override;
 

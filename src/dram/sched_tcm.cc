@@ -18,7 +18,7 @@
 // FR-FCFS step inside each. The latency cluster is a set (no ranks
 // inside it), expressed as one bitmask rebuilt on recluster; the
 // bandwidth cluster is ranked by a permutation, so its winner is the
-// unique minimum-rank issuable source. No fallback states.
+// unique minimum-rank issuable source.
 namespace pccs::dram {
 
 TcmScheduler::TcmScheduler(const SchedulerParams &params)
@@ -192,8 +192,6 @@ registerTcmPolicy()
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
-        .fastPickEligible = true,
-        .fastPickNote = {},
     });
 }
 

@@ -196,7 +196,7 @@ struct FastIssueView
  * non-hit, over the banks selected by `filter` — the FR-FCFS decision
  * (row hit first, then age; age == min arrival serial, which matches
  * the materialized comparators' arrival-then-walk-order tie-break),
- * shared by the eligible policies' fastPick() tiers.
+ * shared by the policies' fastPick() tiers.
  * @return the chosen slot, or -1 when no filtered bank has a candidate.
  */
 inline int
@@ -386,9 +386,10 @@ class Scheduler
     /**
      * Choose the next request to advance on a channel.
      *
-     * Event-driven contract: the reference core calls pick() on every
-     * cycle a channel has queued requests; the event-driven core only
-     * calls it (a) on the cycle after any command issue, completion,
+     * This is the executable specification: the reference core calls
+     * pick() on every cycle a channel has queued requests. The
+     * event-driven core makes the same decision through fastPick(),
+     * and only (a) on the cycle after any command issue, completion,
      * or enqueue (pickIsPure() policies: only when that cycle is also
      * a legality edge), and (b) on the first cycle any entry's next
      * command becomes timing-legal. A policy is compatible iff every
@@ -407,44 +408,22 @@ class Scheduler
                      std::span<const QueueEntryView> entries,
                      Cycles now) = 0;
 
-    /** fastPick() return value requesting the materialized slow path. */
-    static constexpr int kFastPickFallback = -2;
-
-    /**
-     * True when fastPick() implements this policy's decision exactly
-     * (possibly via kFastPickFallback escapes for states it cannot
-     * express over the masks). The fast engine evaluates a channel on
-     * exactly the cycles the lazy materialized path would: for
-     * pickIsPure() policies only when a candidate is issuable; for
-     * impure policies (SMS/PARBS) additionally on every post-change
-     * cycle, so their in-pick mutations land on the reference cycles.
-     */
-    virtual bool fastPickEligible() const { return false; }
-
     /**
      * Branch-light pick over the bank-granular FastIssueView (plus
      * the per-source rank-tier masks) instead of a materialized entry
-     * span. Must return exactly the slot the materialized pick()
-     * would have chosen (the equivalence fuzz in
-     * tests/test_dram_fastpath.cc enforces this per policy), -1 to
-     * idle, or kFastPickFallback to make the controller materialize
-     * the full entry list and call pick(). Called when at least one
-     * candidate is issuable — and, for pickIsPure() == false
-     * policies, on every evaluated cycle even with nothing issuable,
+     * span: the event-driven core's only decision path. Must return
+     * exactly the slot the materialized pick() would have chosen (the
+     * differential fuzz in tests/test_dram_fastpath.cc enforces this
+     * per policy), or -1 to idle. Called when at least one candidate
+     * is issuable — and, for pickIsPure() == false policies (SMS and
+     * PARBS), on every evaluated cycle even with nothing issuable,
      * mirroring pick()'s call schedule; such a policy must perform
-     * the same state mutations and RNG draws pick() would, and may
-     * only return kFastPickFallback *before* mutating anything (the
-     * fallback re-runs the decision through pick()).
+     * the same state mutations and RNG draws pick() would.
      *
-     * @return a queue slot index (not an entry index), -1, or
-     *         kFastPickFallback.
+     * @return a queue slot index (not an entry index), or -1.
      */
     virtual int fastPick(const FastIssueView &view, unsigned channel,
-                         Cycles now)
-    {
-        (void)view; (void)channel; (void)now;
-        return kFastPickFallback;
-    }
+                         Cycles now) = 0;
 
     /** Maximum number of sources a policy tracks. */
     static constexpr unsigned maxSources = kMaxQueueSources;
@@ -505,14 +484,6 @@ struct PolicyInfo
     bool preservesRowHits = true;
     /** True when nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */
     bool needsTickEvents = false;
-    /** Scheduler::fastPickEligible() of instances of this policy. */
-    bool fastPickEligible = false;
-    /**
-     * Documented fastPick() fallback states ("" when the fast path is
-     * total): the conditions under which the policy materializes the
-     * full entry list via kFastPickFallback. Shown by `pccs policies`.
-     */
-    std::string fastPickNote;
 };
 
 /**

@@ -37,20 +37,6 @@
 namespace pccs::dram {
 namespace {
 
-/** Restore the process-wide fast-path flag on scope exit. */
-class FastPathGuard
-{
-  public:
-    explicit FastPathGuard(bool on) : saved_(dramFastPathEnabled())
-    {
-        setDramFastPathEnabled(on);
-    }
-    ~FastPathGuard() { setDramFastPathEnabled(saved_); }
-
-  private:
-    bool saved_;
-};
-
 /**
  * Registered policy names, restricted by PCCS_POLICY_FILTER
  * (comma-separated names or aliases) when set.
@@ -277,16 +263,13 @@ const GoldenRow kGolden[] = {
 };
 
 /**
- * One golden-pinning configuration: a run mode plus the fast issue
- * engine flag (sampled at controller construction). Reference mode
- * never consults the engine, so only the event-driven rows fork on
- * it: the mask-based fast path and the retained full-scan path must
- * both land on the identical pre-refactor numbers.
+ * One golden-pinning configuration: the reference loop (materialized
+ * pick()) and the event-driven loop (mask-based fastPick()) must both
+ * land on the identical pre-refactor numbers.
  */
 struct GoldenMode
 {
     DramRunMode mode;
-    bool fastPath;
     const char *name;
 };
 
@@ -307,11 +290,7 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
     for (const GoldenRow &row : kGolden) {
         if (!selected(row.policy))
             continue;
-        std::unique_ptr<DramSystem> sys;
-        {
-            FastPathGuard guard(gm.fastPath);
-            sys = buildSystem(row.policy, 4, row.scale, 1, gm.mode);
-        }
+        auto sys = buildSystem(row.policy, 4, row.scale, 1, gm.mode);
         runWindow(*sys);
         const ControllerStats &st = sys->controller().stats();
         SCOPED_TRACE(testing::Message()
@@ -330,11 +309,8 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
 INSTANTIATE_TEST_SUITE_P(
     AllModes, GoldenPinning,
     ::testing::Values(
-        GoldenMode{DramRunMode::Reference, true, "Reference"},
-        GoldenMode{DramRunMode::EventDriven, true,
-                   "EventDrivenFastPath"},
-        GoldenMode{DramRunMode::EventDriven, false,
-                   "EventDrivenFullScan"}),
+        GoldenMode{DramRunMode::Reference, "Reference"},
+        GoldenMode{DramRunMode::EventDriven, "EventDrivenFastPath"}),
     [](const auto &pinfo) { return std::string(pinfo.param.name); });
 
 TEST(DramEquivalence, CrossModeMatrix)

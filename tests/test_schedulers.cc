@@ -70,12 +70,6 @@ TEST(SchedulerRegistry, DescriptorAgreesWithInstance)
         EXPECT_EQ(sched->preservesRowHits(), info.preservesRowHits);
         EXPECT_EQ(sched->nextTickEvent() != kNoEvent,
                   info.needsTickEvents);
-        EXPECT_EQ(sched->fastPickEligible(), info.fastPickEligible);
-        // Every builtin now implements a fast pick; an impure policy
-        // may too (the engine then calls fastPick() on every evaluated
-        // cycle so its in-pick mutations land on reference cycles).
-        // A documented-fallback note is only meaningful when eligible.
-        EXPECT_TRUE(info.fastPickEligible || info.fastPickNote.empty());
     }
 }
 
@@ -129,6 +123,14 @@ class RoundRobinTestScheduler : public Scheduler
         }
         return -1;
     }
+    int
+    fastPick(const FastIssueView &view, unsigned channel,
+             Cycles now) override
+    {
+        (void)channel;
+        (void)now;
+        return fastPickOldestIssuable(view);
+    }
 };
 
 TEST(SchedulerRegistry, ExternalRegistrationFlowsThroughLookup)
@@ -143,8 +145,6 @@ TEST(SchedulerRegistry, ExternalRegistrationFlowsThroughLookup)
         .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = false,
-        .fastPickEligible = false,
-        .fastPickNote = {},
     });
     const PolicyInfo *info = findSchedulerPolicy("rr");
     ASSERT_NE(info, nullptr);

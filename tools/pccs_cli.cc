@@ -557,7 +557,7 @@ cmdPolicies(const ArgMap &args)
         }
     }
     Table t({"policy", "aliases", "pure pick", "row-hit preserving",
-             "tick events", "fast pick"});
+             "tick events"});
     for (const auto &p : dram::schedulerPolicies()) {
         std::string aliases;
         for (const std::string &a : p.aliases) {
@@ -565,15 +565,10 @@ cmdPolicies(const ArgMap &args)
                 aliases += ",";
             aliases += a;
         }
-        // Fallback states (fastPickNote) ride in the fast-pick cell:
-        // "yes" means the mask path is total for the policy.
-        std::string fast = p.fastPickEligible ? "yes" : "no";
-        if (p.fastPickEligible && !p.fastPickNote.empty())
-            fast += " (" + p.fastPickNote + ")";
         t.addRow({p.name, aliases.empty() ? "-" : aliases,
                   p.pickIsPure ? "yes" : "no",
                   p.preservesRowHits ? "yes" : "no",
-                  p.needsTickEvents ? "yes" : "no", fast});
+                  p.needsTickEvents ? "yes" : "no"});
     }
     std::printf("%s", t.str().c_str());
     return 0;
