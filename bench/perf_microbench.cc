@@ -18,12 +18,15 @@
  * saturated rows are registered under their policy names
  * (`BM_DramCyclesSaturatedPolicy/FR-FCFS`, ...); `--policies a,b` or
  * the PCCS_POLICY_FILTER environment variable restricts which
- * policies get rows, so CI floors can target policy subsets.
+ * policies get rows, so CI floors can target policy subsets. The
+ * saturated event-driven DRAM rows also report `evals/cmd`: channel
+ * evaluations of the fast issue engine per issued DRAM command.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -305,6 +308,54 @@ BM_DramCyclesUnderLoad(benchmark::State &state)
 BENCHMARK(BM_DramCyclesUnderLoad)->Arg(1000)->Unit(
     benchmark::kMicrosecond);
 
+/** Fast-engine channel evaluations and issued DRAM commands. */
+struct EngineCounts
+{
+    std::uint64_t evals = 0;
+    std::uint64_t cmds = 0;
+};
+
+EngineCounts
+engineCounts(const dram::MemoryController &mc)
+{
+    return {mc.channelEvaluations(), mc.issuedCommands()};
+}
+
+EngineCounts
+engineCounts(const dram::DramSystem &sys)
+{
+    return engineCounts(sys.controller());
+}
+
+EngineCounts
+engineCounts(const dram::MultiMcSystem &sys)
+{
+    EngineCounts sum;
+    for (unsigned mc = 0; mc < sys.numControllers(); ++mc) {
+        const EngineCounts c = engineCounts(sys.controller(mc));
+        sum.evals += c.evals;
+        sum.cmds += c.cmds;
+    }
+    return sum;
+}
+
+/**
+ * Report the timed loop's fast-engine evaluations per issued command
+ * as the `evals/cmd` counter (1.0: every evaluation issues). Rows
+ * whose run loop has no lazy channel scan report nothing.
+ */
+void
+reportEvalsPerCommand(benchmark::State &state, const EngineCounts &before,
+                      const EngineCounts &after)
+{
+    const std::uint64_t cmds = after.cmds - before.cmds;
+    if (after.evals == before.evals || cmds == 0)
+        return;
+    state.counters["evals/cmd"] =
+        static_cast<double>(after.evals - before.evals) /
+        static_cast<double>(cmds);
+}
+
 /**
  * Simulated-cycles-per-second of the two DRAM run loops, reported via
  * items/s (one item = one simulated bus cycle). Idle-heavy case: one
@@ -365,9 +416,11 @@ dramCyclesSaturated4(benchmark::State &state, dram::DramRunMode mode)
         sys.addGenerator(p);
     }
     sys.run(10000); // fill the queues
+    const EngineCounts before = engineCounts(sys);
     for (auto _ : state)
         sys.run(static_cast<Cycles>(state.range(0)));
     state.SetItemsProcessed(state.iterations() * state.range(0));
+    reportEvalsPerCommand(state, before, engineCounts(sys));
 }
 
 void
@@ -408,9 +461,11 @@ dramCyclesSaturated16(benchmark::State &state, dram::DramRunMode mode)
         sys.addGenerator(p);
     }
     sys.run(10000); // fill the queues
+    const EngineCounts before = engineCounts(sys);
     for (auto _ : state)
         sys.run(static_cast<Cycles>(state.range(0)));
     state.SetItemsProcessed(state.iterations() * state.range(0));
+    reportEvalsPerCommand(state, before, engineCounts(sys));
 }
 
 void
@@ -454,10 +509,12 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
         sys.addGenerator(p);
     }
     sys.run(10000); // fill the queues
+    const EngineCounts before = engineCounts(sys);
     for (auto _ : state)
         sys.run(kCycles);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(kCycles));
+    reportEvalsPerCommand(state, before, engineCounts(sys));
 }
 
 /**
@@ -493,10 +550,13 @@ multiMcCycles(benchmark::State &state, dram::McRunMode mode,
     sys.run(10000);
     if (cycles == 0)
         cycles = static_cast<Cycles>(state.range(0));
+    const EngineCounts before = engineCounts(sys);
     for (auto _ : state)
         sys.run(cycles);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(cycles));
+    if (saturated)
+        reportEvalsPerCommand(state, before, engineCounts(sys));
 }
 
 void

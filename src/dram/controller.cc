@@ -15,7 +15,6 @@ MemoryController::MemoryController(const DramConfig &cfg,
     PCCS_ASSERT(scheduler_ != nullptr, "controller needs a scheduler");
     PCCS_ASSERT(cfg_.banksPerChannel <= 32,
                 "row-hit preservation bitmask supports <= 32 banks");
-    purePick_ = scheduler_->pickIsPure();
     channels_.reserve(cfg_.channels);
     queues_.reserve(cfg_.channels);
     for (unsigned c = 0; c < cfg_.channels; ++c) {
@@ -68,21 +67,26 @@ MemoryController::enqueue(unsigned source, Addr addr, bool is_write,
     const bool row_hit =
         bank.openRow() == static_cast<std::int64_t>(req.loc.row);
     const int slot = queue.push_back(req, row_hit);
+    scheduler_->onEnqueue(queue.slot(slot));
     if (lazyChannels_) {
         Cycles &wake = channelWake_[req.loc.channel];
-        if (purePick_ && queue.size() > 1) {
+        if (queue.size() == 1 ||
+            scheduler_->pickPending(req.loc.channel, queue)) {
+            // First request on an idle channel (a refresh may have
+            // come due while the queue was empty), or a policy whose
+            // next pick acts regardless: evaluate next cycle.
+            wake = 0;
+        } else {
             // The cached bound stays valid for the requests it was
             // computed over (enqueues change no bank state); only the
-            // newcomer can move the channel's first legality earlier.
-            wake = std::min(wake, requestIssueBound(req, now));
-        } else {
-            // First request on an idle channel (a refresh may have
-            // come due while the queue was empty), or a rebatching
-            // policy (SMS): force a full evaluation next cycle.
-            wake = 0;
+            // newcomer's bank can move the channel's first legality
+            // earlier.
+            wake = std::min(wake,
+                            std::max(bankIssueBound(req.loc.channel,
+                                                    req.loc.bank),
+                                     now + 1));
         }
     }
-    scheduler_->onEnqueue(queue.slot(slot));
     return true;
 }
 
@@ -256,26 +260,19 @@ MemoryController::scheduleChannelSlow(unsigned ch, Cycles now)
     PCCS_ASSERT(static_cast<std::size_t>(idx) < scratchEntries_.size() &&
                     scratchEntries_[idx].issuable,
                 "scheduler picked a non-issuable entry %d", idx);
-    issueCommand(ch, scratchSlots_[idx], scratchEntries_[idx].rowHit, now,
-                 0);
+    issueCommand(ch, scratchSlots_[idx], scratchEntries_[idx].rowHit, now);
     return true;
 }
 
-Cycles
+void
 MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
-                               Cycles now, std::uint64_t masked_banks)
+                               Cycles now)
 {
     ChannelTiming &timing = channels_[ch];
     RequestQueue &queue = queues_[ch];
     Request &req = queue.slot(slot);
     const unsigned b = req.loc.bank;
-
-    // Post-command legality of the *chosen* request's next command
-    // (kNoEvent for a CAS: the request leaves the queue). Every other
-    // entry's pre-command bound in the fast engine's `future` can only be
-    // pushed later by the command, so reusing it wakes at worst early
-    // (a no-op evaluation that recomputes a fresh bound), never late.
-    Cycles own = kNoEvent;
+    ++issuedCommands_;
 
     if (row_hit) {
         // CAS: the request completes after CL + burst.
@@ -300,20 +297,10 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
                     "CAS completions must be pushed in order");
         inflight_.push_back(req);
         queue.erase(slot); // unlinks the bank and hit lists too
-        // This CAS may have drained the open row's last pending hit,
-        // unmasking a conflicting PRE that the build loop excluded
-        // from `future`; its legality (post-CAS: access() pushed
-        // nextPre_) must bound the wake or the PRE would issue late.
-        if (queue.hitCount(b) == 0 &&
-            (masked_banks & (std::uint64_t{1} << b))) {
-            own = timing.bank(b).nextPrechargeAt();
-        }
     } else if (timing.bank(b).openRow() != Bank::noRow) {
         // Row conflict: close the current row first.
         timing.prechargeBank(b, now);
         queue.clearHits(b);
-        own = std::max(timing.bank(b).nextActivateAt(),
-                       timing.rankActivateReadyAt());
     } else {
         // Row closed: open the request's row. Every request served
         // after this ACT without another ACT counts as a row hit;
@@ -322,37 +309,80 @@ MemoryController::issueCommand(unsigned ch, int slot, bool row_hit,
         timing.recordActivate(now);
         req.neededActivate = true;
         queue.rebuildHits(b, req.loc.row);
-        own = std::max(timing.bank(b).nextAccessAt(),
-                       timing.busReadyAt(req.isWrite));
     }
-    return own;
 }
 
 Cycles
-MemoryController::issuedWakeBound(unsigned ch, bool row_hit,
-                                  unsigned ready_hit,
-                                  unsigned ready_other, Cycles future,
-                                  Cycles own, Cycles now) const
+MemoryController::bankIssueBound(unsigned ch, unsigned b) const
 {
-    if (!purePick_) {
-        // SMS must re-pick right after any queue change.
-        return now + 1;
+    const ChannelTiming &timing = channels_[ch];
+    const RequestQueue &queue = queues_[ch];
+    const unsigned queued = queue.bankCount(b);
+    if (!queued)
+        return kNoEvent;
+    const Bank &bank = timing.bank(b);
+    if (bank.openRow() == Bank::noRow)
+        return std::max(bank.nextActivateAt(), timing.rankActivateReadyAt());
+    const unsigned nrd = queue.hitCountRead(b);
+    const unsigned nwr = queue.hitCountWrite(b);
+    Cycles t = kNoEvent;
+    if (nrd)
+        t = std::max(bank.nextAccessAt(), timing.busReadyAt(false));
+    if (nwr) {
+        t = std::min(t,
+                     std::max(bank.nextAccessAt(), timing.busReadyAt(true)));
     }
-    Cycles w = std::min({future, own, nextRefresh_[ch]});
-    if (row_hit) {
-        // A CAS only delays other row hits through the data bus,
-        // which it just reserved: none of them can be legal again
-        // before busReadyAt (exactly now + tBURST; reads possibly
-        // later still). Pending PRE/ACT work is untouched by the bus
-        // and can issue next cycle.
-        if (ready_other > 0)
-            w = now + 1;
-        else if (ready_hit > 1)
-            w = std::min(w, channels_[ch].busReadyAt(true));
-    } else if (ready_hit + ready_other > 1) {
-        // A PRE/ACT leaves every other issuable entry legal.
-        w = now + 1;
+    // A conflicting PRE stays masked while the open row has pending
+    // hits under a row-hit-preserving policy.
+    if (queued - nrd - nwr &&
+        !(scheduler_->preservesRowHits() && (nrd + nwr))) {
+        t = std::min(t, bank.nextPrechargeAt());
     }
+    return t;
+}
+
+Cycles
+MemoryController::issuedWake(unsigned ch, unsigned b, Command cmd,
+                             const FastIssueView &v, Cycles future,
+                             Cycles now) const
+{
+    // A command changes only its own bank, plus the data bus (CAS) or
+    // the rank ACT window (ACT). Every other bank's candidate classes
+    // that were issuable before it therefore stay issuable, except
+    // the ones gated by that shared resource, which become legal
+    // exactly when the resource frees up. Classes that were not yet
+    // legal are in `future` (a command only pushes legality later, so
+    // their pre-command bounds wake at worst early).
+    const ChannelTiming &timing = channels_[ch];
+    const std::uint64_t others = ~(std::uint64_t{1} << b);
+    const std::uint64_t hits_rd = v.hitReadMask & others;
+    const std::uint64_t hits_wr = v.hitWriteMask & others;
+    const std::uint64_t pres = v.preMask & others;
+    const std::uint64_t acts = v.actMask & others;
+    Cycles w = std::min(future, nextRefresh_[ch]);
+    switch (cmd) {
+    case Command::Cas:
+        if (pres | acts)
+            return now + 1;
+        if (hits_rd)
+            w = std::min(w, timing.busReadyAt(false));
+        if (hits_wr)
+            w = std::min(w, timing.busReadyAt(true));
+        break;
+    case Command::Pre:
+        if (hits_rd | hits_wr | pres | acts)
+            return now + 1;
+        break;
+    case Command::Act:
+        if (hits_rd | hits_wr | pres)
+            return now + 1;
+        if (acts)
+            w = std::min(w, timing.rankActivateReadyAt());
+        break;
+    }
+    // The issued bank contributes its post-command bounds: remaining
+    // hits, an unmasked conflict PRE, or (after a PRE) its ACTs.
+    w = std::min(w, bankIssueBound(ch, b));
     return std::max(w, now + 1);
 }
 
@@ -363,14 +393,15 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     ChannelTiming &timing = channels_[ch];
     RequestQueue &queue = queues_[ch];
     const bool preserve = scheduler_->preservesRowHits();
+    ++channelEvaluations_;
 
     // Classify each occupied bank once: every candidate class of a
     // bank shares one legality bound (read hits: CAS + read bus;
     // write hits: CAS + write bus; conflicts: PRE; closed: ACT + rank
     // windows), so the per-entry walk of the materialized path
     // collapses to an O(occupied banks) mask build over the queue's
-    // incrementally maintained candidate lists. The issuable counts
-    // and the earliest not-yet-legal bound `future` feed the wake.
+    // incrementally maintained candidate lists. The masks and the
+    // earliest not-yet-legal bound `future` feed the wake.
     FastIssueView v;
     v.queue = &queue;
     v.numBanks = cfg_.banksPerChannel;
@@ -378,10 +409,7 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
     const Cycles rank_ready = timing.rankActivateReadyAt();
     const Cycles bus_ready_rd = timing.busReadyAt(false);
     const Cycles bus_ready_wr = timing.busReadyAt(true);
-    unsigned ready_hit = 0;    // issuable row-hit (CAS) entries
-    unsigned ready_other = 0;  // issuable PRE/ACT entries
-    Cycles future = kNoEvent;  // earliest not-yet-legal entry
-    std::uint64_t masked_banks = 0; // banks with a masked conflict PRE
+    Cycles future = kNoEvent; // earliest not-yet-legal class
     for (std::uint64_t m = queue.occupiedMask(); m; m &= m - 1) {
         const unsigned b =
             static_cast<unsigned>(std::countr_zero(m));
@@ -393,101 +421,68 @@ MemoryController::scheduleChannelFast(unsigned ch, Cycles now,
             if (nrd) {
                 const Cycles t =
                     std::max(bank.nextAccessAt(), bus_ready_rd);
-                if (t <= now) {
+                if (t <= now)
                     v.hitReadMask |= bit;
-                    ready_hit += nrd;
-                } else {
+                else
                     future = std::min(future, t);
-                }
             }
             if (nwr) {
                 const Cycles t =
                     std::max(bank.nextAccessAt(), bus_ready_wr);
-                if (t <= now) {
+                if (t <= now)
                     v.hitWriteMask |= bit;
-                    ready_hit += nwr;
-                } else {
+                else
                     future = std::min(future, t);
-                }
             }
-            const unsigned conflicts = queue.bankCount(b) - nrd - nwr;
-            if (conflicts) {
-                if (preserve && (nrd + nwr)) {
-                    masked_banks |= bit;
-                } else {
-                    const Cycles t = bank.nextPrechargeAt();
-                    if (t <= now) {
-                        v.preMask |= bit;
-                        ready_other += conflicts;
-                    } else {
-                        future = std::min(future, t);
-                    }
-                }
+            // A conflict PRE masked by pending hits is left out: the
+            // hits drain only through commands on this bank, whose
+            // post-command wake covers the unmasked PRE.
+            if (queue.bankCount(b) - nrd - nwr &&
+                !(preserve && (nrd + nwr))) {
+                const Cycles t = bank.nextPrechargeAt();
+                if (t <= now)
+                    v.preMask |= bit;
+                else
+                    future = std::min(future, t);
             }
         } else {
             const Cycles t =
                 std::max(bank.nextActivateAt(), rank_ready);
-            if (t <= now) {
+            if (t <= now)
                 v.actMask |= bit;
-                ready_other += queue.bankCount(b);
-            } else {
+            else
                 future = std::min(future, t);
-            }
         }
     }
 
     int slot = -1;
-    bool row_hit = false;
-    // Impure policies (SMS/PARBS) mutate state inside pick() on
-    // no-issuable evaluations too (rebatch checks, RNG); their
-    // fastPick must run on every evaluated cycle, exactly where the
-    // reference would have called pick() with the same outcome.
-    if (ready_hit + ready_other || !purePick_) {
+    if ((v.hitBanks() | v.otherBanks()) ||
+        scheduler_->pickPending(ch, queue)) {
         slot = scheduler_->fastPick(v, ch, now);
-        if (slot >= 0) {
-            row_hit = queue.isHit(slot);
-            PCCS_ASSERT(v.slotIssuable(slot),
-                        "fast pick chose a non-issuable slot %d", slot);
-        }
+        PCCS_ASSERT(slot < 0 || v.slotIssuable(slot),
+                    "fast pick chose a non-issuable slot %d", slot);
     }
     if (slot < 0) {
-        // An issuable entry the policy declined (FCFS's in-order
-        // window) forces per-cycle stepping, as in the reference.
-        wake = (ready_hit + ready_other)
-                    ? now + 1
-                    : std::max(std::min(future, nextRefresh_[ch]),
-                               now + 1);
+        // A declined issuable set (FCFS's in-order window) is declined
+        // again until a legality edge or a queue change; only a policy
+        // with pending work must be asked again next cycle.
+        wake = scheduler_->pickPending(ch, queue)
+                   ? now + 1
+                   : std::max(std::min(future, nextRefresh_[ch]),
+                              now + 1);
         return false;
     }
 
-    const Cycles own = issueCommand(ch, slot, row_hit, now, masked_banks);
-    wake = issuedWakeBound(ch, row_hit, ready_hit, ready_other, future,
-                           own, now);
+    const unsigned b = queue.bank(slot);
+    const bool row_hit = queue.isHit(slot);
+    const Command cmd = row_hit ? Command::Cas
+                        : (v.openRowMask >> b) & 1 ? Command::Pre
+                                                   : Command::Act;
+    issueCommand(ch, slot, row_hit, now);
+    wake = scheduler_->pickPending(ch, queue)
+               ? now + 1
+               : issuedWake(ch, b, cmd, v, future, now);
     return true;
-}
-
-Cycles
-MemoryController::requestIssueBound(const Request &r, Cycles now) const
-{
-    const ChannelTiming &timing = channels_[r.loc.channel];
-    const Bank &bank = timing.bank(r.loc.bank);
-    Cycles t;
-    if (bank.openRow() == static_cast<std::int64_t>(r.loc.row)) {
-        t = std::max(bank.nextAccessAt(), timing.busReadyAt(r.isWrite));
-    } else if (bank.openRow() != Bank::noRow) {
-        // A conflicting PRE stays masked while the open row has
-        // pending hits; draining them is activity, which recomputes
-        // the channel's wake anyway.
-        if (scheduler_->preservesRowHits() &&
-            queues_[r.loc.channel].hitCount(r.loc.bank) > 0) {
-            return kNoEvent;
-        }
-        t = bank.nextPrechargeAt();
-    } else {
-        t = std::max(bank.nextActivateAt(),
-                     timing.rankActivateReadyAt());
-    }
-    return std::max(t, now + 1);
 }
 
 Cycles
@@ -495,8 +490,10 @@ MemoryController::channelNextEvent(unsigned ch, Cycles now) const
 {
     const Cycles next = now + 1;
 
-    // A running refresh blocks everything until it completes.
-    if (refreshUntil_[ch] > next)
+    // A running refresh blocks everything until it completes; its
+    // first free cycle is always evaluated, since a policy with
+    // pending work (Scheduler::pickPending) acts there.
+    if (refreshUntil_[ch] >= next)
         return refreshUntil_[ch];
 
     // A due (or about-to-be-due) refresh drains open rows one PRE per
@@ -512,43 +509,15 @@ MemoryController::channelNextEvent(unsigned ch, Cycles now) const
     // Normal scheduling: the earliest cycle any queued request's next
     // command becomes legal, or the refresh deadline, whichever first.
     // These are conservative lower bounds (issuing a command only
-    // pushes legality later, and any command issue wakes the core at
-    // now + 1 anyway), so no first-legality edge is ever skipped. Per
-    // occupied bank each candidate class shares one legality bound, so
-    // the min over (bank, class) pairs is the min over entries. A
-    // conflicting PRE masked by pending row hits is left out: draining
-    // the hits is activity, which wakes the core.
-    const ChannelTiming &timing = channels_[ch];
-    const RequestQueue &queue = queues_[ch];
-    const bool preserve = scheduler_->preservesRowHits();
-    const std::uint64_t open = timing.openRowMask();
-    const Cycles rank_ready = timing.rankActivateReadyAt();
-    const Cycles bus_ready_rd = timing.busReadyAt(false);
-    const Cycles bus_ready_wr = timing.busReadyAt(true);
+    // pushes legality later, and every command issue recomputes the
+    // wake), so no first-legality edge is ever skipped. Per occupied
+    // bank each candidate class shares one legality bound, so the min
+    // over (bank, class) pairs is the min over entries.
     Cycles cand = nextRefresh_[ch];
-    for (std::uint64_t m = queue.occupiedMask(); m; m &= m - 1) {
+    for (std::uint64_t m = queues_[ch].occupiedMask(); m; m &= m - 1) {
         const unsigned b =
             static_cast<unsigned>(std::countr_zero(m));
-        const Bank &bank = timing.bank(b);
-        if (open & (std::uint64_t{1} << b)) {
-            const unsigned nrd = queue.hitCountRead(b);
-            const unsigned nwr = queue.hitCountWrite(b);
-            if (nrd) {
-                cand = std::min(
-                    cand, std::max(bank.nextAccessAt(), bus_ready_rd));
-            }
-            if (nwr) {
-                cand = std::min(
-                    cand, std::max(bank.nextAccessAt(), bus_ready_wr));
-            }
-            if (queue.bankCount(b) - nrd - nwr &&
-                !(preserve && (nrd + nwr))) {
-                cand = std::min(cand, bank.nextPrechargeAt());
-            }
-        } else {
-            cand = std::min(
-                cand, std::max(bank.nextActivateAt(), rank_ready));
-        }
+        cand = std::min(cand, bankIssueBound(ch, b));
     }
     return std::max(cand, now + 1);
 }

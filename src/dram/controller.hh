@@ -135,17 +135,28 @@ class MemoryController : public MemoryPort
      * Enable/disable the event-driven evaluation: woken channels are
      * decided by the fast issue engine (fastPick()), and while a
      * channel's cached wake cycle lies in the future, tick() skips
-     * evaluating it entirely. The cache is refreshed after every
-     * evaluation; for side-effect-free policies (pickIsPure()) it
-     * additionally survives enqueues (tightened by the newcomer's own
-     * bound) and command issues (advanced to the next legality bound),
-     * while SMS and PARBS invalidate on both so their rebatching picks
-     * run on exactly the reference cycles. Off by default so the
-     * reference mode stays the plain every-cycle pick() specification;
-     * bit-exact either way (skipped evaluations are provably no-ops —
-     * see the audit notes in the sched_*.cc files).
+     * evaluating it entirely. Every evaluation recomputes the wake:
+     * the first cycle a command can legally issue (exact per bank and
+     * candidate class, after an issue as after a decline) or, while
+     * Scheduler::pickPending() holds, the next cycle. An enqueue only
+     * tightens it by the newcomer's bank bound, unless pickPending()
+     * holds after the push. Off by default so the reference mode
+     * stays the plain every-cycle pick() specification; bit-exact
+     * either way (skipped evaluations are provably no-ops — see the
+     * audit notes in the sched_*.cc files).
      */
     void setLazyChannelScan(bool on);
+
+    /**
+     * Channel evaluations of the fast issue engine so far (lazy scan
+     * only; never reset). Kept out of ControllerStats because it
+     * differs by run mode by design, and the equivalence harnesses
+     * compare that struct across modes.
+     */
+    std::uint64_t channelEvaluations() const { return channelEvaluations_; }
+
+    /** ACT, PRE and CAS commands issued so far, in any run mode. */
+    std::uint64_t issuedCommands() const { return issuedCommands_; }
 
     /** @return number of requests in queues plus in flight. */
     std::size_t pendingRequests() const;
@@ -229,19 +240,31 @@ class MemoryController : public MemoryPort
      * every side effect: bank/bus timing, stats, scheduler
      * notification, hit-list maintenance, dequeue. Shared by the
      * reference and fast evaluations so they cannot drift.
-     * @param masked_banks banks with a conflict PRE masked by pending
-     *        hits (fast engine; the reference passes 0).
-     * @return the post-command legality bound of the *chosen*
-     *         request's next command (kNoEvent for a CAS, unless it
-     *         drained the last hit of a masked bank); only the fast
-     *         engine's wake uses it.
      */
-    Cycles issueCommand(unsigned ch, int slot, bool row_hit, Cycles now,
-                        std::uint64_t masked_banks);
-    /** The fast engine's post-issue lazy-wake bound. */
-    Cycles issuedWakeBound(unsigned ch, bool row_hit, unsigned ready_hit,
-                           unsigned ready_other, Cycles future,
-                           Cycles own, Cycles now) const;
+    void issueCommand(unsigned ch, int slot, bool row_hit, Cycles now);
+
+    /** The command kinds, for the post-issue wake. */
+    enum class Command
+    {
+        Cas,
+        Pre,
+        Act,
+    };
+    /**
+     * The fast engine's post-issue wake: the first cycle >= now + 1 at
+     * which any candidate class can issue, given the pre-issue view
+     * `v`, its not-yet-legal bound `future`, and the command `cmd`
+     * just issued on bank `b`.
+     */
+    Cycles issuedWake(unsigned ch, unsigned b, Command cmd,
+                      const FastIssueView &v, Cycles future,
+                      Cycles now) const;
+    /**
+     * Earliest cycle at which any queued candidate of bank `b` of
+     * channel `ch` could have its next command issued (kNoEvent when
+     * the bank is empty or holds only masked conflict PREs).
+     */
+    Cycles bankIssueBound(unsigned ch, unsigned b) const;
     /** @return true when at least one completion drained. */
     bool drainCompletions(Cycles now);
     RefreshOutcome handleRefresh(unsigned ch, Cycles now);
@@ -261,13 +284,6 @@ class MemoryController : public MemoryPort
      * in O(occupied banks) over the queue's bank masks.
      */
     Cycles channelNextEvent(unsigned ch, Cycles now) const;
-    /**
-     * Earliest cycle >= now + 1 at which request `r` alone could have
-     * its next command issued (kNoEvent when its PRE is masked by
-     * pending row hits). Used to tighten a channel's cached wake on
-     * enqueue without rescanning the whole queue.
-     */
-    Cycles requestIssueBound(const Request &r, Cycles now) const;
 
     DramConfig cfg_;
     AddressMapper mapper_;
@@ -296,18 +312,12 @@ class MemoryController : public MemoryPort
     /**
      * Lazy-scan cache: channel ch cannot issue before channelWake_[ch]
      * (valid only while lazyChannels_; 0 = evaluate). Maintained by
-     * tick(), reset by enqueue() and setLazyChannelScan().
+     * tick(), tightened by enqueue(), reset by setLazyChannelScan().
      */
     std::vector<Cycles> channelWake_;
     bool lazyChannels_ = false;
-    /**
-     * Cached scheduler_->pickIsPure(): when true, the lazy scan keeps
-     * a channel's cached wake alive across enqueues (min-ing in the
-     * newcomer's own bound) and across successful command issues
-     * (jumping straight to the next legality bound) instead of forcing
-     * a re-evaluation on the following cycle.
-     */
-    bool purePick_ = false;
+    std::uint64_t channelEvaluations_ = 0;
+    std::uint64_t issuedCommands_ = 0;
 };
 
 } // namespace pccs::dram

@@ -7,10 +7,12 @@
 // test can flip an *ordering* between two entries as time passes, but
 // on skipped cycles no entry is issuable, so pick() returns -1 under
 // either ordering; at the next wake the test is evaluated with the
-// true `now`, exactly as the reference loop would. tick()'s quantum
-// fold is the one time-triggered state change; it is exported through
-// nextTickEvent() so the event core wakes on the precise boundary
-// cycle.
+// true `now`, exactly as the reference loop would. It is
+// work-conserving (the best issuable entry always wins), so it never
+// declines an issuable set and keeps pickPending()'s default. tick()'s
+// quantum fold is the one time-triggered state change; it is exported
+// through nextTickEvent() so the event core wakes on the precise
+// boundary cycle.
 //
 // Fast-pick audit: the comparator ladder is (starved, least attained
 // service, row hit, age). Starvation is per *entry*, but the queue's
@@ -155,7 +157,6 @@ registerAtlasPolicy()
             [](const SchedulerParams &p) {
                 return std::make_unique<AtlasScheduler>(p);
             },
-        .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
     });

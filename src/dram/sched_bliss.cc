@@ -3,13 +3,15 @@
 #include "common/logging.hh"
 
 // Event-driven audit: pick() reads the blacklist and mutates nothing,
-// so every skipped no-issuable cycle is a pure no-op. The two state
-// mutators are onService() — driven by CAS issues, which both cores
-// process on identical cycles — and the periodic blacklist clear in
-// tick(). The clear is the one time-triggered change and is exported
-// through nextTickEvent(), so the event core wakes on the precise
-// boundary cycle and the `nextClear_ = now + interval` rearm chain
-// advances identically in both modes.
+// so every skipped no-issuable cycle is a pure no-op, and it is
+// work-conserving (the best issuable entry always wins), so it never
+// declines an issuable set and keeps pickPending()'s default. The two
+// state mutators are onService() — driven by CAS issues, which both
+// cores process on identical cycles — and the periodic blacklist clear
+// in tick(). The clear is the one time-triggered change and is
+// exported through nextTickEvent(), so the event core wakes on the
+// precise boundary cycle and the `nextClear_ = now + interval` rearm
+// chain advances identically in both modes.
 //
 // Fast-pick audit: the comparator is a two-tier source split
 // (non-blacklisted first) with the FR-FCFS step inside each tier.
@@ -114,7 +116,6 @@ registerBlissPolicy()
             [](const SchedulerParams &p) {
                 return std::make_unique<BlissScheduler>(p);
             },
-        .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
     });

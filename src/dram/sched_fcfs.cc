@@ -6,11 +6,14 @@
 // Event-driven audit (FCFS and FR-FCFS): pick() is a pure function of
 // (entries, now) with no mutable state and no RNG, and tick() is the
 // default no-op, so skipping pick() calls on cycles where no entry is
-// issuable cannot change any future decision. Note FCFS's issue window
-// can return -1 while *younger* entries are issuable; the event core
-// handles this by falling back to +1-cycle stepping whenever a wake
-// cycle yields no command (it never re-skips past a computed
-// issuability edge).
+// issuable cannot change any future decision. FR-FCFS is
+// work-conserving. FCFS's issue window can return -1 while *younger*
+// entries are issuable, but that decline is stable: pick() returns -1
+// again until a window entry becomes legal (a legality edge, which the
+// event core's wake covers) or the queue changes (an enqueue tightens
+// the wake by the newcomer's bank bound; a command re-evaluates). Both
+// keep pickPending()'s default, and a declined evaluation sleeps until
+// the next legality edge instead of stepping cycle by cycle.
 //
 // Fast-pick audit: FCFS's window holds the `window` smallest-arrival
 // entries with earlier queue positions winning arrival ties — since
@@ -121,7 +124,6 @@ registerFcfsPolicies()
             [](const SchedulerParams &) {
                 return std::make_unique<FcfsScheduler>();
             },
-        .pickIsPure = true,
         .preservesRowHits = false,
         .needsTickEvents = false,
     });
@@ -132,7 +134,6 @@ registerFcfsPolicies()
             [](const SchedulerParams &) {
                 return std::make_unique<FrFcfsScheduler>();
             },
-        .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = false,
     });

@@ -3,7 +3,9 @@
 // Event-driven audit: pick() is a pure function of (entries, state) —
 // it reads the per-channel turn mask and mutates nothing, consumes no
 // RNG, and ignores `now` — so skipped no-issuable cycles are pure
-// no-ops and the lazy pure-pick channel scan is safe. The only state
+// no-ops. It is work-conserving (every tier falls through to the
+// next, so some issuable entry always wins), so it never declines an
+// issuable set and keeps pickPending()'s default. The only state
 // mutation is the turn-mask rotation in onService(), which runs on
 // CAS-issue cycles; both cores process every CAS on identical cycles,
 // so the masks advance in lockstep. tick() is the default no-op and
@@ -125,7 +127,6 @@ registerMedusaPolicy()
             [](const SchedulerParams &p) {
                 return std::make_unique<MedusaScheduler>(p);
             },
-        .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = false,
     });

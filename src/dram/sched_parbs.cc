@@ -1,23 +1,21 @@
 #include "sched_parbs.hh"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/logging.hh"
 
-// Event-driven audit: PARBS's pick() mutates state (batch formation),
-// so like SMS it reports pickIsPure() == false and the event core
-// evaluates it on every post-change cycle. A new batch forms — the
-// only mutation inside pick() — exactly when no marked request is
-// visible in the queue snapshot, and that condition changes solely on
-// queue-content changes: a CAS unmarking via onService(), or an
-// enqueue into a channel with an exhausted batch. The event core
-// always processes the cycle *after* any issue/enqueue/completion,
-// which is precisely when the reference loop would re-form; on every
-// later skipped cycle the marked set is unchanged and non-empty, so
-// pick() reads state without touching it (and PARBS uses no RNG).
-// Hence batch boundaries and rankings are cycle-for-cycle identical
-// across the two cores.
+// Event-driven audit: PARBS's pick() mutates state (batch formation).
+// A new batch forms — the only mutation inside pick() — exactly when
+// no marked request is visible in a non-empty queue snapshot, which
+// is what pickPending() reports, so the event core asks again on the
+// next cycle while it holds — precisely when the reference loop would
+// re-form. Otherwise the marked set is non-empty and pick() reads
+// state without touching it (and PARBS uses no RNG); it is
+// work-conserving (the best issuable entry always wins), so it never
+// declines an issuable set. Hence batch boundaries and rankings are
+// cycle-for-cycle identical across the two cores.
 //
 // Fast-pick audit: marked requests leave the queue only through the
 // CAS that services them, so "any marked visible" is markedTotal > 0
@@ -26,14 +24,13 @@
 // (see sched_parbs.hh), so the marked tier reduces to: among the
 // sources with outstanding marked requests, the minimum-rank one
 // whose bounded prefix holds an issuable entry (ranks are a
-// permutation, so that source is unique; within it the comparator is
+// permutation, so that source is unique — the first such source of
+// the batch's rank-ordered member list; within it the comparator is
 // row hit then age, i.e. the first issuable hit else the first
 // issuable slot of the prefix walk). When no marked entry is
 // issuable, every issuable entry is unmarked and the ladder
 // degenerates to FR-FCFS — the shared bank-level helper. fastPick()
-// performs the same formation mutation pick() would, so the
-// controller calls it on every evaluated cycle (impure-policy
-// contract).
+// performs the same formation mutation pick() would.
 namespace pccs::dram {
 
 ParbsScheduler::ParbsScheduler(const SchedulerParams &params)
@@ -98,6 +95,16 @@ ParbsScheduler::finishBatch(ChannelState &st,
               });
     for (unsigned r = 0; r < maxSources; ++r)
         st.rank[order[r]] = r;
+    st.byRank = order;
+    st.members = static_cast<unsigned>(std::popcount(st.markedSources));
+}
+
+bool
+ParbsScheduler::pickPending(unsigned channel, const RequestQueue &q) const
+{
+    const unsigned marked =
+        channel < channels_.size() ? channels_[channel].markedTotal : 0;
+    return marked == 0 && !q.empty();
 }
 
 int
@@ -196,39 +203,30 @@ ParbsScheduler::fastPick(const FastIssueView &view, unsigned channel,
         finishBatch(st, take, oldest);
     }
 
-    // Marked tier: the minimum-rank source with an issuable marked
-    // entry; within it, the oldest issuable hit of the marked prefix,
-    // else its oldest issuable entry (the prefix walk is arrival
-    // order, so first found == oldest).
-    int best = -1;
-    unsigned best_rank = ~0u;
-    for (std::uint64_t m = st.markedSources; m; m &= m - 1) {
-        const unsigned src =
-            static_cast<unsigned>(std::countr_zero(m));
-        if (st.rank[src] >= best_rank)
+    // Marked tier: the first source in rank order with an issuable
+    // marked entry; within it, the oldest issuable hit of the marked
+    // prefix, else its oldest issuable entry (the prefix walk is
+    // arrival order, so first found == oldest).
+    for (unsigned r = 0; r < st.members; ++r) {
+        const unsigned src = st.byRank[r];
+        if (!((st.markedSources >> src) & 1) ||
+            !view.sourceHasIssuable(src)) {
             continue;
+        }
         const std::uint64_t bound = st.markedBelow[src];
         int first = -1;
-        int first_hit = -1;
         for (int s = q.sourceHead(src);
              s >= 0 && q.serial(s) < bound; s = q.sourceNext(s)) {
             if (!view.slotIssuable(s))
                 continue;
+            if (q.isHit(s))
+                return s;
             if (first < 0)
                 first = s;
-            if (q.isHit(s)) {
-                first_hit = s;
-                break;
-            }
         }
-        const int cand = first_hit >= 0 ? first_hit : first;
-        if (cand >= 0) {
-            best = cand;
-            best_rank = st.rank[src];
-        }
+        if (first >= 0)
+            return first;
     }
-    if (best >= 0)
-        return best;
 
     // No marked entry is issuable: every issuable entry is unmarked
     // and the ladder below the marked tier is plain FR-FCFS.
@@ -245,7 +243,6 @@ registerParbsPolicy()
             [](const SchedulerParams &p) {
                 return std::make_unique<ParbsScheduler>(p);
             },
-        .pickIsPure = false,
         .preservesRowHits = true,
         .needsTickEvents = false,
     });

@@ -44,8 +44,9 @@ class ParbsScheduler : public Scheduler
     explicit ParbsScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "PARBS"; }
-    /** pick() forms a new batch (state mutation) after queue changes. */
-    bool pickIsPure() const override { return false; }
+    /** True while a batch is due: no marked request on a non-empty queue. */
+    bool pickPending(unsigned channel,
+                     const RequestQueue &q) const override;
     void onService(const Request &req, Cycles now, unsigned bytes) override;
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
@@ -69,6 +70,10 @@ class ParbsScheduler : public Scheduler
         std::array<unsigned, maxSources> markedLeft{};
         /** Source rank for the current batch (lower = higher priority). */
         std::array<unsigned, maxSources> rank{};
+        /** The batch's sources in rank order (the first `members`). */
+        std::array<unsigned, maxSources> byRank{};
+        /** Sources in the current batch. */
+        unsigned members = 0;
         /** Sources with markedLeft > 0, one bit per source. */
         std::uint64_t markedSources = 0;
         /** Outstanding marked requests on the whole channel. */

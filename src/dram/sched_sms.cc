@@ -4,18 +4,22 @@
 
 #include "common/logging.hh"
 
-// Event-driven audit: SMS is the one policy whose pick() mutates state
-// (batch bookkeeping) and consumes RNG (batch selection), so the
-// skipping contract needs care. A new batch is selected — and an RNG
-// draw consumed — only when the previous batch is finished or no
-// longer visible in the queue, and both conditions can change solely
-// on queue-content changes (a CAS removing a request, or an enqueue
-// into an empty-source queue). The event core always processes the
-// cycle *after* any issue/enqueue/completion, which is precisely when
-// the reference loop would reselect; on every later skipped cycle the
-// in-flight-batch path runs instead, which touches neither state nor
-// RNG when nothing is issuable. Hence the RNG stream and batch state
-// stay cycle-for-cycle identical across the two cores.
+// Event-driven audit: SMS's pick() mutates state (batch bookkeeping)
+// and consumes RNG (batch selection), so the skipping contract needs
+// care. A new batch is selected — and an RNG draw consumed — only
+// when the previous batch is finished or no longer visible in the
+// queue, and pickPending() reports exactly that condition, so the
+// event core asks again on the next cycle while it holds, which is
+// precisely when the reference loop would reselect. Otherwise the
+// in-flight-batch path runs, which touches neither state nor RNG when
+// nothing is issuable, and with an issuable entry always picks one
+// (its batch's next request, else the oldest issuable entry) — except
+// on the reselection cycle itself, whose new owner may be unable to
+// issue: then pick() returns -1 although another entry is issuable,
+// and the next cycle serves that entry. ChannelState::declined
+// records the case so pickPending() covers it. Hence the RNG stream
+// and batch state stay cycle-for-cycle identical across the two
+// cores.
 //
 // Fast-pick audit: fastPick() is a line-for-line restatement of
 // pick() over the per-source FIFOs — the batch anchor is the FIFO
@@ -24,8 +28,7 @@
 // the capped count of same-row entries along the FIFO, and serving is
 // the first issuable row match in FIFO order. It mutates the same
 // ChannelState and draws the same single RNG chance per reselection,
-// so the controller calls it on every evaluated cycle (impure-policy
-// contract) and the RNG stream stays aligned with the reference.
+// so the RNG stream stays aligned with the reference.
 namespace pccs::dram {
 
 SmsScheduler::SmsScheduler(const SchedulerParams &params)
@@ -105,6 +108,7 @@ SmsScheduler::pick(unsigned channel,
         return best;
     };
 
+    st.declined = false;
     // Continue the in-flight batch when it still has visible requests.
     if (st.currentSource >= 0 && st.remaining > 0) {
         const SourceBatch &b = batches[st.currentSource];
@@ -162,6 +166,8 @@ SmsScheduler::pick(unsigned channel,
     int idx = serve_source(chosen, st.batchRow);
     if (idx >= 0)
         --st.remaining;
+    else
+        st.declined = oldest_issuable() >= 0;
     return idx;
 }
 
@@ -172,6 +178,7 @@ SmsScheduler::fastPick(const FastIssueView &view, unsigned channel,
     (void)now;
     ChannelState &st = channelState(channel);
     const RequestQueue &q = *view.queue;
+    st.declined = false;
 
     // The quantities pick() derives from its full-queue batch
     // recomputation all live on the per-source FIFOs: a source's head
@@ -262,7 +269,23 @@ SmsScheduler::fastPick(const FastIssueView &view, unsigned channel,
     const int s = serve_source(chosen, st.batchRow);
     if (s >= 0)
         --st.remaining;
+    else
+        st.declined = (view.hitBanks() | view.otherBanks()) != 0;
     return s;
+}
+
+bool
+SmsScheduler::pickPending(unsigned channel, const RequestQueue &q) const
+{
+    if (q.empty())
+        return false;
+    if (channel >= channels_.size())
+        return true; // no batch selected on this channel yet
+    const ChannelState &st = channels_[channel];
+    if (st.declined || st.currentSource < 0 || st.remaining == 0)
+        return true;
+    const int h = q.sourceHead(static_cast<unsigned>(st.currentSource));
+    return h < 0 || q.row(h) != st.batchRow;
 }
 
 void
@@ -275,7 +298,6 @@ registerSmsPolicy()
             [](const SchedulerParams &p) {
                 return std::make_unique<SmsScheduler>(p);
             },
-        .pickIsPure = false,
         .preservesRowHits = true,
         .needsTickEvents = false,
     });

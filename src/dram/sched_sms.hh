@@ -29,8 +29,14 @@ class SmsScheduler : public Scheduler
     explicit SmsScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "SMS"; }
-    /** pick() rebatches (state + RNG) after queue changes. */
-    bool pickIsPure() const override { return false; }
+    /**
+     * True while a reselection is due (no batch in flight, batch
+     * exhausted, or its head no longer queued) or right after a
+     * reselection whose owner could not issue while another entry
+     * could.
+     */
+    bool pickPending(unsigned channel,
+                     const RequestQueue &q) const override;
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
     int fastPick(const FastIssueView &view, unsigned channel,
@@ -48,6 +54,12 @@ class SmsScheduler : public Scheduler
         unsigned remaining = 0;
         /** Round-robin pointer for (1-p) selections. */
         unsigned rrNext = 0;
+        /**
+         * The last pick reselected, its owner could not issue, and
+         * another entry could: the next pick serves the oldest
+         * issuable entry.
+         */
+        bool declined = false;
     };
 
     ChannelState &channelState(unsigned channel);

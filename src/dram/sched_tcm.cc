@@ -7,7 +7,9 @@
 #include "common/logging.hh"
 
 // Event-driven audit: pick() reads cluster/rank tables and mutates
-// nothing, so skipped no-issuable cycles are pure no-ops. Both
+// nothing, so skipped no-issuable cycles are pure no-ops, and it is
+// work-conserving (the best issuable entry always wins), so it never
+// declines an issuable set and keeps pickPending()'s default. Both
 // time-triggered updates (the recluster quantum and the rank shuffle)
 // live in tick() and are exported through nextTickEvent(), so the
 // event core wakes on exactly the reference cycles and the
@@ -189,7 +191,6 @@ registerTcmPolicy()
             [](const SchedulerParams &p) {
                 return std::make_unique<TcmScheduler>(p);
             },
-        .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = true,
     });

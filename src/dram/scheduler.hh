@@ -372,16 +372,25 @@ class Scheduler
     }
 
     /**
-     * True when pick() is a pure function of its arguments and the
-     * scheduler's state: no internal mutation, no RNG consumption.
-     * The event-driven core then drops pick() calls on *every* cycle
-     * it can prove unproductive — including the cycle right after a
-     * command issue or an enqueue — and wakes a channel only at its
-     * next command-legality bound. SMS and PARBS return false: their
-     * pick() rebatches (mutating state, and for SMS drawing RNG) on
-     * exactly those post-change cycles, so they must be evaluated.
+     * True when the next pick() on `channel` could act — mutate state,
+     * draw RNG, or pick after having declined — even though neither
+     * the queue `q` nor its issuable set has changed since the last
+     * pick(). The event-driven core calls fastPick() on a cycle with
+     * nothing issuable, or re-evaluates a channel on the cycle after
+     * an issue, enqueue, or declined evaluation, only while this
+     * holds; otherwise it sleeps until the next command-legality edge.
+     * The default (false) fits every work-conserving policy with a
+     * pure pick(). SMS and PARBS override it: their pick() rebatches
+     * only when a batch is due, and SMS serves the oldest issuable
+     * entry on the cycle after a reselection whose owner could not
+     * issue.
      */
-    virtual bool pickIsPure() const { return true; }
+    virtual bool pickPending(unsigned channel, const RequestQueue &q) const
+    {
+        (void)channel;
+        (void)q;
+        return false;
+    }
 
     /**
      * Choose the next request to advance on a channel.
@@ -389,14 +398,16 @@ class Scheduler
      * This is the executable specification: the reference core calls
      * pick() on every cycle a channel has queued requests. The
      * event-driven core makes the same decision through fastPick(),
-     * and only (a) on the cycle after any command issue, completion,
-     * or enqueue (pickIsPure() policies: only when that cycle is also
-     * a legality edge), and (b) on the first cycle any entry's next
-     * command becomes timing-legal. A policy is compatible iff every
-     * pick() call on a skipped cycle — queue contents unchanged and no
-     * entry issuable — would have been a pure no-op (returns -1, no
-     * state or RNG consumption). All registered policies satisfy this;
-     * the per-policy audits live at the top of each sched_*.cc.
+     * and only on cycles where some entry's next command is
+     * timing-legal or pickPending() holds. After a declined
+     * evaluation it sleeps until the next legality edge unless
+     * pickPending(). A policy is compatible iff every pick() call the
+     * event core leaves out would have been a pure no-op (returns -1,
+     * no state or RNG consumption): with nothing issuable that is
+     * !pickPending(); after a decline, the same -1 again on an
+     * unchanged queue and issuable set. All registered policies
+     * satisfy this; the per-policy audits live at the top of each
+     * sched_*.cc.
      *
      * @param channel index of the channel being scheduled
      * @param entries snapshot of the channel's queued requests
@@ -415,10 +426,9 @@ class Scheduler
      * exactly the slot the materialized pick() would have chosen (the
      * differential fuzz in tests/test_dram_fastpath.cc enforces this
      * per policy), or -1 to idle. Called when at least one candidate
-     * is issuable — and, for pickIsPure() == false policies (SMS and
-     * PARBS), on every evaluated cycle even with nothing issuable,
-     * mirroring pick()'s call schedule; such a policy must perform
-     * the same state mutations and RNG draws pick() would.
+     * is issuable or pickPending() holds (then possibly with nothing
+     * issuable); it must perform the same state mutations and RNG
+     * draws pick() would.
      *
      * @return a queue slot index (not an entry index), or -1.
      */
@@ -478,8 +488,6 @@ struct PolicyInfo
     /** Factory over the shared parameter block. */
     std::function<std::unique_ptr<Scheduler>(const SchedulerParams &)>
         factory;
-    /** Scheduler::pickIsPure() of instances of this policy. */
-    bool pickIsPure = true;
     /** Scheduler::preservesRowHits() of instances of this policy. */
     bool preservesRowHits = true;
     /** True when nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +40,54 @@ makeReq(std::uint64_t id, unsigned source, Cycles arrival,
     return r;
 }
 
+/**
+ * One channel's RequestQueue together with the QueueEntryView span
+ * pick() takes over it, so a test can drive pick() and ask
+ * pickPending() about the same queue. Every request sits in a closed
+ * bank (no row hits); the test decides per call which are issuable.
+ */
+class QueueHarness
+{
+  public:
+    void push(const Request &r) { q.push_back(r, false); }
+
+    /** Remove the queued request with id `id` (its CAS issued). */
+    void erase(std::uint64_t id)
+    {
+        for (int s = q.head(); s >= 0; s = q.next(s)) {
+            if (q.slot(s).id == id) {
+                q.erase(s);
+                return;
+            }
+        }
+        FAIL() << "request " << id << " is not queued";
+    }
+
+    /** The queue in arrival order; ids in `blocked` are not issuable. */
+    std::vector<QueueEntryView>
+    entries(std::initializer_list<std::uint64_t> blocked = {}) const
+    {
+        std::vector<QueueEntryView> out;
+        for (int s = q.head(); s >= 0; s = q.next(s)) {
+            const Request &r = q.slot(s);
+            const bool issuable =
+                std::find(blocked.begin(), blocked.end(), r.id) ==
+                blocked.end();
+            out.push_back({&r, issuable, false});
+        }
+        return out;
+    }
+
+    /** Id of the request pick() chose from `view`, or 0 for none. */
+    static std::uint64_t
+    chosen(const std::vector<QueueEntryView> &view, int idx)
+    {
+        return idx < 0 ? 0 : view[static_cast<std::size_t>(idx)].req->id;
+    }
+
+    RequestQueue q{32, 8};
+};
+
 TEST(SchedulerRegistry, EnumeratesBuiltinsInRegistrationOrder)
 {
     const std::vector<std::string> expect{"FCFS", "FR-FCFS", "ATLAS",
@@ -66,7 +116,6 @@ TEST(SchedulerRegistry, DescriptorAgreesWithInstance)
         auto sched = info.factory(SchedulerParams{});
         ASSERT_NE(sched, nullptr);
         EXPECT_EQ(sched->name(), info.name);
-        EXPECT_EQ(sched->pickIsPure(), info.pickIsPure);
         EXPECT_EQ(sched->preservesRowHits(), info.preservesRowHits);
         EXPECT_EQ(sched->nextTickEvent() != kNoEvent,
                   info.needsTickEvents);
@@ -142,7 +191,6 @@ TEST(SchedulerRegistry, ExternalRegistrationFlowsThroughLookup)
             [](const SchedulerParams &) {
                 return std::make_unique<RoundRobinTestScheduler>();
             },
-        .pickIsPure = true,
         .preservesRowHits = true,
         .needsTickEvents = false,
     });
@@ -387,6 +435,125 @@ TEST(Sms, PerChannelBatchesAreIndependent)
     EXPECT_EQ(s.pick(1, q, 10), 0);
 }
 
+TEST(Sms, PickPendingTracksBatchReselection)
+{
+    SchedulerParams p;
+    p.smsShortestFirstProb = 1.0;
+    SmsScheduler s(p);
+    QueueHarness h;
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "empty queue";
+
+    h.push(makeReq(1, 0, 0, 5));
+    h.push(makeReq(2, 0, 1, 5));
+    h.push(makeReq(3, 1, 2, 9));
+    EXPECT_TRUE(s.pickPending(0, h.q)) << "no batch selected yet";
+
+    // SJF selects source 1's one-request batch and serves it: the
+    // batch is exhausted, so the next pick reselects.
+    auto v = h.entries();
+    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 10)), 3u);
+    h.erase(3);
+    EXPECT_TRUE(s.pickPending(0, h.q)) << "batch exhausted";
+
+    // Source 0's two-request batch starts; with one request left the
+    // batch is in flight and a pick with nothing issuable is a no-op.
+    v = h.entries();
+    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 11)), 1u);
+    h.erase(1);
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "batch in flight";
+    v = h.entries({2});
+    EXPECT_EQ(s.pick(0, v, 12), -1);
+    EXPECT_FALSE(s.pickPending(0, h.q));
+
+    // An enqueue behind the batch head leaves the batch in flight.
+    h.push(makeReq(4, 0, 13, 7));
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "head still in the batch row";
+
+    v = h.entries();
+    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 14)), 2u);
+    h.erase(2);
+    EXPECT_TRUE(s.pickPending(0, h.q)) << "last batch request served";
+
+    // Serving the last queued request leaves nothing to act on.
+    v = h.entries();
+    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 15)), 4u);
+    h.erase(4);
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "empty queue";
+}
+
+TEST(Sms, PickPendingWhenBatchHeadLeavesTheBatchRow)
+{
+    SchedulerParams p;
+    p.smsShortestFirstProb = 1.0;
+    SmsScheduler s(p);
+    QueueHarness h;
+    // Source 0's head batch is row-5 requests 1 and 3 (size 2);
+    // request 2 (row 6) sits between them in arrival order.
+    h.push(makeReq(1, 0, 0, 5));
+    h.push(makeReq(2, 0, 1, 6));
+    h.push(makeReq(3, 0, 2, 5));
+    auto v = h.entries();
+    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 10)), 1u);
+    h.erase(1);
+    // One batch request remains, but the source's head is now row 6:
+    // the batch is no longer visible and the next pick reselects.
+    EXPECT_TRUE(s.pickPending(0, h.q));
+}
+
+TEST(Sms, PickPendingAfterReselectionDecline)
+{
+    SchedulerParams p;
+    p.smsShortestFirstProb = 1.0;
+    SmsScheduler s(p);
+    QueueHarness h;
+    h.push(makeReq(1, 0, 0, 5));
+    h.push(makeReq(2, 1, 1, 9));
+    h.push(makeReq(3, 1, 2, 9));
+
+    // With nothing issuable, the reselection idles and nothing is
+    // pending: the in-flight batch waits for a legality edge.
+    auto v = h.entries({1, 2, 3});
+    EXPECT_EQ(s.pick(0, v, 10), -1);
+    EXPECT_FALSE(s.pickPending(0, h.q));
+    EXPECT_EQ(s.pick(0, v, 11), -1);
+    EXPECT_FALSE(s.pickPending(0, h.q));
+
+    // A fresh scheduler reselects source 0 (shorter batch) while only
+    // source 1 can issue: it declines, and the next pick serves the
+    // oldest issuable request with the issuable set unchanged.
+    SmsScheduler t(p);
+    v = h.entries({1});
+    EXPECT_EQ(t.pick(0, v, 10), -1);
+    EXPECT_TRUE(t.pickPending(0, h.q)) << "declined reselection";
+    EXPECT_EQ(QueueHarness::chosen(v, t.pick(0, v, 11)), 2u);
+    h.erase(2);
+    EXPECT_FALSE(t.pickPending(0, h.q)) << "source 0's batch in flight";
+}
+
+TEST(Sms, FastPickRecordsReselectionDecline)
+{
+    // The same decline through the mask engine: requests 2 and 3 of
+    // source 1 sit in closed bank 1, whose ACT is legal; request 1 of
+    // source 0 sits in closed bank 0, whose ACT is not.
+    SchedulerParams p;
+    p.smsShortestFirstProb = 1.0;
+    SmsScheduler s(p);
+    QueueHarness h;
+    h.push(makeReq(1, 0, 0, 5, /*bank=*/0));
+    h.push(makeReq(2, 1, 1, 9, /*bank=*/1));
+    h.push(makeReq(3, 1, 2, 9, /*bank=*/1));
+    FastIssueView view;
+    view.queue = &h.q;
+    view.numBanks = 8;
+    view.actMask = 0b10;
+    EXPECT_EQ(s.fastPick(view, 0, 10), -1);
+    EXPECT_TRUE(s.pickPending(0, h.q));
+    const int served = s.fastPick(view, 0, 11);
+    ASSERT_GE(served, 0);
+    EXPECT_EQ(h.q.slot(served).id, 2u);
+    EXPECT_FALSE(s.pickPending(0, h.q));
+}
+
 TEST(Bliss, BlacklistsAfterConsecutiveServices)
 {
     SchedulerParams p;
@@ -534,6 +701,54 @@ TEST(Parbs, ChannelsBatchIndependently)
     s.onService(a, 10, 64);
     EXPECT_EQ(s.markedCount(0), 0u);
     EXPECT_EQ(s.markedCount(1), 1u);
+}
+
+TEST(Parbs, PickPendingWhileABatchIsDue)
+{
+    SchedulerParams p;
+    p.parbsBatchCap = 1;
+    ParbsScheduler s(p);
+    QueueHarness h;
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "empty queue";
+
+    const Request a1 = makeReq(1, 0, 0);
+    const Request a2 = makeReq(2, 0, 1);
+    h.push(a1);
+    h.push(a2);
+    EXPECT_TRUE(s.pickPending(0, h.q)) << "no batch formed yet";
+
+    // Forming the batch (a1, cap 1) settles it, even when nothing is
+    // issuable; later picks leave the marked set alone.
+    auto v = h.entries({1, 2});
+    EXPECT_EQ(s.pick(0, v, 10), -1);
+    EXPECT_EQ(s.markedCount(0), 1u);
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "batch outstanding";
+    EXPECT_EQ(s.pick(0, v, 11), -1);
+    EXPECT_EQ(s.markedCount(0), 1u);
+
+    // An unmarked newcomer does not end the batch.
+    h.push(makeReq(3, 1, 12));
+    EXPECT_FALSE(s.pickPending(0, h.q));
+
+    // Serving the last marked request makes the next pick re-form.
+    v = h.entries();
+    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 13)), 1u);
+    s.onService(a1, 13, 64);
+    h.erase(1);
+    EXPECT_EQ(s.markedCount(0), 0u);
+    EXPECT_TRUE(s.pickPending(0, h.q)) << "batch exhausted";
+    v = h.entries();
+    s.pick(0, v, 14);
+    EXPECT_EQ(s.markedCount(0), 2u) << "a2 and the newcomer marked";
+    EXPECT_FALSE(s.pickPending(0, h.q));
+
+    // An exhausted batch on an emptied queue has nothing to form.
+    s.onService(a2, 14, 64);
+    s.onService(makeReq(3, 1, 12), 15, 64);
+    h.erase(2);
+    h.erase(3);
+    EXPECT_EQ(s.markedCount(0), 0u);
+    EXPECT_FALSE(s.pickPending(0, h.q)) << "empty queue";
 }
 
 TEST(Medusa, ReservedBankBeatsNonReserved)

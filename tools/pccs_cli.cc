@@ -556,8 +556,7 @@ cmdPolicies(const ArgMap &args)
             return 0;
         }
     }
-    Table t({"policy", "aliases", "pure pick", "row-hit preserving",
-             "tick events"});
+    Table t({"policy", "aliases", "row-hit preserving", "tick events"});
     for (const auto &p : dram::schedulerPolicies()) {
         std::string aliases;
         for (const std::string &a : p.aliases) {
@@ -566,7 +565,6 @@ cmdPolicies(const ArgMap &args)
             aliases += a;
         }
         t.addRow({p.name, aliases.empty() ? "-" : aliases,
-                  p.pickIsPure ? "yes" : "no",
                   p.preservesRowHits ? "yes" : "no",
                   p.needsTickEvents ? "yes" : "no"});
     }
