@@ -4,9 +4,9 @@
  * evaluation, model construction, bandwidth allocation, the DRAM
  * simulator's cycle loop (reference and event-driven), the SoC
  * simulator's sweep point and per-PU calibration, and the serve
- * path's JSON number I/O and predict-burst dispatch. These quantify
- * the cost of using PCCS inside a design-space-exploration loop and
- * behind `pccs serve`.
+ * path's JSON number I/O and its predict and mixed-burst dispatch.
+ * These quantify the cost of using PCCS inside a design-space
+ * exploration loop and behind `pccs serve`.
  *
  * Beyond the standard google-benchmark flags, `--json <path>` writes a
  * machine-readable snapshot ({benchmark, ns/op, items/s}) of every run
@@ -30,9 +30,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "calib/calibrator.hh"
+#include "common/rng.hh"
 #include "dram/multi_mc.hh"
 #include "dram/system.hh"
 #include "gables/gables.hh"
@@ -41,6 +43,7 @@
 #include "runner/sweep_engine.hh"
 #include "serve/protocol.hh"
 #include "soc/simulator.hh"
+#include "workloads/rodinia.hh"
 
 using namespace pccs;
 
@@ -219,6 +222,88 @@ BM_ServePredictBurst(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_ServePredictBurst)->Arg(64)->ArgNames({"frames"})->Unit(
+    benchmark::kMicrosecond);
+
+/**
+ * One Dispatcher::handleFrames call over a burst with perfbench
+ * serve_mixed's op mix, no sockets: half `predict`, the rest
+ * `schedule` (load 0.3, or when nothing is resident) or `complete` of
+ * a resident job, and one `sched_stats` per burst. Building the frames
+ * and collecting the admitted handles from the replies is untimed.
+ */
+void
+BM_ServeMixedBurst(benchmark::State &state)
+{
+    serve::ModelRegistry registry;
+    registry.addFromParams("gpu", gpuModel().params(), "bench");
+    serve::Metrics metrics;
+    serve::Dispatcher dispatcher(registry, metrics);
+    const std::vector<std::string> benches = workloads::gpuBenchmarks();
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    Rng rng(1);
+    std::vector<std::string> handles;
+    std::vector<std::string> texts(n);
+    std::vector<serve::FrameBuffer::View> frames(n);
+    serve::Dispatcher::Scratch scratch;
+    std::uint64_t id = 0;
+    char buf[256];
+    for (auto _ : state) {
+        state.PauseTiming();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i + 1 == n) {
+                std::snprintf(buf, sizeof buf,
+                              "{\"op\":\"sched_stats\",\"id\":%llu,"
+                              "\"soc\":\"xavier\"}",
+                              static_cast<unsigned long long>(id++));
+            } else if (rng.uniform() < 0.5) {
+                std::snprintf(buf, sizeof buf,
+                              "{\"op\":\"predict\",\"id\":%llu,"
+                              "\"model\":\"gpu\",\"demand\":%.17g,"
+                              "\"external\":%.17g}",
+                              static_cast<unsigned long long>(id++),
+                              rng.uniform(5.0, 120.0),
+                              rng.uniform(0.0, 100.0));
+            } else if (handles.empty() || rng.chance(0.3)) {
+                std::snprintf(
+                    buf, sizeof buf,
+                    "{\"op\":\"schedule\",\"id\":%llu,\"soc\":\"xavier\","
+                    "\"slo\":%.17g,\"bench\":\"%s\"}",
+                    static_cast<unsigned long long>(id++),
+                    1.1 + rng.uniform() * 0.9,
+                    benches[rng.below(benches.size())].c_str());
+            } else {
+                const std::size_t k = rng.below(handles.size());
+                std::snprintf(
+                    buf, sizeof buf,
+                    "{\"op\":\"complete\",\"id\":%llu,\"soc\":\"xavier\","
+                    "\"job\":\"%s\"}",
+                    static_cast<unsigned long long>(id++),
+                    handles[k].c_str());
+                handles.erase(handles.begin() +
+                              static_cast<std::ptrdiff_t>(k));
+            }
+            texts[i] = buf;
+            frames[i] = {texts[i]};
+        }
+        state.ResumeTiming();
+        dispatcher.handleFrames(frames.data(), frames.size(), scratch);
+        benchmark::DoNotOptimize(scratch.wire.data());
+        benchmark::ClobberMemory();
+        state.PauseTiming();
+        const std::string_view admitted =
+            "\"decision\":\"admitted\",\"job\":\"";
+        const std::string &w = scratch.wire;
+        for (std::size_t p = w.find(admitted); p != std::string::npos;
+             p = w.find(admitted, p)) {
+            p += admitted.size();
+            handles.emplace_back(w, p, w.find('"', p) - p);
+        }
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_ServeMixedBurst)->Arg(64)->ArgNames({"frames"})->Unit(
     benchmark::kMicrosecond);
 
 void

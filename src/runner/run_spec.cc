@@ -14,8 +14,14 @@ namespace pccs::runner {
 void
 appendJsonEscaped(std::string &out, std::string_view s)
 {
-    for (const char raw : s) {
-        const unsigned char c = static_cast<unsigned char>(raw);
+    // Bytes that need no escape are appended in runs.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"':
             out += "\\\"";
@@ -38,16 +44,14 @@ appendJsonEscaped(std::string &out, std::string_view s)
           case '\f':
             out += "\\f";
             break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += raw;
-            }
+          default: {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
 }
 
 std::string

@@ -71,6 +71,7 @@ TcpClient::close()
         fd_ = -1;
     }
     inbuf_.clear();
+    inpos_ = 0;
 }
 
 bool
@@ -105,14 +106,17 @@ TcpClient::recvLine()
     if (fd_ < 0)
         return std::nullopt;
     for (;;) {
-        const std::size_t eol = inbuf_.find('\n');
+        const std::size_t eol = inbuf_.find('\n', inpos_);
         if (eol != std::string::npos) {
-            std::string line = inbuf_.substr(0, eol);
-            inbuf_.erase(0, eol + 1);
+            std::string line = inbuf_.substr(inpos_, eol - inpos_);
+            inpos_ = eol + 1;
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
             return line;
         }
+        // Drop the returned lines once per recv, not once per line.
+        inbuf_.erase(0, inpos_);
+        inpos_ = 0;
         char buf[16 * 1024];
         const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
         if (n == 0)

@@ -25,9 +25,11 @@ class TcpClient
     TcpClient(const TcpClient &) = delete;
     TcpClient &operator=(const TcpClient &) = delete;
     TcpClient(TcpClient &&other) noexcept
-        : fd_(other.fd_), inbuf_(std::move(other.inbuf_))
+        : fd_(other.fd_), inbuf_(std::move(other.inbuf_)),
+          inpos_(other.inpos_)
     {
         other.fd_ = -1;
+        other.inpos_ = 0;
     }
     TcpClient &operator=(TcpClient &&other) noexcept
     {
@@ -35,7 +37,9 @@ class TcpClient
             close();
             fd_ = other.fd_;
             inbuf_ = std::move(other.inbuf_);
+            inpos_ = other.inpos_;
             other.fd_ = -1;
+            other.inpos_ = 0;
         }
         return *this;
     }
@@ -73,6 +77,8 @@ class TcpClient
   private:
     int fd_ = -1;
     std::string inbuf_;
+    /** Bytes of inbuf_ already returned as lines. */
+    std::size_t inpos_ = 0;
 };
 
 } // namespace pccs::serve

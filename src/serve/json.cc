@@ -1,5 +1,7 @@
 #include "json.hh"
 
+#include <limits>
+
 #include "runner/run_spec.hh"
 
 namespace pccs::serve {
@@ -110,43 +112,87 @@ dumpTo(const Json &v, std::string &out)
     }
 }
 
-/** Recursive-descent parser over a string_view. */
-class Parser
+} // namespace
+
+std::string
+Json::dump() const
+{
+    std::string out;
+    ::pccs::serve::dumpTo(*this, out);
+    return out;
+}
+
+void
+Json::dumpTo(std::string &out) const
+{
+    ::pccs::serve::dumpTo(*this, out);
+}
+
+/** Strict recursive-descent parser filling a JsonDoc. */
+class JsonDoc::Parser
 {
   public:
-    Parser(std::string_view text, const JsonLimits &limits)
-        : text_(text), limits_(limits)
+    /** The arena must hold text.size() bytes. */
+    Parser(std::string_view text, const JsonLimits &limits, JsonDoc &doc)
+        : text_(text), limits_(limits), doc_(doc),
+          arena_(doc.arena_.get())
     {
     }
 
-    JsonParse parse()
+    bool parse()
     {
-        JsonParse result;
-        Json value;
-        if (!parseValue(value, 0)) {
-            result.error = error_;
-            result.offset = errorOffset_;
-            return result;
-        }
+        if (!parseValue(0))
+            return false;
         skipWhitespace();
-        if (pos_ != text_.size()) {
-            result.error = "trailing characters after the document";
-            result.offset = pos_;
-            return result;
-        }
-        result.value = std::move(value);
-        return result;
+        if (pos_ != text_.size())
+            return fail("trailing characters after the document");
+        return true;
     }
 
   private:
-    bool fail(std::string message)
+    bool fail(const char *message)
     {
         // Keep the first (innermost) diagnostic.
-        if (error_.empty()) {
-            error_ = std::move(message);
-            errorOffset_ = pos_;
+        if (doc_.error_.empty()) {
+            doc_.error_ = message;
+            doc_.errorOffset_ = pos_;
         }
         return false;
+    }
+
+    bool failAt(std::size_t offset, const char *message)
+    {
+        pos_ = offset;
+        return fail(message);
+    }
+
+    /** Append a node (a leaf's end is the next index). Indices and
+     *  offsets fit 32 bits: parse() bounds the text. */
+    std::size_t push(Json::Kind kind, double number = 0.0,
+                     std::size_t strOffset = 0, std::size_t strLength = 0)
+    {
+        const std::size_t index = doc_.nodeCount_;
+        if (index == doc_.nodes_.size()) [[unlikely]]
+            grow();
+        doc_.nodes_[index] = {number, static_cast<std::uint32_t>(strOffset),
+                              static_cast<std::uint32_t>(strLength),
+                              static_cast<std::uint32_t>(index + 1), 0, kind};
+        doc_.nodeCount_ = index + 1;
+        return index;
+    }
+
+    [[gnu::noinline]] void grow()
+    {
+        doc_.nodes_.resize(2 * doc_.nodes_.size() + 16);
+    }
+
+    /** Close container `index` over the nodes pushed since. */
+    bool close(std::size_t index, std::size_t count)
+    {
+        Node &n = doc_.nodes_[index];
+        n.end = static_cast<std::uint32_t>(doc_.nodeCount_);
+        n.count = static_cast<std::uint32_t>(count);
+        return true;
     }
 
     void skipWhitespace()
@@ -171,7 +217,7 @@ class Parser
         return true;
     }
 
-    bool parseValue(Json &out, std::size_t depth)
+    bool parseValue(std::size_t depth)
     {
         skipWhitespace();
         if (atEnd())
@@ -180,51 +226,43 @@ class Parser
           case 'n':
             if (!consumeLiteral("null"))
                 return false;
-            out = Json();
+            push(Json::Kind::Null);
             return true;
           case 't':
             if (!consumeLiteral("true"))
                 return false;
-            out = Json(true);
+            push(Json::Kind::Bool, 1.0);
             return true;
           case 'f':
             if (!consumeLiteral("false"))
                 return false;
-            out = Json(false);
+            push(Json::Kind::Bool, 0.0);
             return true;
-          case '"': {
-            std::string s;
-            if (!parseString(s))
-                return false;
-            out = Json(std::move(s));
-            return true;
-          }
+          case '"':
+            return parseStringNode();
           case '[':
-            return parseArray(out, depth);
+            return parseArray(depth);
           case '{':
-            return parseObject(out, depth);
+            return parseObject(depth);
           default:
-            return parseNumber(out);
+            return parseNumber();
         }
     }
 
-    bool parseArray(Json &out, std::size_t depth)
+    bool parseArray(std::size_t depth)
     {
         if (depth >= limits_.maxDepth)
             return fail("nesting depth limit exceeded");
         ++pos_; // '['
-        JsonArray items;
+        const std::size_t self = push(Json::Kind::Array);
         skipWhitespace();
         if (!atEnd() && peek() == ']') {
             ++pos_;
-            out = Json(std::move(items));
-            return true;
+            return close(self, 0);
         }
-        while (true) {
-            Json item;
-            if (!parseValue(item, depth + 1))
+        for (std::size_t count = 1;; ++count) {
+            if (!parseValue(depth + 1))
                 return false;
-            items.push_back(std::move(item));
             skipWhitespace();
             if (atEnd())
                 return fail("unterminated array");
@@ -235,40 +273,40 @@ class Parser
             }
             if (c == ']') {
                 ++pos_;
-                out = Json(std::move(items));
-                return true;
+                return close(self, count);
             }
             return fail("expected ',' or ']' in array");
         }
     }
 
-    bool parseObject(Json &out, std::size_t depth)
+    bool parseObject(std::size_t depth)
     {
         if (depth >= limits_.maxDepth)
             return fail("nesting depth limit exceeded");
         ++pos_; // '{'
-        JsonObject members;
+        const std::size_t self = push(Json::Kind::Object);
         skipWhitespace();
         if (!atEnd() && peek() == '}') {
             ++pos_;
-            out = Json(std::move(members));
-            return true;
+            return close(self, 0);
         }
-        while (true) {
+        for (std::size_t count = 1;; ++count) {
             skipWhitespace();
             if (atEnd() || peek() != '"')
                 return fail("expected a string key in object");
-            std::string key;
-            if (!parseString(key))
+            const std::size_t key = doc_.nodeCount_;
+            if (!parseStringNode())
                 return false;
             skipWhitespace();
             if (atEnd() || peek() != ':')
                 return fail("expected ':' after object key");
             ++pos_;
-            Json value;
-            if (!parseValue(value, depth + 1))
+            if (!parseValue(depth + 1))
                 return false;
-            members.emplace_back(std::move(key), std::move(value));
+            // The key's end spans its member, so lookups step from key
+            // to key.
+            doc_.nodes_[key].end =
+                static_cast<std::uint32_t>(doc_.nodeCount_);
             skipWhitespace();
             if (atEnd())
                 return fail("unterminated object");
@@ -279,30 +317,30 @@ class Parser
             }
             if (c == '}') {
                 ++pos_;
-                out = Json(std::move(members));
-                return true;
+                return close(self, count);
             }
             return fail("expected ',' or '}' in object");
         }
     }
 
-    static void appendUtf8(std::string &out, unsigned cp)
+    static char *writeUtf8(char *out, unsigned cp)
     {
         if (cp < 0x80) {
-            out += static_cast<char>(cp);
+            *out++ = static_cast<char>(cp);
         } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
+            *out++ = static_cast<char>(0xC0 | (cp >> 6));
+            *out++ = static_cast<char>(0x80 | (cp & 0x3F));
         } else if (cp < 0x10000) {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
+            *out++ = static_cast<char>(0xE0 | (cp >> 12));
+            *out++ = static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+            *out++ = static_cast<char>(0x80 | (cp & 0x3F));
         } else {
-            out += static_cast<char>(0xF0 | (cp >> 18));
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
+            *out++ = static_cast<char>(0xF0 | (cp >> 18));
+            *out++ = static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+            *out++ = static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+            *out++ = static_cast<char>(0x80 | (cp & 0x3F));
         }
+        return out;
     }
 
     bool parseHex4(unsigned &out)
@@ -327,26 +365,39 @@ class Parser
         return true;
     }
 
-    bool parseString(std::string &out)
+    /** A string value or key: unescaped into the arena, one node. */
+    bool parseStringNode()
     {
         ++pos_; // opening quote
-        out.clear();
+        char *out = arena_ + used_;
         while (true) {
+            // Plain bytes copy straight through (locals: the char
+            // stores may alias any member).
+            const char *const text = text_.data();
+            const std::size_t size = text_.size();
+            std::size_t i = pos_;
+            while (i < size) {
+                const char c = text[i];
+                if (c == '"' || c == '\\' ||
+                    static_cast<unsigned char>(c) < 0x20)
+                    break;
+                *out++ = c;
+                ++i;
+            }
+            pos_ = i;
             if (atEnd())
                 return fail("unterminated string");
             const unsigned char c =
                 static_cast<unsigned char>(text_[pos_]);
             if (c == '"') {
                 ++pos_;
+                const std::size_t end = static_cast<std::size_t>(out - arena_);
+                push(Json::Kind::String, 0.0, used_, end - used_);
+                used_ = end;
                 return true;
             }
             if (c < 0x20)
                 return fail("raw control character in string");
-            if (c != '\\') {
-                out += static_cast<char>(c);
-                ++pos_;
-                continue;
-            }
             ++pos_; // backslash
             if (atEnd())
                 return fail("unterminated escape");
@@ -354,28 +405,28 @@ class Parser
             ++pos_;
             switch (e) {
               case '"':
-                out += '"';
+                *out++ = '"';
                 break;
               case '\\':
-                out += '\\';
+                *out++ = '\\';
                 break;
               case '/':
-                out += '/';
+                *out++ = '/';
                 break;
               case 'b':
-                out += '\b';
+                *out++ = '\b';
                 break;
               case 'f':
-                out += '\f';
+                *out++ = '\f';
                 break;
               case 'n':
-                out += '\n';
+                *out++ = '\n';
                 break;
               case 'r':
-                out += '\r';
+                *out++ = '\r';
                 break;
               case 't':
-                out += '\t';
+                *out++ = '\t';
                 break;
               case 'u': {
                 unsigned cp = 0;
@@ -397,7 +448,7 @@ class Parser
                 } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
                     return fail("unpaired low surrogate");
                 }
-                appendUtf8(out, cp);
+                out = writeUtf8(out, cp);
                 break;
               }
               default:
@@ -406,7 +457,7 @@ class Parser
         }
     }
 
-    bool parseNumber(Json &out)
+    bool parseNumber()
     {
         const std::size_t start = pos_;
         if (!atEnd() && peek() == '-')
@@ -439,46 +490,158 @@ class Parser
         }
         if (!atEnd() && isDigit(peek()))
             return failAt(start, "number with a leading zero");
-        out = Json(
-            runner::parseJsonNumber(text_.substr(start, pos_ - start)));
+        push(Json::Kind::Number,
+             runner::parseJsonNumber(text_.substr(start, pos_ - start)));
         return true;
     }
 
     static bool isDigit(char c) { return c >= '0' && c <= '9'; }
 
-    bool failAt(std::size_t offset, std::string message)
-    {
-        pos_ = offset;
-        return fail(std::move(message));
-    }
-
     std::string_view text_;
     JsonLimits limits_;
+    JsonDoc &doc_;
+    char *arena_;
+    std::size_t used_ = 0;
     std::size_t pos_ = 0;
-    std::string error_;
-    std::size_t errorOffset_ = 0;
 };
 
-} // namespace
-
-std::string
-Json::dump() const
+void
+JsonDoc::clear()
 {
-    std::string out;
-    ::pccs::serve::dumpTo(*this, out);
-    return out;
+    nodeCount_ = 0;
+    error_.clear();
+    errorOffset_ = 0;
+}
+
+bool
+JsonDoc::parse(std::string_view text, const JsonLimits &limits)
+{
+    clear();
+    if (text.size() >= std::numeric_limits<std::uint32_t>::max()) {
+        error_ = "document too large";
+        return false;
+    }
+    if (arenaCapacity_ < text.size()) {
+        arena_ = std::make_unique_for_overwrite<char[]>(text.size());
+        arenaCapacity_ = text.size();
+    }
+    if (Parser(text, limits, *this).parse())
+        return true;
+    nodeCount_ = 0;
+    return false;
+}
+
+std::size_t
+JsonCursor::size() const
+{
+    return isArray() || isObject() ? doc_->nodes_[index_].count : 0;
+}
+
+JsonCursor::Iterator
+JsonCursor::begin() const
+{
+    return {doc_, isArray() ? index_ + 1 : index_};
+}
+
+JsonCursor::Iterator
+JsonCursor::end() const
+{
+    return {doc_, isArray() ? doc_->nodes_[index_].end : index_};
 }
 
 void
-Json::dumpTo(std::string &out) const
+JsonCursor::dumpTo(std::string &out) const
 {
-    ::pccs::serve::dumpTo(*this, out);
+    switch (kind()) {
+      case Json::Kind::Null:
+        out += "null";
+        break;
+      case Json::Kind::Bool:
+        out += asBool() ? "true" : "false";
+        break;
+      case Json::Kind::Number:
+        runner::appendJsonNumber(out, asNumber());
+        break;
+      case Json::Kind::String:
+        out += '"';
+        runner::appendJsonEscaped(out, asString());
+        out += '"';
+        break;
+      case Json::Kind::Array: {
+        out += '[';
+        bool first = true;
+        for (const JsonCursor item : *this) {
+            if (!first)
+                out += ',';
+            first = false;
+            item.dumpTo(out);
+        }
+        out += ']';
+        break;
+      }
+      case Json::Kind::Object: {
+        out += '{';
+        const std::vector<JsonDoc::Node> &nodes = doc_->nodes_;
+        for (std::size_t k = index_ + 1; k < nodes[index_].end;
+             k = nodes[k].end) {
+            if (k != index_ + 1)
+                out += ',';
+            out += '"';
+            runner::appendJsonEscaped(out, doc_->string(nodes[k]));
+            out += "\":";
+            JsonCursor(doc_, k + 1).dumpTo(out);
+        }
+        out += '}';
+        break;
+      }
+    }
+}
+
+Json
+JsonCursor::toJson() const
+{
+    switch (kind()) {
+      case Json::Kind::Null:
+        return Json();
+      case Json::Kind::Bool:
+        return Json(asBool());
+      case Json::Kind::Number:
+        return Json(asNumber());
+      case Json::Kind::String:
+        return Json(std::string(asString()));
+      case Json::Kind::Array: {
+        JsonArray items;
+        items.reserve(size());
+        for (const JsonCursor item : *this)
+            items.push_back(item.toJson());
+        return Json(std::move(items));
+      }
+      case Json::Kind::Object: {
+        JsonObject members;
+        members.reserve(size());
+        const std::vector<JsonDoc::Node> &nodes = doc_->nodes_;
+        for (std::size_t k = index_ + 1; k < nodes[index_].end;
+             k = nodes[k].end)
+            members.emplace_back(std::string(doc_->string(nodes[k])),
+                                 JsonCursor(doc_, k + 1).toJson());
+        return Json(std::move(members));
+      }
+    }
+    return Json();
 }
 
 JsonParse
 parseJson(std::string_view text, const JsonLimits &limits)
 {
-    return Parser(text, limits).parse();
+    JsonDoc doc;
+    JsonParse result;
+    if (doc.parse(text, limits)) {
+        result.value = doc.root().toJson();
+    } else {
+        result.error = doc.error();
+        result.offset = doc.errorOffset();
+    }
+    return result;
 }
 
 } // namespace pccs::serve

@@ -1,8 +1,10 @@
 #include "protocol.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 #include "pccs/builder.hh"
 #include "pccs/corun.hh"
@@ -84,15 +86,6 @@ FrameBuffer::nextView()
     }
 }
 
-std::optional<FrameBuffer::Frame>
-FrameBuffer::next()
-{
-    std::optional<View> v = nextView();
-    if (!v)
-        return std::nullopt;
-    return Frame{std::string(v->text), v->oversized};
-}
-
 namespace {
 
 /** A per-request failure; caught per frame, never escapes. */
@@ -108,19 +101,19 @@ requestError(std::string message)
 }
 
 /** @return the member `key`, or fail the request. */
-const Json &
-field(const Json &request, const char *key)
+JsonCursor
+field(JsonCursor request, const char *key)
 {
-    const Json *v = request.find(key);
-    if (v == nullptr)
+    const JsonCursor v = request.find(key);
+    if (!v)
         requestError(std::string("missing field '") + key + "'");
-    return *v;
+    return v;
 }
 
-std::string
-requireString(const Json &request, const char *key)
+std::string_view
+requireString(JsonCursor request, const char *key)
 {
-    const Json &v = field(request, key);
+    const JsonCursor v = field(request, key);
     if (!v.isString())
         requestError(std::string("field '") + key +
                      "' must be a string");
@@ -128,9 +121,9 @@ requireString(const Json &request, const char *key)
 }
 
 double
-requireFinite(const Json &request, const char *key)
+requireFinite(JsonCursor request, const char *key)
 {
-    const Json &v = field(request, key);
+    const JsonCursor v = field(request, key);
     if (!v.isNumber() || !std::isfinite(v.asNumber()))
         requestError(std::string("field '") + key +
                      "' must be a finite number");
@@ -138,7 +131,7 @@ requireFinite(const Json &request, const char *key)
 }
 
 double
-requireNonNegative(const Json &request, const char *key)
+requireNonNegative(JsonCursor request, const char *key)
 {
     const double v = requireFinite(request, key);
     if (v < 0.0)
@@ -148,17 +141,19 @@ requireNonNegative(const Json &request, const char *key)
 }
 
 /** The program's phase demands: "phases" array, or a lone "demand". */
-std::vector<model::PhaseDemand>
-parsePhases(const Json &request)
+void
+parsePhases(JsonCursor request, std::vector<model::PhaseDemand> &out)
 {
-    const Json *phases = request.find("phases");
-    if (phases == nullptr)
-        return {{requireNonNegative(request, "demand"), 1.0}};
-    if (!phases->isArray() || phases->asArray().empty())
+    out.clear();
+    const JsonCursor phases = request.find("phases");
+    if (!phases) {
+        out.push_back({requireNonNegative(request, "demand"), 1.0});
+        return;
+    }
+    if (!phases.isArray() || phases.size() == 0)
         requestError("field 'phases' must be a non-empty array");
-    std::vector<model::PhaseDemand> out;
-    out.reserve(phases->asArray().size());
-    for (const Json &phase : phases->asArray()) {
+    out.reserve(phases.size());
+    for (const JsonCursor phase : phases) {
         if (!phase.isObject())
             requestError("each phase must be an object with "
                          "'demand' and 'share'");
@@ -168,11 +163,10 @@ parsePhases(const Json &request)
             requestError("field 'share' must be > 0");
         out.push_back({demand, share});
     }
-    return out;
 }
 
 bool
-isRodiniaBenchmark(const std::string &name)
+isRodiniaBenchmark(std::string_view name)
 {
     for (const auto &spec : workloads::rodiniaSuite())
         if (spec.name == name)
@@ -181,7 +175,7 @@ isRodiniaBenchmark(const std::string &name)
 }
 
 bool
-isDlaWorkload(const std::string &name)
+isDlaWorkload(std::string_view name)
 {
     return name == "Resnet-50" || name == "resnet-50" ||
            name == "VGG-19" || name == "vgg-19" ||
@@ -189,7 +183,7 @@ isDlaWorkload(const std::string &name)
 }
 
 soc::PuKind
-puKindByName(const std::string &name)
+puKindByName(std::string_view name)
 {
     if (name == "cpu")
         return soc::PuKind::Cpu;
@@ -197,7 +191,7 @@ puKindByName(const std::string &name)
         return soc::PuKind::Gpu;
     if (name == "dla")
         return soc::PuKind::Dla;
-    requestError("unknown pu '" + name +
+    requestError("unknown pu '" + std::string(name) +
                  "' (use cpu, gpu, or dla)");
 }
 
@@ -208,99 +202,6 @@ nowMicros(std::chrono::steady_clock::time_point start)
                std::chrono::steady_clock::now() - start)
         .count();
 }
-
-/**
- * Cursor of the fast predict scanner. Whitespace and number rules
- * mirror the strict Json parser exactly: anything the scanner
- * accepts, the generic parser would accept with the same meaning —
- * and anything suspicious makes the scanner bail so the generic
- * parser produces its (byte-identical) diagnostic.
- */
-struct FastScan
-{
-    std::string_view text;
-    std::size_t pos = 0;
-
-    void skipWs()
-    {
-        while (pos < text.size()) {
-            const char c = text[pos];
-            if (c != ' ' && c != '\t' && c != '\n' && c != '\r')
-                break;
-            ++pos;
-        }
-    }
-
-    bool eat(char c)
-    {
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    /** A string with no escapes or control bytes (view into text). */
-    bool scanSimpleString(std::string_view &out)
-    {
-        if (!eat('"'))
-            return false;
-        const std::size_t start = pos;
-        while (pos < text.size()) {
-            const unsigned char c =
-                static_cast<unsigned char>(text[pos]);
-            if (c == '"') {
-                out = text.substr(start, pos - start);
-                ++pos;
-                return true;
-            }
-            if (c == '\\' || c < 0x20)
-                return false; // escapes and errors: generic path
-            ++pos;
-        }
-        return false;
-    }
-
-    /** RFC 8259 number, same grammar as Parser::parseNumber. */
-    bool scanNumber(double &out)
-    {
-        const std::size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
-        if (pos >= text.size() || !isDigit(text[pos]))
-            return false;
-        if (text[pos] == '0') {
-            ++pos;
-        } else {
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() && text[pos] == '.') {
-            ++pos;
-            if (pos >= text.size() || !isDigit(text[pos]))
-                return false;
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() &&
-            (text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-            if (pos < text.size() &&
-                (text[pos] == '+' || text[pos] == '-'))
-                ++pos;
-            if (pos >= text.size() || !isDigit(text[pos]))
-                return false;
-            while (pos < text.size() && isDigit(text[pos]))
-                ++pos;
-        }
-        if (pos < text.size() && isDigit(text[pos]))
-            return false; // a leading zero: generic rejects it
-        out = runner::parseJsonNumber(text.substr(start, pos - start));
-        return true;
-    }
-
-    static bool isDigit(char c) { return c >= '0' && c <= '9'; }
-};
 
 } // namespace
 
@@ -316,152 +217,19 @@ Dispatcher::Dispatcher(ModelRegistry &registry, Metrics &metrics,
 
 Dispatcher::~Dispatcher() = default;
 
-bool
-Dispatcher::tryFastPredict(std::string_view text, Scratch &scratch,
-                           Scratch::Slot &slot)
-{
-    FastScan sc{text};
-    sc.skipWs();
-    if (!sc.eat('{'))
-        return false;
-    sc.skipWs();
-    if (sc.pos < text.size() && text[sc.pos] == '}')
-        return false; // empty object: generic emits "missing op"
-
-    bool haveOp = false, haveModel = false, haveDemand = false,
-         haveExternal = false, haveId = false;
-    std::string_view modelName;
-    double demand = 0.0, external = 0.0, idNumber = 0.0;
-
-    while (true) {
-        sc.skipWs();
-        std::string_view key;
-        if (!sc.scanSimpleString(key))
-            return false;
-        sc.skipWs();
-        if (!sc.eat(':'))
-            return false;
-        sc.skipWs();
-        if (key == "op") {
-            std::string_view v;
-            if (haveOp || !sc.scanSimpleString(v) || v != "predict")
-                return false;
-            haveOp = true;
-        } else if (key == "model") {
-            if (haveModel || !sc.scanSimpleString(modelName))
-                return false;
-            haveModel = true;
-        } else if (key == "demand") {
-            if (haveDemand || !sc.scanNumber(demand))
-                return false;
-            haveDemand = true;
-        } else if (key == "external") {
-            if (haveExternal || !sc.scanNumber(external))
-                return false;
-            haveExternal = true;
-        } else if (key == "id") {
-            // Only numeric ids take the fast path; anything else
-            // (strings, null, objects) falls back to the generic
-            // parser, which echoes arbitrary Json ids.
-            if (haveId || !sc.scanNumber(idNumber))
-                return false;
-            haveId = true;
-        } else {
-            return false; // "phases" and any unknown key
-        }
-        sc.skipWs();
-        if (sc.eat(','))
-            continue;
-        if (sc.eat('}'))
-            break;
-        return false;
-    }
-    sc.skipWs();
-    if (sc.pos != text.size())
-        return false; // trailing bytes: generic emits the diagnostic
-    if (!haveOp || !haveModel || !haveDemand || !haveExternal)
-        return false;
-    // Semantic bailouts, so every diagnostic ("unknown model",
-    // "must be >= 0") comes from the one generic code path.
-    if (!(demand >= 0.0) || !std::isfinite(demand))
-        return false;
-    if (!(external >= 0.0) || !std::isfinite(external))
-        return false;
-    std::shared_ptr<const ModelEntry> entry =
-        registry_.find(modelName);
-    if (!entry)
-        return false;
-
-    if (scratch.jobs.size() <= scratch.jobsUsed)
-        scratch.jobs.emplace_back();
-    PredictJob &job = scratch.jobs[scratch.jobsUsed];
-    job.entry = std::move(entry);
-    job.external = external;
-    job.phases.clear();
-    job.phases.push_back({demand, 1.0});
-
-    slot.op = EndpointOp::Predict;
-    slot.hasId = haveId;
-    slot.idIsNumber = haveId;
-    slot.idNumber = idNumber;
-    slot.jobIndex = static_cast<int>(scratch.jobsUsed++);
-    return true;
-}
-
 void
-Dispatcher::parseGeneric(std::string_view text, Scratch &scratch,
-                         Scratch::Slot &slot, bool *shutdown)
-{
-    JsonParse parsed = parseJson(text);
-    if (!parsed.ok()) {
-        slot.error = "parse error at offset " +
-                     std::to_string(parsed.offset) + ": " +
-                     parsed.error;
-        return;
-    }
-    slot.request = std::move(*parsed.value);
-    const Json &request = slot.request;
-    if (!request.isObject()) {
-        slot.error = "request must be a JSON object";
-        return;
-    }
-    if (const Json *id = request.find("id")) {
-        slot.hasId = true;
-        slot.idValue = id;
-    }
-    const Json *op = request.find("op");
-    if (op == nullptr || !op->isString()) {
-        slot.error = "missing string field 'op'";
-        return;
-    }
-    const std::string &opName = op->asString();
-    const EndpointOp fixed = endpointOpFromName(opName);
-    slot.op = fixed;
-    if (fixed == EndpointOp::kCount)
-        slot.opOther = opName;
-    try {
-        if (fixed == EndpointOp::Predict)
-            makePredictJob(request, scratch, slot);
-        else
-            slot.result = execute(opName, request, shutdown);
-    } catch (const ThrownRequestError &e) {
-        slot.error = e.message;
-    }
-}
-
-void
-Dispatcher::makePredictJob(const Json &request, Scratch &scratch,
+Dispatcher::makePredictJob(JsonCursor request, Scratch &scratch,
                            Scratch::Slot &slot)
 {
     if (scratch.jobs.size() <= scratch.jobsUsed)
         scratch.jobs.emplace_back();
     PredictJob &job = scratch.jobs[scratch.jobsUsed];
-    const std::string name = requireString(request, "model");
+    const std::string_view name = requireString(request, "model");
     job.entry = registry_.find(name);
     if (!job.entry)
-        requestError("unknown model '" + name + "'");
+        requestError("unknown model '" + std::string(name) + "'");
     job.external = requireNonNegative(request, "external");
-    job.phases = parsePhases(request);
+    parsePhases(request, job.phases);
     slot.jobIndex = static_cast<int>(scratch.jobsUsed++);
 }
 
@@ -559,6 +327,7 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
 {
     scratch.wire.clear();
     scratch.spans.clear();
+    scratch.results.clear();
     if (scratch.spans.capacity() < count)
         scratch.spans.reserve(count);
     if (scratch.slots.size() < count)
@@ -569,17 +338,15 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
         Scratch::Slot &s = scratch.slots[i];
         s.start = std::chrono::steady_clock::now();
         s.op = EndpointOp::Frame;
-        s.hasId = false;
-        s.idIsNumber = false;
-        s.idValue = nullptr;
+        s.id = {};
+        s.resultBegin = s.resultEnd = 0;
         s.error.clear();
         s.jobIndex = -1;
         if (frames[i].oversized) {
             s.error = "frame exceeds the size limit";
             continue;
         }
-        if (!tryFastPredict(frames[i].text, scratch, s))
-            parseGeneric(frames[i].text, scratch, s, shutdown);
+        handleRequest(frames[i].text, scratch, s, shutdown);
     }
 
     // One coalesced evaluation pass for the whole drain cycle.
@@ -593,14 +360,9 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
         std::string &w = scratch.wire;
         const std::size_t begin = w.size();
         w += '{';
-        if (s.hasId) {
+        if (s.id) {
             w += "\"id\":";
-            if (s.idIsNumber)
-                runner::appendJsonNumber(w, s.idNumber);
-            else if (s.idValue != nullptr)
-                s.idValue->dumpTo(w);
-            else
-                w += "null";
+            s.id.dumpTo(w);
             w += ',';
         }
         const bool ok = s.error.empty();
@@ -612,6 +374,9 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
                         s.jobIndex)],
                     scratch.rs[static_cast<std::size_t>(s.jobIndex)],
                     w);
+            } else if (s.resultEnd > s.resultBegin) {
+                w.append(scratch.results, s.resultBegin,
+                         s.resultEnd - s.resultBegin);
             } else {
                 s.result.dumpTo(w);
             }
@@ -629,102 +394,120 @@ Dispatcher::handleFrames(const FrameBuffer::View *frames,
                                    micros);
         else
             metrics_.recordRequest(s.op, ok, micros);
-        // The generic-path id points into s.request; both die
-        // together, but don't let a stale pointer outlive the slot's
-        // next reuse.
-        s.idValue = nullptr;
     }
 }
 
-std::vector<std::string>
-Dispatcher::handleFrames(const std::vector<FrameBuffer::Frame> &frames,
-                         bool *shutdown)
+void
+Dispatcher::handleRequest(std::string_view text, Scratch &scratch,
+                          Scratch::Slot &slot, bool *shutdown)
 {
-    std::vector<FrameBuffer::View> views;
-    views.reserve(frames.size());
-    for (const FrameBuffer::Frame &frame : frames)
-        views.push_back({frame.text, frame.oversized});
-    Scratch scratch;
-    handleFrames(views.data(), views.size(), scratch, shutdown);
-    std::vector<std::string> out;
-    out.reserve(frames.size());
-    for (const WireSpan &span : scratch.spans) {
-        // Drop the trailing newline the wire form carries.
-        out.emplace_back(scratch.wire, span.offset, span.length - 1);
+    if (!slot.doc.parse(text)) {
+        slot.error = "parse error at offset " +
+                     std::to_string(slot.doc.errorOffset()) + ": " +
+                     slot.doc.error();
+        return;
     }
-    return out;
+    const JsonCursor request = slot.doc.root();
+    if (!request.isObject()) {
+        slot.error = "request must be a JSON object";
+        return;
+    }
+    slot.id = request.find("id");
+    const JsonCursor op = request.find("op");
+    if (!op || !op.isString()) {
+        slot.error = "missing string field 'op'";
+        return;
+    }
+    slot.op = endpointOpFromName(op.asString());
+    if (slot.op == EndpointOp::kCount)
+        slot.opOther = op.asString();
+    std::string &results = scratch.results;
+    slot.resultBegin = results.size();
+    try {
+        execute(request, scratch, slot, shutdown);
+    } catch (const ThrownRequestError &e) {
+        results.resize(slot.resultBegin);
+        slot.error = e.message;
+    }
+    slot.resultEnd = results.size();
 }
 
-std::string
-Dispatcher::handleFrame(const std::string &frame, bool *shutdown)
+void
+Dispatcher::execute(JsonCursor request, Scratch &scratch,
+                    Scratch::Slot &slot, bool *shutdown)
 {
-    return handleFrames({FrameBuffer::Frame{frame, false}}, shutdown)
-        .front();
-}
-
-Json
-Dispatcher::execute(const std::string &op, const Json &request,
-                    bool *shutdown)
-{
-    if (op == "health")
-        return doHealth();
-    if (op == "stats")
-        return doStats();
-    if (op == "reload")
-        return doReload(request);
-    if (op == "corun")
-        return doCorun(request);
-    if (op == "place")
-        return doPlace(request);
-    if (op == "explore")
-        return doExplore(request);
-    if (op == "schedule")
-        return doSchedule(request);
-    if (op == "complete")
-        return doComplete(request);
-    if (op == "sched_stats")
-        return doSchedStats(request);
-    if (op == "shutdown") {
+    switch (slot.op) {
+      case EndpointOp::Predict:
+        return makePredictJob(request, scratch, slot);
+      case EndpointOp::Schedule:
+        return doSchedule(request, scratch.results);
+      case EndpointOp::Complete:
+        return doComplete(request, scratch.results);
+      case EndpointOp::SchedStats:
+        return doSchedStats(request, scratch.results);
+      case EndpointOp::Health:
+        slot.result = doHealth();
+        return;
+      case EndpointOp::Stats:
+        slot.result = doStats();
+        return;
+      case EndpointOp::Reload:
+        slot.result = doReload(request);
+        return;
+      case EndpointOp::Corun:
+        slot.result = doCorun(request);
+        return;
+      case EndpointOp::Place:
+        slot.result = doPlace(request);
+        return;
+      case EndpointOp::Explore:
+        slot.result = doExplore(request);
+        return;
+      case EndpointOp::Shutdown:
         if (shutdown != nullptr)
             *shutdown = true;
-        Json result = Json::object();
-        result.set("stopping", true);
-        return result;
+        slot.result = Json::object();
+        slot.result.set("stopping", true);
+        return;
+      case EndpointOp::Frame:
+      case EndpointOp::kCount:
+        break;
     }
-    requestError("unknown op '" + op + "'");
+    requestError("unknown op '" +
+                 std::string(request.find("op").asString()) + "'");
 }
 
 Json
-Dispatcher::doCorun(const Json &request)
+Dispatcher::doCorun(JsonCursor request)
 {
-    const Json &entries = field(request, "entries");
-    if (!entries.isArray() || entries.asArray().empty())
+    const JsonCursor entries = field(request, "entries");
+    if (!entries.isArray() || entries.size() == 0)
         requestError("field 'entries' must be a non-empty array");
 
     std::vector<std::shared_ptr<const ModelEntry>> held;
     std::vector<model::CorunInput> inputs;
     Json names = Json::array();
-    for (const Json &entry : entries.asArray()) {
+    for (const JsonCursor entry : entries) {
         if (!entry.isObject())
             requestError("each corun entry must be an object");
-        const std::string name = requireString(entry, "model");
+        const std::string name(requireString(entry, "model"));
         auto snapshot = registry_.find(name);
         if (!snapshot)
             requestError("unknown model '" + name + "'");
         model::CorunInput input;
         input.model = &snapshot->model;
-        input.phases = parsePhases(entry);
+        parsePhases(entry, input.phases);
         held.push_back(std::move(snapshot));
         inputs.push_back(std::move(input));
         names.push(name);
     }
 
     model::CorunPredictOptions opts;
-    if (request.find("refine") != nullptr) {
+    if (request.find("refine")) {
         const double n = requireNonNegative(request, "refine");
         opts.refinementIterations = static_cast<unsigned>(n);
     }
-    if (request.find("damping") != nullptr) {
+    if (request.find("damping")) {
         opts.damping = requireFinite(request, "damping");
         if (opts.damping <= 0.0 || opts.damping > 1.0)
             requestError("field 'damping' must be in (0, 1]");
@@ -746,27 +529,27 @@ Dispatcher::doCorun(const Json &request)
 }
 
 Json
-Dispatcher::doPlace(const Json &request)
+Dispatcher::doPlace(JsonCursor request)
 {
     std::lock_guard lock(socMutex_);
     SocBundle &bundle = socBundle(requireString(request, "soc"));
 
-    const Json &taskList = field(request, "tasks");
-    if (!taskList.isArray() || taskList.asArray().empty())
+    const JsonCursor taskList = field(request, "tasks");
+    if (!taskList.isArray() || taskList.size() == 0)
         requestError("field 'tasks' must be a non-empty array");
-    if (taskList.asArray().size() > bundle.config.pus.size())
+    if (taskList.size() > bundle.config.pus.size())
         requestError("more tasks than PUs on that SoC");
 
     std::vector<model::PlacementTask> tasks;
-    for (const Json &item : taskList.asArray()) {
+    for (const JsonCursor item : taskList) {
         std::string bench, nn;
         if (item.isString()) {
             bench = item.asString();
         } else if (item.isObject()) {
-            if (const Json *b = item.find("bench"))
-                bench = b->asString();
-            else if (const Json *n = item.find("nn"))
-                nn = n->asString();
+            if (const JsonCursor b = item.find("bench"))
+                bench = b.asString();
+            else if (const JsonCursor n = item.find("nn"))
+                nn = n.asString();
         }
         model::PlacementTask task;
         if (!bench.empty()) {
@@ -803,10 +586,10 @@ Dispatcher::doPlace(const Json &request)
 
     model::PlacementObjective objective =
         model::PlacementObjective::MaxMinRelativeSpeed;
-    if (const Json *o = request.find("objective")) {
-        if (o->asString() == "makespan")
+    if (const JsonCursor o = request.find("objective")) {
+        if (o.asString() == "makespan")
             objective = model::PlacementObjective::MinMakespan;
-        else if (o->asString() != "maxmin")
+        else if (o.asString() != "maxmin")
             requestError("field 'objective' must be 'maxmin' or "
                          "'makespan'");
     }
@@ -847,7 +630,7 @@ Dispatcher::doPlace(const Json &request)
 }
 
 Json
-Dispatcher::doExplore(const Json &request)
+Dispatcher::doExplore(JsonCursor request)
 {
     std::lock_guard lock(socMutex_);
     SocBundle &bundle = socBundle(requireString(request, "soc"));
@@ -859,7 +642,7 @@ Dispatcher::doExplore(const Json &request)
         requestError("that SoC has no such PU");
     if (kind == soc::PuKind::Dla)
         requestError("explore supports cpu and gpu kernels");
-    const std::string bench = requireString(request, "bench");
+    const std::string bench(requireString(request, "bench"));
     if (!isRodiniaBenchmark(bench))
         requestError("unknown benchmark '" + bench + "'");
     const double external = requireNonNegative(request, "external");
@@ -896,11 +679,11 @@ Dispatcher::doExplore(const Json &request)
 }
 
 Json
-Dispatcher::doReload(const Json &request)
+Dispatcher::doReload(JsonCursor request)
 {
-    const std::string name = requireString(request, "model");
+    const std::string name(requireString(request, "model"));
     std::string path;
-    if (request.find("path") != nullptr)
+    if (request.find("path"))
         path = requireString(request, "path");
     const ModelRegistry::Reloaded outcome =
         registry_.reload(name, path);
@@ -950,14 +733,19 @@ namespace {
  * integers below 2^53); the string form is always exact.
  */
 sched::JobHandle
-parseJobHandle(const Json &v)
+parseJobHandle(JsonCursor v)
 {
     if (v.isString()) {
-        const std::string &s = v.asString();
+        const std::string_view s = v.asString();
         if (s.empty() || s.size() > 20 ||
-            s.find_first_not_of("0123456789") != std::string::npos)
+            s.find_first_not_of("0123456789") != std::string_view::npos)
             requestError("field 'job' must be a decimal job handle");
-        return std::strtoull(s.c_str(), nullptr, 10);
+        // Saturates on overflow, as strtoull does.
+        sched::JobHandle handle = 0;
+        if (std::from_chars(s.data(), s.data() + s.size(), handle).ec !=
+            std::errc())
+            return std::numeric_limits<sched::JobHandle>::max();
+        return handle;
     }
     if (v.isNumber()) {
         const double n = v.asNumber();
@@ -969,46 +757,67 @@ parseJobHandle(const Json &v)
     requestError("field 'job' must be a decimal job handle");
 }
 
-/** Render one scheduler decision as its wire object. */
-Json
-decisionJson(const sched::Decision &d, const soc::SocConfig &config)
+/** Append `,"key":` and a number. */
+void
+appendNumberMember(std::string &out, std::string_view key, double v)
 {
-    Json out = Json::object();
-    out.set("decision", sched::decisionKindName(d.kind));
-    if (d.kind == sched::DecisionKind::Admitted) {
-        out.set("job", std::to_string(d.handle));
-        out.set("pu", d.puIndex);
-        out.set("puName", config.pus[d.puIndex].name);
-        out.set("frequencyMhz", d.frequencyMhz);
-        out.set("predictedSlowdown", d.predictedSlowdown);
-        out.set("worstSlack", d.worstSlack);
-    } else {
-        out.set("reason", d.reason);
+    out += ",\"";
+    out += key;
+    out += "\":";
+    runner::appendJsonNumber(out, v);
+}
+
+/** Append one scheduler decision as its wire object. */
+void
+appendDecision(std::string &out, const sched::Decision &d,
+               const soc::SocConfig &config)
+{
+    out += "{\"decision\":\"";
+    runner::appendJsonEscaped(out, sched::decisionKindName(d.kind));
+    if (d.kind != sched::DecisionKind::Admitted) {
+        out += "\",\"reason\":\"";
+        runner::appendJsonEscaped(out, d.reason);
+        out += "\"}";
+        return;
     }
-    return out;
+    // The handle as an exact decimal string (see parseJobHandle).
+    char digits[24];
+    const auto printed =
+        std::to_chars(digits, digits + sizeof digits, d.handle);
+    out += "\",\"job\":\"";
+    out.append(digits, printed.ptr);
+    out += '"';
+    appendNumberMember(out, "pu", static_cast<double>(d.puIndex));
+    out += ",\"puName\":\"";
+    runner::appendJsonEscaped(out, config.pus[d.puIndex].name);
+    out += '"';
+    appendNumberMember(out, "frequencyMhz", d.frequencyMhz);
+    appendNumberMember(out, "predictedSlowdown", d.predictedSlowdown);
+    appendNumberMember(out, "worstSlack", d.worstSlack);
+    out += '}';
 }
 
 sched::AdmissionPolicy
-parsePolicy(const Json &request)
+parsePolicy(JsonCursor request)
 {
-    const std::string name = requireString(request, "policy");
+    const std::string_view name = requireString(request, "policy");
     const std::optional<sched::AdmissionPolicy> policy =
         sched::admissionPolicyFromName(name);
     if (!policy)
-        requestError("unknown policy '" + name +
+        requestError("unknown policy '" + std::string(name) +
                      "' (use strict, best-effort, or fairness)");
     return *policy;
 }
 
 } // namespace
 
-Json
-Dispatcher::doSchedule(const Json &request)
+void
+Dispatcher::doSchedule(JsonCursor request, std::string &out)
 {
     std::lock_guard lock(socMutex_);
     SocBundle &bundle = socBundle(requireString(request, "soc"));
 
-    if (bundle.sched && request.find("policy") != nullptr &&
+    if (bundle.sched && request.find("policy") &&
         parsePolicy(request) != bundle.sched->options().policy) {
         requestError(
             std::string("scheduler policy is fixed at '") +
@@ -1018,14 +827,14 @@ Dispatcher::doSchedule(const Json &request)
     }
 
     sched::JobRequest job;
-    if (request.find("name") != nullptr)
+    if (request.find("name"))
         job.name = requireString(request, "name");
     job.sloSlowdown = requireFinite(request, "slo");
     if (job.sloSlowdown < 1.0)
         requestError("field 'slo' must be >= 1");
-    if (request.find("deadline") != nullptr)
+    if (request.find("deadline"))
         job.deadlineSeconds = requireNonNegative(request, "deadline");
-    if (request.find("pu") != nullptr) {
+    if (request.find("pu")) {
         const soc::PuKind kind =
             puKindByName(requireString(request, "pu"));
         const int pi = bundle.config.puIndex(kind);
@@ -1034,8 +843,8 @@ Dispatcher::doSchedule(const Json &request)
         job.puIndex = pi;
     }
 
-    if (request.find("bench") != nullptr) {
-        const std::string bench = requireString(request, "bench");
+    if (request.find("bench")) {
+        const std::string bench(requireString(request, "bench"));
         if (!isRodiniaBenchmark(bench))
             requestError("unknown benchmark '" + bench + "'");
         if (job.name.empty())
@@ -1048,7 +857,7 @@ Dispatcher::doSchedule(const Json &request)
                     workloads::rodiniaKernel(bench, pu.kind));
         }
     } else {
-        const Json &k = field(request, "kernel");
+        const JsonCursor k = field(request, "kernel");
         if (!k.isObject())
             requestError("field 'kernel' must be an object");
         job.kernel.name = job.name;
@@ -1056,7 +865,7 @@ Dispatcher::doSchedule(const Json &request)
         job.kernel.locality = requireFinite(k, "locality");
         if (job.kernel.locality < 0.0 || job.kernel.locality > 1.0)
             requestError("field 'locality' must be in [0, 1]");
-        if (k.find("workBytes") != nullptr) {
+        if (k.find("workBytes")) {
             job.kernel.workBytes = requireFinite(k, "workBytes");
             if (job.kernel.workBytes <= 0.0)
                 requestError("field 'workBytes' must be > 0");
@@ -1070,18 +879,18 @@ Dispatcher::doSchedule(const Json &request)
         // No serve op replays the admit/complete log, and it would
         // grow by two events per job for the server's lifetime.
         opts.recordEvents = false;
-        if (request.find("policy") != nullptr)
+        if (request.find("policy"))
             opts.policy = parsePolicy(request);
-        if (request.find("margin") != nullptr)
+        if (request.find("margin"))
             opts.safetyMargin = requireNonNegative(request, "margin");
         bundle.sched = std::make_unique<sched::QosController>(
             bundle.config, engine_, opts);
     }
-    return decisionJson(bundle.sched->submit(job), bundle.config);
+    appendDecision(out, bundle.sched->submit(job), bundle.config);
 }
 
-Json
-Dispatcher::doComplete(const Json &request)
+void
+Dispatcher::doComplete(JsonCursor request, std::string &out)
 {
     std::lock_guard lock(socMutex_);
     SocBundle &bundle = socBundle(requireString(request, "soc"));
@@ -1093,57 +902,63 @@ Dispatcher::doComplete(const Json &request)
     const sched::Completion c = bundle.sched->complete(handle);
     if (!c.ok)
         requestError("stale or unknown job handle");
-    Json promoted = Json::array();
-    for (const sched::Decision &d : c.promoted)
-        promoted.push(decisionJson(d, bundle.config));
-    Json result = Json::object();
-    result.set("completed", true);
-    result.set("promoted", std::move(promoted));
-    return result;
+    out += "{\"completed\":true,\"promoted\":[";
+    for (std::size_t i = 0; i < c.promoted.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        appendDecision(out, c.promoted[i], bundle.config);
+    }
+    out += "]}";
 }
 
-Json
-Dispatcher::doSchedStats(const Json &request)
+void
+Dispatcher::doSchedStats(JsonCursor request, std::string &out)
 {
     std::lock_guard lock(socMutex_);
     SocBundle &bundle = socBundle(requireString(request, "soc"));
-    Json result = Json::object();
     if (!bundle.sched) {
-        result.set("scheduler", false);
-        return result;
+        out += "{\"scheduler\":false}";
+        return;
     }
     const sched::QosController &ctl = *bundle.sched;
-    result.set("scheduler", true);
-    result.set("policy",
-               sched::admissionPolicyName(ctl.options().policy));
+    out += "{\"scheduler\":true,\"policy\":\"";
+    runner::appendJsonEscaped(
+        out, sched::admissionPolicyName(ctl.options().policy));
     const sched::SchedStats &st = ctl.stats();
-    Json counters = Json::object();
-    counters.set("submitted", st.submitted);
-    counters.set("admitted", st.admitted);
-    counters.set("queued", st.queued);
-    counters.set("rejected", st.rejected);
-    counters.set("completed", st.completed);
-    counters.set("promoted", st.promoted);
-    counters.set("decisions", st.decisions);
-    counters.set("modelPoints", st.modelPoints);
-    counters.set("expectedViolations", st.expectedViolations);
-    result.set("counters", std::move(counters));
-    result.set("resident", ctl.residentCount());
-    result.set("queued", ctl.queuedCount());
-    result.set("totalDemandGBps", ctl.totalDemand());
-    Json pus = Json::array();
+    out += "\",\"counters\":{\"submitted\":";
+    runner::appendJsonNumber(out, static_cast<double>(st.submitted));
+    appendNumberMember(out, "admitted", static_cast<double>(st.admitted));
+    appendNumberMember(out, "queued", static_cast<double>(st.queued));
+    appendNumberMember(out, "rejected", static_cast<double>(st.rejected));
+    appendNumberMember(out, "completed",
+                       static_cast<double>(st.completed));
+    appendNumberMember(out, "promoted", static_cast<double>(st.promoted));
+    appendNumberMember(out, "decisions",
+                       static_cast<double>(st.decisions));
+    appendNumberMember(out, "modelPoints",
+                       static_cast<double>(st.modelPoints));
+    appendNumberMember(out, "expectedViolations",
+                       static_cast<double>(st.expectedViolations));
+    out += '}';
+    appendNumberMember(out, "resident",
+                       static_cast<double>(ctl.residentCount()));
+    appendNumberMember(out, "queued",
+                       static_cast<double>(ctl.queuedCount()));
+    appendNumberMember(out, "totalDemandGBps", ctl.totalDemand());
+    out += ",\"pus\":[";
     for (std::size_t p = 0; p < bundle.config.pus.size(); ++p) {
-        Json e = Json::object();
-        e.set("name", bundle.config.pus[p].name);
-        e.set("resident", ctl.residents(p).size());
-        pus.push(std::move(e));
+        out += p > 0 ? ",{\"name\":\"" : "{\"name\":\"";
+        runner::appendJsonEscaped(out, bundle.config.pus[p].name);
+        out += '"';
+        appendNumberMember(out, "resident",
+                           static_cast<double>(ctl.residents(p).size()));
+        out += '}';
     }
-    result.set("pus", std::move(pus));
-    return result;
+    out += "]}";
 }
 
 Dispatcher::SocBundle &
-Dispatcher::socBundle(const std::string &soc_name)
+Dispatcher::socBundle(std::string_view soc_name)
 {
     auto it = socs_.find(soc_name);
     if (it != socs_.end())
@@ -1155,14 +970,15 @@ Dispatcher::socBundle(const std::string &soc_name)
     else if (soc_name == "snapdragon")
         config = soc::snapdragonLike();
     else
-        requestError("unknown soc '" + soc_name +
+        requestError("unknown soc '" + std::string(soc_name) +
                      "' (use xavier or snapdragon)");
 
     auto bundle = std::make_unique<SocBundle>();
     bundle->config = config;
     bundle->sim = std::make_unique<soc::SocSimulator>(config);
     bundle->models.resize(config.pus.size());
-    return *(socs_[soc_name] = std::move(bundle));
+    return *socs_.emplace(std::string(soc_name), std::move(bundle))
+                .first->second;
 }
 
 const model::PccsModel &

@@ -8,10 +8,11 @@
  *        or {"id": <echoed>, "ok": false, "error": "<diagnostic>"}
  *
  * Endpoints: predict, corun, place, explore, reload, stats, health,
- * shutdown (see DESIGN.md section 9 for the field grammar). Every
- * malformed frame — garbage bytes, oversized lines, bad JSON, wrong
- * field types — yields an `ok:false` response for that frame only;
- * nothing a client sends can terminate the service.
+ * shutdown, schedule, complete, sched_stats (see DESIGN.md section 9
+ * for the field grammar). Every malformed frame — garbage bytes,
+ * oversized lines, bad JSON, wrong field types — yields an `ok:false`
+ * response for that frame only; nothing a client sends can terminate
+ * the service.
  *
  * The dispatcher is transport-agnostic (tests drive it without
  * sockets) and synchronous: a caller hands over the batch of frames
@@ -19,14 +20,13 @@
  * All `predict` frames of the batch are coalesced into one SoA
  * kernel call per distinct model (flat combining happens at the
  * server's shard level — every readable connection of a readiness
- * cycle contributes frames to the same batch). The steady-state
- * predict path allocates nothing: frames arrive as string_views, a
- * specialized scanner extracts the fields without building Json
- * values, job and group state lives in a caller-owned reusable
- * Scratch, and responses are serialized straight into the scratch
- * wire buffer (bit-identical to the generic Json-built rendering,
- * which remains the fallback for every frame the scanner does not
- * fully recognize).
+ * cycle contributes frames to the same batch). Every frame takes one
+ * path: frames arrive as string_views, the strict JSON parser fills
+ * the frame's reusable JsonDoc in a caller-owned Scratch, and the
+ * handlers read their fields through JsonCursor. The `predict`,
+ * `schedule`, `complete` and `sched_stats` results are written
+ * straight into the scratch buffers, so in steady state their parse
+ * and reply allocate nothing; the admin ops build Json results.
  */
 
 #ifndef PCCS_SERVE_PROTOCOL_HH
@@ -60,10 +60,9 @@ namespace pccs::serve {
  * a diagnostic) and their remaining bytes are discarded until the
  * terminating newline, bounding memory per connection.
  *
- * The zero-copy interface is `nextView()`: frames are string_views
- * into the internal buffer, valid until the next `feed()` or
- * `reset()` (the buffer is compacted on feed, never while views are
- * outstanding). `next()` is the copying convenience wrapper.
+ * `nextView()` hands out frames as string_views into the internal
+ * buffer, valid until the next `feed()` or `reset()` (the buffer is
+ * compacted on feed, never while views are outstanding).
  */
 class FrameBuffer
 {
@@ -73,26 +72,17 @@ class FrameBuffer
     {
     }
 
-    /** One reassembled frame (without the trailing newline). */
-    struct Frame
-    {
-        std::string text;
-        /** True when the line exceeded the limit (text is empty). */
-        bool oversized = false;
-    };
-
-    /** Zero-copy frame; text is valid until the next feed/reset. */
+    /** One reassembled frame (without the trailing newline); text
+     *  is valid until the next feed/reset. */
     struct View
     {
         std::string_view text;
+        /** True when the line exceeded the limit (text is empty). */
         bool oversized = false;
     };
 
     /** Append raw bytes from the stream. Invalidates prior views. */
     void feed(const char *data, std::size_t n);
-
-    /** @return the next complete frame (copying), if any. */
-    std::optional<Frame> next();
 
     /** @return the next complete frame as a view, if any. */
     std::optional<View> nextView();
@@ -165,19 +155,23 @@ class Dispatcher
             EndpointOp op = EndpointOp::Frame;
             /** Unknown op name (overflow metrics); cold. */
             std::string opOther;
-            bool hasId = false;
-            /** Fast-path id: a plain number. */
-            bool idIsNumber = false;
-            double idNumber = 0.0;
-            /** Generic-path id: points into `request`. */
-            const Json *idValue = nullptr;
-            Json request;
+            /** The frame's parse, reused across batches. */
+            JsonDoc doc;
+            /** The request's "id" in `doc`; absent when it has none. */
+            JsonCursor id;
+            /** Result of an admin op. */
             Json result;
+            /** Streamed result: [resultBegin, resultEnd) of results. */
+            std::size_t resultBegin = 0;
+            std::size_t resultEnd = 0;
             std::string error;
             int jobIndex = -1;
             std::chrono::steady_clock::time_point start;
         };
         std::vector<Slot> slots;
+        /** Result objects of schedule/complete/sched_stats, written
+         *  while the frames execute in order, copied into `wire`. */
+        std::string results;
         std::vector<PredictJob> jobs;
         std::size_t jobsUsed = 0;
         std::vector<const ModelEntry *> groupEntries;
@@ -213,18 +207,6 @@ class Dispatcher
                       std::size_t count, Scratch &scratch,
                       bool *shutdown = nullptr);
 
-    /**
-     * Copying convenience wrapper: one response line per frame, in
-     * frame order, without trailing newlines.
-     */
-    std::vector<std::string>
-    handleFrames(const std::vector<FrameBuffer::Frame> &frames,
-                 bool *shutdown = nullptr);
-
-    /** Convenience wrapper for a single textual frame. */
-    std::string handleFrame(const std::string &frame,
-                            bool *shutdown = nullptr);
-
     ModelRegistry &registry() { return registry_; }
     Metrics &metrics() { return metrics_; }
     runner::SweepEngine &engine() { return *engine_; }
@@ -242,35 +224,30 @@ class Dispatcher
     };
 
     /**
-     * The zero-allocation predict scanner: recognizes exactly the
-     * strict-JSON single-point predict grammar (op/id/model/demand/
-     * external, any order, no duplicates, no escapes). On success
-     * fills the slot and appends a job; any deviation returns false
-     * and the generic parser takes over (producing byte-identical
-     * diagnostics for the malformed cases).
+     * Parse one frame into its slot's document and run it: `predict`
+     * queues a job, `schedule`/`complete`/`sched_stats` append their
+     * result to scratch.results, the admin ops leave a Json in
+     * slot.result, and any failure leaves slot.error.
      */
-    bool tryFastPredict(std::string_view text, Scratch &scratch,
-                        Scratch::Slot &slot);
+    void handleRequest(std::string_view text, Scratch &scratch,
+                       Scratch::Slot &slot, bool *shutdown);
 
-    /** Generic (Json-building) parse + execute of one frame. */
-    void parseGeneric(std::string_view text, Scratch &scratch,
-                      Scratch::Slot &slot, bool *shutdown);
+    /** Run a parsed request by slot.op (throws request errors). */
+    void execute(JsonCursor request, Scratch &scratch,
+                 Scratch::Slot &slot, bool *shutdown);
 
-    Json execute(const std::string &op, const Json &request,
-                 bool *shutdown);
-
-    Json doCorun(const Json &request);
-    Json doPlace(const Json &request);
-    Json doExplore(const Json &request);
-    Json doReload(const Json &request);
+    Json doCorun(JsonCursor request);
+    Json doPlace(JsonCursor request);
+    Json doExplore(JsonCursor request);
+    Json doReload(JsonCursor request);
     Json doStats() const;
     Json doHealth() const;
-    Json doSchedule(const Json &request);
-    Json doComplete(const Json &request);
-    Json doSchedStats(const Json &request);
+    void doSchedule(JsonCursor request, std::string &out);
+    void doComplete(JsonCursor request, std::string &out);
+    void doSchedStats(JsonCursor request, std::string &out);
 
-    /** Parse a generic predict request into a scratch job slot. */
-    void makePredictJob(const Json &request, Scratch &scratch,
+    /** Parse a predict request into a scratch job slot. */
+    void makePredictJob(JsonCursor request, Scratch &scratch,
                         Scratch::Slot &slot);
 
     /** Append one job's wire result object ({"region":...}). */
@@ -287,7 +264,7 @@ class Dispatcher
      */
     void evaluateJobs(Scratch &scratch);
 
-    SocBundle &socBundle(const std::string &soc_name);
+    SocBundle &socBundle(std::string_view soc_name);
     const model::PccsModel &puModel(SocBundle &bundle,
                                     std::size_t pu_index);
 
@@ -297,7 +274,7 @@ class Dispatcher
     DispatchOptions options_;
 
     std::mutex socMutex_;
-    std::map<std::string, std::unique_ptr<SocBundle>> socs_;
+    std::map<std::string, std::unique_ptr<SocBundle>, std::less<>> socs_;
 };
 
 } // namespace pccs::serve

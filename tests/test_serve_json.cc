@@ -175,6 +175,82 @@ TEST(JsonDump, EscapedControlCharactersRoundTrip)
     EXPECT_EQ(obj.dump().find('\n'), std::string::npos);
 }
 
+TEST(JsonDoc, CursorReadsWhatTheTreeHolds)
+{
+    JsonDoc doc;
+    ASSERT_TRUE(doc.parse(" {\"a\":[1,\"x\\ty\",null,{\"b\":false}],"
+                          "\"k\":1,\"k\":2,\"e\":{},\"s\":\"\"} "));
+    const JsonCursor root = doc.root();
+    ASSERT_TRUE(root.isObject());
+    EXPECT_EQ(root.size(), 5u);
+    // find returns the first of duplicated keys, as Json::find does.
+    EXPECT_EQ(root.find("k").asNumber(), 1.0);
+    EXPECT_FALSE(root.find("missing"));
+    EXPECT_TRUE(root.find("missing").isNull());
+    EXPECT_EQ(root.find("s").asString(), "");
+    EXPECT_TRUE(root.find("s").isString());
+
+    const JsonCursor a = root.find("a");
+    ASSERT_TRUE(a.isArray());
+    EXPECT_EQ(a.size(), 4u);
+    std::vector<JsonCursor> items;
+    for (const JsonCursor item : a)
+        items.push_back(item);
+    ASSERT_EQ(items.size(), 4u);
+    EXPECT_EQ(items[0].asNumber(), 1.0);
+    EXPECT_EQ(items[1].asString(), "x\ty");
+    EXPECT_TRUE(items[2].isNull());
+    EXPECT_FALSE(items[3].find("b").asBool(true));
+    // Accessors of the wrong kind fall back, like Json's.
+    EXPECT_EQ(a.asNumber(-1.0), -1.0);
+    EXPECT_EQ(a.asString(), "");
+    EXPECT_EQ(root.find("k").size(), 0u);
+    EXPECT_TRUE(root.find("k").begin() == root.find("k").end());
+
+    // Materialized, duplicates stay; rendered, the bytes match Json's.
+    const Json tree = root.toJson();
+    EXPECT_EQ(tree.asObject().size(), 5u);
+    EXPECT_EQ(tree.find("a")->asArray()[1].asString(), "x\ty");
+    std::string dumped;
+    root.dumpTo(dumped);
+    EXPECT_EQ(dumped, tree.dump());
+}
+
+TEST(JsonDoc, ReparseReplacesAndFailureEmpties)
+{
+    JsonDoc doc;
+    ASSERT_TRUE(doc.parse("{\"op\":\"first\",\"pad\":\"abcdefghijklmnop\"}"));
+    ASSERT_TRUE(doc.parse("[\"second\"]"));
+    ASSERT_TRUE(doc.root().isArray());
+    EXPECT_EQ((*doc.root().begin()).asString(), "second");
+
+    // A failed parse leaves no document, only the diagnostic.
+    const struct
+    {
+        const char *text;
+        const char *error;
+        std::size_t offset;
+    } bad[] = {
+        {"{\"a\":1,}", "expected a string key in object", 7},
+        {"[1,2", "unterminated array", 4},
+        {"\"\\x\"", "unknown escape character", 3},
+        {"01", "number with a leading zero", 0},
+        {"{} x", "trailing characters after the document", 3},
+    };
+    for (const auto &b : bad) {
+        EXPECT_FALSE(doc.parse(b.text)) << b.text;
+        EXPECT_FALSE(doc.root()) << b.text;
+        EXPECT_EQ(doc.error(), b.error) << b.text;
+        EXPECT_EQ(doc.errorOffset(), b.offset) << b.text;
+        const JsonParse tree = parseJson(b.text);
+        EXPECT_EQ(tree.error, b.error) << b.text;
+        EXPECT_EQ(tree.offset, b.offset) << b.text;
+    }
+    ASSERT_TRUE(doc.parse("7"));
+    EXPECT_EQ(doc.root().asNumber(), 7.0);
+    EXPECT_TRUE(doc.error().empty());
+}
+
 TEST(JsonNumber, NonFiniteBecomesNull)
 {
     EXPECT_EQ(runner::jsonNumber(
@@ -324,21 +400,17 @@ TEST(JsonNumberIo, FastAndGenericPredictRepliesAreByteIdentical)
     Dispatcher dispatcher(registry, metrics);
 
     // Same request twice. The second copy spells the op's 'p' as a
-    // unicode escape, which the fast scanner leaves to the generic
-    // parser.
+    // unicode escape; the reply must not depend on the spelling.
     const std::string fields =
         "\",\"id\":0.1,\"model\":\"m\",\"demand\":42.123456789012345,"
         "\"external\":17.25e0}";
-    const std::string fast = "{\"op\":\"predict" + fields;
-    const std::string generic = "{\"op\":\"\\u0070redict" + fields;
-    const FrameBuffer::View frames[] = {{fast}, {generic}};
+    const std::string plain = "{\"op\":\"predict" + fields;
+    const std::string escaped = "{\"op\":\"\\u0070redict" + fields;
+    const FrameBuffer::View frames[] = {{plain}, {escaped}};
     Dispatcher::Scratch scratch;
     dispatcher.handleFrames(frames, 2, scratch);
 
     ASSERT_EQ(scratch.spans.size(), 2u);
-    // Only the generic path keeps a parsed request tree.
-    EXPECT_TRUE(scratch.slots[0].request.isNull());
-    EXPECT_TRUE(scratch.slots[1].request.isObject());
     const std::string first = scratch.wire.substr(
         scratch.spans[0].offset, scratch.spans[0].length);
     const std::string second = scratch.wire.substr(

@@ -46,10 +46,30 @@ struct Service
 
     Service() { registry.addFromParams("m", sampleParams(), "test"); }
 
+    /** One reply line per frame, in frame order, without the
+     *  trailing newline (a fresh Scratch per call). */
+    std::vector<std::string>
+    handle(const std::vector<FrameBuffer::View> &frames,
+           bool *shutdown = nullptr)
+    {
+        Dispatcher::Scratch scratch;
+        dispatcher.handleFrames(frames.data(), frames.size(), scratch,
+                                shutdown);
+        std::vector<std::string> out;
+        for (const WireSpan &span : scratch.spans)
+            out.emplace_back(scratch.wire, span.offset, span.length - 1);
+        return out;
+    }
+
+    /** The reply line to one frame. */
+    std::string reply(std::string_view frame, bool *shutdown = nullptr)
+    {
+        return handle({{frame}}, shutdown).front();
+    }
+
     Json roundTrip(const std::string &frame, bool *shutdown = nullptr)
     {
-        const std::string line =
-            dispatcher.handleFrame(frame, shutdown);
+        const std::string line = reply(frame, shutdown);
         const JsonParse parsed = parseJson(line);
         EXPECT_TRUE(parsed.ok()) << line;
         return parsed.ok() ? *parsed.value : Json();
@@ -64,10 +84,10 @@ TEST(FrameBuffer, SplitAndMergedReads)
     for (char c : one) {
         fb.feed(&c, 1);
         if (c != '\n') {
-            EXPECT_FALSE(fb.next().has_value());
+            EXPECT_FALSE(fb.nextView().has_value());
         }
     }
-    auto frame = fb.next();
+    auto frame = fb.nextView();
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->text, "{\"op\":\"health\"}");
 
@@ -75,15 +95,15 @@ TEST(FrameBuffer, SplitAndMergedReads)
     // blank and one carrying a \r\n terminator.
     const std::string merged = "abc\r\n\n{\"x\":1}\ntail";
     fb.feed(merged.data(), merged.size());
-    frame = fb.next();
+    frame = fb.nextView();
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->text, "abc");
-    frame = fb.next();
+    frame = fb.nextView();
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->text, "{\"x\":1}");
-    EXPECT_FALSE(fb.next().has_value()); // "tail" incomplete
+    EXPECT_FALSE(fb.nextView().has_value()); // "tail" incomplete
     fb.feed("\n", 1);
-    frame = fb.next();
+    frame = fb.nextView();
     ASSERT_TRUE(frame.has_value());
     EXPECT_EQ(frame->text, "tail");
 }
@@ -93,17 +113,17 @@ TEST(FrameBuffer, OversizedLinesAreBoundedAndReported)
     FrameBuffer fb(16);
     const std::string big(100, 'x');
     fb.feed(big.data(), big.size());
-    auto frame = fb.next();
+    auto frame = fb.nextView();
     ASSERT_TRUE(frame.has_value());
     EXPECT_TRUE(frame->oversized);
 
     // The rest of the oversized line is discarded, including across
     // later feeds, and the stream recovers at the next newline.
     fb.feed(big.data(), big.size());
-    EXPECT_FALSE(fb.next().has_value());
+    EXPECT_FALSE(fb.nextView().has_value());
     const std::string rest = "still-the-big-line\nok\n";
     fb.feed(rest.data(), rest.size());
-    frame = fb.next();
+    frame = fb.nextView();
     ASSERT_TRUE(frame.has_value());
     EXPECT_FALSE(frame->oversized);
     EXPECT_EQ(frame->text, "ok");
@@ -153,7 +173,7 @@ TEST(Dispatcher, PhasedPredictMatchesPiecewise)
 TEST(Dispatcher, BatchedFramesAnswerInOrder)
 {
     Service svc;
-    std::vector<FrameBuffer::Frame> frames;
+    std::vector<std::string> texts;
     const model::PccsModel reference(sampleParams());
     for (int i = 0; i < 24; ++i) {
         char frame[160];
@@ -161,10 +181,12 @@ TEST(Dispatcher, BatchedFramesAnswerInOrder)
                       "{\"op\":\"predict\",\"id\":%d,\"model\":\"m\","
                       "\"demand\":%d,\"external\":%d}",
                       i, 10 + i, 2 * i);
-        frames.push_back({frame, false});
+        texts.push_back(frame);
     }
-    const std::vector<std::string> out =
-        svc.dispatcher.handleFrames(frames);
+    std::vector<FrameBuffer::View> frames;
+    for (const std::string &text : texts)
+        frames.push_back({text});
+    const std::vector<std::string> out = svc.handle(frames);
     ASSERT_EQ(out.size(), frames.size());
     for (int i = 0; i < 24; ++i) {
         const JsonParse parsed = parseJson(out[i]);
@@ -216,8 +238,7 @@ TEST(Dispatcher, ConcurrentCallersAreCoalescedSafely)
                     "{\"op\":\"predict\",\"model\":\"m\","
                     "\"demand\":%.17g,\"external\":25}",
                     x);
-                const std::string line =
-                    svc.dispatcher.handleFrame(frame);
+                const std::string line = svc.reply(frame);
                 const JsonParse parsed = parseJson(line);
                 if (!parsed.ok() ||
                     parsed.value->find("result")
@@ -293,8 +314,7 @@ TEST(Dispatcher, MalformedFramesErrorWithoutTerminating)
     EXPECT_FALSE(svc.roundTrip(deep).find("ok")->asBool());
 
     // Oversized frames are reported as such.
-    std::vector<FrameBuffer::Frame> frames{{"", true}};
-    const auto out = svc.dispatcher.handleFrames(frames);
+    const auto out = svc.handle({{{}, true}});
     ASSERT_EQ(out.size(), 1u);
     EXPECT_NE(out[0].find("size limit"), std::string::npos);
 
@@ -319,7 +339,7 @@ TEST(Dispatcher, FuzzedFramesNeverCrash)
             frame += alphabet[rng.below(alphabet.size())];
         // Embedded newlines would be two frames on the wire; here we
         // exercise the dispatcher directly with arbitrary bytes.
-        const std::string line = svc.dispatcher.handleFrame(frame);
+        const std::string line = svc.reply(frame);
         const JsonParse parsed = parseJson(line);
         ASSERT_TRUE(parsed.ok()) << line;
         ASSERT_NE(parsed.value->find("ok"), nullptr);
@@ -334,7 +354,7 @@ TEST(Dispatcher, FuzzedFramesNeverCrash)
         for (std::size_t h = 0; h < hits; ++h)
             frame[rng.below(frame.size())] = static_cast<char>(
                 alphabet[rng.below(alphabet.size())]);
-        const std::string line = svc.dispatcher.handleFrame(frame);
+        const std::string line = svc.reply(frame);
         ASSERT_TRUE(parseJson(line).ok()) << line;
     }
 }
@@ -398,8 +418,7 @@ TEST(Dispatcher, ReloadUnderLoadKeepsInFlightRequestsConsistent)
     std::thread reloader([&] {
         model::saveParams(changedParams, path);
         for (int i = 0; i < 50; ++i)
-            svc.dispatcher.handleFrame(
-                "{\"op\":\"reload\",\"model\":\"disk\"}");
+            svc.reply("{\"op\":\"reload\",\"model\":\"disk\"}");
     });
     int mismatches = 0;
     for (int i = 0; i < 400; ++i) {
@@ -576,6 +595,110 @@ TEST(Dispatcher, ScheduleValidatesRequests)
     EXPECT_FALSE(clash.find("ok")->asBool());
     EXPECT_NE(clash.find("error")->asString().find("fixed"),
               std::string::npos);
+}
+
+// Golden wire bytes of the streamed QoS replies: every decision kind,
+// a completion that promotes, and sched_stats with and without a
+// scheduler. Key order and number spelling are part of the protocol.
+TEST(Dispatcher, QosRepliesMatchGoldenBytes)
+{
+    Service svc;
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"sched_stats\",\"id\":3,\"soc\":\"xavier\"}"),
+        "{\"id\":3,\"ok\":true,\"result\":{\"scheduler\":false}}");
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"schedule\",\"id\":1,\"soc\":\"xavier\","
+                  "\"pu\":\"gpu\",\"bench\":\"streamcluster\","
+                  "\"slo\":1.5}"),
+        "{\"id\":1,\"ok\":true,\"result\":{\"decision\":\"admitted\","
+        "\"job\":\"4294967296\",\"pu\":1,\"puName\":\"Volta GPU\","
+        "\"frequencyMhz\":929.47499999999991,"
+        "\"predictedSlowdown\":1.4727527489323204,"
+        "\"worstSlack\":0.018164834045119704}}");
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"schedule\",\"id\":2,\"soc\":\"xavier\","
+                  "\"pu\":\"gpu\",\"bench\":\"bfs\",\"slo\":1.5}"),
+        "{\"id\":2,\"ok\":true,\"result\":{\"decision\":\"queued\","
+        "\"reason\":\"all candidate PUs at capacity\"}}");
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"complete\",\"id\":4,\"soc\":\"xavier\","
+                  "\"job\":\"4294967296\"}"),
+        "{\"id\":4,\"ok\":true,\"result\":{\"completed\":true,"
+        "\"promoted\":[{\"decision\":\"admitted\","
+        "\"job\":\"12884901888\",\"pu\":1,\"puName\":\"Volta GPU\","
+        "\"frequencyMhz\":929.47499999999991,"
+        "\"predictedSlowdown\":1.4706298051156548,"
+        "\"worstSlack\":0.019580129922896816}]}}");
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"sched_stats\",\"id\":5,\"soc\":\"xavier\"}"),
+        "{\"id\":5,\"ok\":true,\"result\":{\"scheduler\":true,"
+        "\"policy\":\"strict\",\"counters\":{\"submitted\":2,"
+        "\"admitted\":2,\"queued\":1,\"rejected\":0,\"completed\":1,"
+        "\"promoted\":1,\"decisions\":3,\"modelPoints\":28,"
+        "\"expectedViolations\":0},\"resident\":1,\"queued\":0,"
+        "\"totalDemandGBps\":59.838308521891697,\"pus\":["
+        "{\"name\":\"Carmel CPU\",\"resident\":0},"
+        "{\"name\":\"Volta GPU\",\"resident\":1},"
+        "{\"name\":\"DLA\",\"resident\":0}]}}");
+
+    // The GPU is full: 64 arrivals fill the queue, the 65th is
+    // rejected.
+    const std::string waiter =
+        "{\"op\":\"schedule\",\"soc\":\"xavier\",\"pu\":\"gpu\","
+        "\"bench\":\"bfs\",\"slo\":1.2}";
+    const std::vector<std::string> out =
+        svc.handle(std::vector<FrameBuffer::View>(65, {waiter}));
+    ASSERT_EQ(out.size(), 65u);
+    EXPECT_EQ(out[63], "{\"ok\":true,\"result\":{\"decision\":\"queued\","
+                       "\"reason\":\"all candidate PUs at capacity\"}}");
+    EXPECT_EQ(out[64],
+              "{\"ok\":true,\"result\":{\"decision\":\"rejected\","
+              "\"reason\":\"all candidate PUs at capacity; queue "
+              "full\"}}");
+
+    // A custom kernel on another SoC, admitted best-effort.
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"schedule\",\"id\":6,\"soc\":\"snapdragon\","
+                  "\"slo\":2.0,\"policy\":\"best-effort\",\"pu\":\"cpu\","
+                  "\"kernel\":{\"intensity\":0.01,\"locality\":0.9}}"),
+        "{\"id\":6,\"ok\":true,\"result\":{\"decision\":\"admitted\","
+        "\"job\":\"4294967296\",\"pu\":0,\"puName\":\"Kryo 485 CPU\","
+        "\"frequencyMhz\":765,\"predictedSlowdown\":1.9608659960547432,"
+        "\"worstSlack\":0.019567001972628395}}");
+}
+
+// Any id is echoed in canonical form: strings re-escaped, containers
+// and literals re-rendered, and of duplicated ids the first.
+TEST(Dispatcher, NonNumericIdsEchoCanonically)
+{
+    Service svc;
+    const std::string predicted =
+        "\"ok\":true,\"result\":{\"region\":\"minor\",\"demand\":20,"
+        "\"model\":\"m\",\"version\":1,\"external\":10,"
+        "\"relativeSpeed\":99.642335766423358,"
+        "\"slowdownFactor\":1.0035894806241301}}";
+    EXPECT_EQ(svc.reply("{\"op\":\"predict\",\"id\":\"a\\\"b\\u00e9\\n\","
+                        "\"model\":\"m\",\"demand\":20,\"external\":10}"),
+              "{\"id\":\"a\\\"b\xc3\xa9\\n\"," + predicted);
+    EXPECT_EQ(svc.reply("{\"op\":\"predict\",\"id\":{\"k\":[1,2.5,null,"
+                        "true,false],\"k\":\"dup\",\"e\":{}},"
+                        "\"model\":\"m\",\"demand\":20,\"external\":10}"),
+              "{\"id\":{\"k\":[1,2.5,null,true,false],\"k\":\"dup\","
+              "\"e\":{}}," +
+                  predicted);
+    EXPECT_EQ(
+        svc.reply("{\"op\":\"sched_stats\",\"id\":null,\"soc\":\"xavier\"}"),
+        "{\"id\":null,\"ok\":true,\"result\":{\"scheduler\":false}}");
+    EXPECT_EQ(svc.reply("{\"op\":\"sched_stats\",\"id\":1e300,\"id\":[],"
+                        "\"soc\":\"xavier\"}"),
+              "{\"id\":1.0000000000000001e+300,\"ok\":true,"
+              "\"result\":{\"scheduler\":false}}");
+    EXPECT_EQ(svc.reply("{\"id\":[\"x\",-0.0],\"op\":\"schedule\","
+                        "\"soc\":\"xavier\",\"slo\":0.5,\"bench\":\"bfs\"}"),
+              "{\"id\":[\"x\",-0],\"ok\":false,"
+              "\"error\":\"field 'slo' must be >= 1\"}");
+    EXPECT_EQ(svc.reply("{\"id\":true,\"op\":\"nope\"}"),
+              "{\"id\":true,\"ok\":false,\"error\":\"unknown op 'nope'\"}");
 }
 
 TEST(Metrics, UnknownOpNamesAreBoundedPerShard)
