@@ -18,8 +18,6 @@ consumeDramRunFlags(int argc, char **argv)
         if (std::strcmp(argv[i], "--dram-reference") == 0) {
             dram::setDefaultDramRunMode(dram::DramRunMode::Reference);
             dram::setDefaultMcRunMode(dram::McRunMode::Lockstep);
-        } else if (std::strcmp(argv[i], "--mc-parallel") == 0) {
-            dram::setDefaultMcRunMode(dram::McRunMode::Sharded);
         } else {
             leftover.push_back(argv[i]);
         }
@@ -34,7 +32,7 @@ applyDramRunFlags(int argc, char **argv)
         consumeDramRunFlags(argc, argv);
     if (!leftover.empty()) {
         std::fprintf(stderr,
-                     "usage: %s [--dram-reference] [--mc-parallel]\n"
+                     "usage: %s [--dram-reference]\n"
                      "unknown argument '%s'\n",
                      argv[0], leftover.front().c_str());
         std::exit(2);

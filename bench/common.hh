@@ -33,10 +33,8 @@ void banner(const std::string &title, const std::string &paper_ref);
  * Handle the DRAM run-loop flags shared by the DRAM-driven benches:
  * `--dram-reference` selects the cycle-by-cycle reference core for
  * every DramSystem (and the lockstep loop for every MultiMcSystem)
- * the bench constructs; `--mc-parallel` opts multi-MC systems into
- * the sharded-parallel run mode (PCCS_MC_SHARDS sizes the team). The
- * default is the bit-exact event-driven core either way. Unknown
- * arguments are fatal.
+ * the bench constructs. The default is the bit-exact event-driven
+ * core. Unknown arguments are fatal.
  */
 void applyDramRunFlags(int argc, char **argv);
 

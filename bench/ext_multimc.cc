@@ -137,7 +137,7 @@ main(int argc, char **argv)
     std::printf("%s\n", t.str().c_str());
 
     // The accelerated calibration sweep: identical matrices from
-    // every run mode (the equivalence tests enforce it bit-exactly),
+    // both run modes (the equivalence tests enforce it bit-exactly),
     // so the only thing that changes with the mode is the wall time.
     std::printf("Multi-MC calibration sweep (4 MC x 1 ch, "
                 "range-partitioned, ATLAS; 4 victims x 4+1 external "
@@ -149,13 +149,11 @@ main(int argc, char **argv)
     const double last = matrix.rela.back().back();
     sweep_t.addRow({"lockstep", fmtDouble(lockstep_s, 3), "1.0",
                     fmtDouble(last, 1)});
-    for (McRunMode mode :
-         {McRunMode::EventDriven, McRunMode::Sharded}) {
-        const double s = sweepSeconds(mode, matrix);
-        sweep_t.addRow({mcRunModeName(mode), fmtDouble(s, 3),
-                        fmtDouble(lockstep_s / s, 1),
-                        fmtDouble(matrix.rela.back().back(), 1)});
-    }
+    const double event_s = sweepSeconds(McRunMode::EventDriven, matrix);
+    sweep_t.addRow({mcRunModeName(McRunMode::EventDriven),
+                    fmtDouble(event_s, 3),
+                    fmtDouble(lockstep_s / event_s, 1),
+                    fmtDouble(matrix.rela.back().back(), 1)});
     std::printf("%s\n", sweep_t.str().c_str());
 
     runner::RunResult artifact = bench::makeArtifact(

@@ -163,7 +163,7 @@ main(int argc, char **argv)
                 pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else {
-            fatal("usage: %s [--dram-reference] [--mc-parallel] "
+            fatal("usage: %s [--dram-reference] "
                   "[--quick] [--policies A,B,...]\n"
                   "unknown argument '%s' (valid policies: %s)",
                   argv[0], leftover[i].c_str(),

@@ -603,12 +603,11 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
 }
 
 /**
- * Simulated-cycles-per-second of the three multi-MC run loops
+ * Simulated-cycles-per-second of the two multi-MC run loops
  * (4 MCs x 1 channel, range-partitioned). Idle/mixed case: two
  * low-demand cores in two slices, so two controllers are completely
- * idle — the lockstep loop still ticks all four every cycle, the
- * event-driven loop jumps over the quiet stretches, and the sharded
- * loop runs the four whole-run-independent shards on pool threads.
+ * idle — the lockstep loop still ticks all four every cycle, and the
+ * event-driven loop jumps over the quiet stretches.
  */
 void
 multiMcCycles(benchmark::State &state, dram::McRunMode mode,
@@ -662,19 +661,11 @@ BENCHMARK(BM_MultiMcCyclesIdleEventDriven)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
-void
-BM_MultiMcCyclesIdleSharded(benchmark::State &state)
-{
-    multiMcCycles(state, dram::McRunMode::Sharded, false);
-}
-BENCHMARK(BM_MultiMcCyclesIdleSharded)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
 /**
  * Saturated case: one 30 GB/s core per 25.6 GB/s controller, so every
- * controller is active nearly every cycle. Skipping buys little here;
- * the sharded loop's four parallel shards carry the win.
+ * controller is active nearly every cycle, so skipping buys little;
+ * the event-driven lead comes from the controllers' fast issue
+ * engine (lazy channel scans, mask-based picks).
  */
 void
 BM_MultiMcCyclesSaturatedLockstep(benchmark::State &state)
@@ -691,15 +682,6 @@ BM_MultiMcCyclesSaturatedEventDriven(benchmark::State &state)
     multiMcCycles(state, dram::McRunMode::EventDriven, true);
 }
 BENCHMARK(BM_MultiMcCyclesSaturatedEventDriven)
-    ->Arg(20000)
-    ->Unit(benchmark::kMillisecond);
-
-void
-BM_MultiMcCyclesSaturatedSharded(benchmark::State &state)
-{
-    multiMcCycles(state, dram::McRunMode::Sharded, true);
-}
-BENCHMARK(BM_MultiMcCyclesSaturatedSharded)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 

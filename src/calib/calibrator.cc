@@ -189,9 +189,7 @@ calibrateMultiMc(const McSweepSpec &spec, runner::SweepEngine *engine)
 
     // Column 0 of each row is the standalone run (the rela
     // denominator); the rest are the co-runs. All points are
-    // independent simulations. The single-threaded run modes fan out
-    // over the engine; sharded systems parallelize internally, and the
-    // pool's batches do not nest, so their points stay serial.
+    // independent simulations, fanned out over the engine.
     const std::size_t cols = m.numExternal() + 1;
     std::vector<GBps> bw(m.numKernels() * cols, 0.0);
     auto point = [&](std::size_t idx) {
@@ -200,12 +198,7 @@ calibrateMultiMc(const McSweepSpec &spec, runner::SweepEngine *engine)
         bw[idx] = evalMcPoint(spec, m.standaloneBw[i],
                               j == 0 ? 0.0 : m.externalBw[j - 1]);
     };
-    if (spec.runMode == dram::McRunMode::Sharded) {
-        for (std::size_t idx = 0; idx < bw.size(); ++idx)
-            point(idx);
-    } else {
-        eng.parallelFor(bw.size(), point);
-    }
+    eng.parallelFor(bw.size(), point);
 
     m.rela.assign(m.numKernels(),
                   std::vector<double>(m.numExternal(), 0.0));

@@ -139,10 +139,9 @@ struct McSweepSpec
  * measured standalone bandwidths, externalBw the aggregate aggressor
  * demand ladder.
  *
- * Points run in parallel on `engine` (global when null) for the
- * single-threaded run modes; with McRunMode::Sharded each point's
- * system parallelizes internally, so points run serially (the pool's
- * batches do not nest). Results are bit-identical either way.
+ * Points are independent simulations and run in parallel on `engine`
+ * (global when null). Results are bit-identical for any run mode and
+ * any pool size.
  */
 CalibrationMatrix calibrateMultiMc(const McSweepSpec &spec = {},
                                    runner::SweepEngine *engine = nullptr);

@@ -16,14 +16,13 @@
  *    interfere at all — the isolation/coordination case the paper
  *    says PCCS can be extended to by considering the mapping).
  *
- * Three run loops advance the subsystem (McRunMode): the lockstep
- * reference oracle, a cycle-skipping event-driven loop fusing every
- * controller's and generator's wake bound into one min-scan, and an
- * opt-in sharded-parallel loop that spreads controllers over
- * runner::SweepEngine worker threads — whole-run independent shards
- * when the mapping provably decomposes, one-cycle epoch barriers
- * otherwise. All three are bit-exact against one another
- * (tests/test_multimc_equivalence.cc).
+ * Two run loops advance the subsystem (McRunMode): the lockstep
+ * reference oracle, and a cycle-skipping event-driven loop fusing
+ * every controller's and generator's wake bound into one min-scan.
+ * The two are bit-exact against each other
+ * (tests/test_multimc_equivalence.cc). A system runs on the calling
+ * thread; parallelism lives one level up, where independent systems
+ * (sweep points) fan out over runner::SweepEngine.
  */
 
 #ifndef PCCS_DRAM_MULTI_MC_HH
@@ -146,22 +145,6 @@ class MultiMcSystem : public MemoryPort
     void runLockstep(Cycles end);
     /** Single-threaded cycle-skipping loop (fused wake min-scan). */
     void runEventDriven(Cycles end);
-    /** Dispatch to the independent-shard or epoch-barrier path. */
-    void runSharded(Cycles end);
-    /** Whole-run independent shards (clean RangePartitioned only). */
-    void runIndependentShards(
-        Cycles end,
-        const std::vector<std::vector<std::size_t>> &shard_gens);
-    /** One-cycle-epoch barrier team (LineInterleaved / straddling). */
-    void runEpochSharded(Cycles end, unsigned team);
-    /**
-     * Try to split generators into per-MC shards with no cross-MC
-     * interaction: every generator's whole address region must route
-     * to one controller. On success `out[mc]` holds that MC's
-     * generator indices in ascending order.
-     */
-    bool independentShards(
-        std::vector<std::vector<std::size_t>> &out) const;
     /** Hand a completed request back to its source's generator. */
     void deliver(const Request &req);
 
@@ -174,15 +157,6 @@ class MultiMcSystem : public MemoryPort
     Addr perMcSpan_;
     Cycles now_ = 0;
     Cycles windowStart_ = 0;
-    /**
-     * While the epoch loop's parallel controller phase runs,
-     * completions are buffered per MC instead of delivered inline
-     * (two controllers may complete lines of the same source in the
-     * same cycle); the serial phase drains the buffers in controller
-     * index order — exactly the lockstep delivery order.
-     */
-    bool deferCompletions_ = false;
-    std::vector<std::vector<Request>> deferred_;
 };
 
 } // namespace pccs::dram

@@ -25,27 +25,13 @@ defaultMode()
     return mode;
 }
 
-unsigned
-envShards()
-{
-    const char *env = std::getenv("PCCS_MC_SHARDS");
-    if (!env || !*env)
-        return 0;
-    return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-}
-
 McRunMode
 envMcDefault()
 {
     // PCCS_DRAM_REFERENCE selects the reference oracle everywhere,
-    // including the multi-MC loop; PCCS_MC_SHARDS opts into the
-    // parallel path. Reference wins when both are set.
-    const char *ref = std::getenv("PCCS_DRAM_REFERENCE");
-    if (ref && *ref && std::strcmp(ref, "0") != 0)
-        return McRunMode::Lockstep;
-    if (std::getenv("PCCS_MC_SHARDS"))
-        return McRunMode::Sharded;
-    return McRunMode::EventDriven;
+    // including the multi-MC loop.
+    return envDefault() == DramRunMode::Reference ? McRunMode::Lockstep
+                                                  : McRunMode::EventDriven;
 }
 
 McRunMode &
@@ -87,8 +73,6 @@ mcRunModeName(McRunMode mode)
     switch (mode) {
       case McRunMode::EventDriven:
         return "event-driven";
-      case McRunMode::Sharded:
-        return "sharded";
       case McRunMode::Lockstep:
         return "lockstep";
     }
@@ -105,13 +89,6 @@ void
 setDefaultMcRunMode(McRunMode mode)
 {
     defaultMcMode() = mode;
-}
-
-unsigned
-mcShardWorkers()
-{
-    static unsigned shards = envShards();
-    return shards;
 }
 
 } // namespace pccs::dram

@@ -41,31 +41,26 @@ void setDefaultDramRunMode(DramRunMode mode);
 
 /**
  * Which run loop MultiMcSystem::run uses (the Section 5 extension's
- * analogue of DramRunMode). All three modes are bit-exact against one
- * another (tests/test_multimc_equivalence.cc); they differ only in
- * how the per-cycle work is scheduled:
+ * analogue of DramRunMode). The two modes are bit-exact against each
+ * other (tests/test_multimc_equivalence.cc):
  *
- *  - EventDriven: one thread, per-MC nextEventCycle/nextIssueEvent
- *    bounds fused into a single min-scan, so stretches on which every
- *    controller and generator is provably quiet are skipped in one
- *    jump (idle channels cost nothing), and on active cycles sources
- *    that provably cannot issue are not ticked;
- *  - Sharded: EventDriven semantics with the controllers spread over
- *    worker threads. RangePartitioned mappings whose sources each
- *    live in a single controller's slice decompose into fully
- *    independent shards (epoch = the whole run, no barriers);
- *    LineInterleaved (and straddling partitioned) workloads share
- *    generator state across MCs with a one-cycle interaction latency,
- *    so controllers run in parallel within each cycle between epoch
- *    barriers (epoch = 1 cycle, the synchronization granularity);
+ *  - EventDriven: per-MC nextEventCycle/nextIssueEvent bounds fused
+ *    into a single min-scan, so stretches on which every controller
+ *    and generator is provably quiet are skipped in one jump (idle
+ *    channels cost nothing), and on active cycles sources that
+ *    provably cannot issue are not ticked;
  *  - Lockstep: tick every controller every bus cycle (the original
  *    loop, kept as the executable specification / equivalence oracle).
+ *
+ * Both run on the calling thread; independent systems run in parallel
+ * as sweep points (runner::SweepEngine::parallelFor).
  */
 enum class McRunMode
 {
-    EventDriven, //!< fused next-event min-scan over controllers
-    Sharded,     //!< opt-in parallel shards (PCCS_MC_SHARDS/--mc-parallel)
-    Lockstep,    //!< tick every MC every cycle (reference oracle)
+    // Explicit values keep the raw bytes that parameterized test ids
+    // print for a mode unchanged.
+    EventDriven = 0, //!< fused next-event min-scan over controllers
+    Lockstep = 2,    //!< tick every MC every cycle (reference oracle)
 };
 
 /** @return display name of a multi-MC run mode. */
@@ -74,21 +69,14 @@ const char *mcRunModeName(McRunMode mode);
 /**
  * Process-wide default mode for newly constructed MultiMcSystems:
  * EventDriven, unless PCCS_DRAM_REFERENCE=1 selects Lockstep (the
- * same switch that selects the single-controller reference core) or
- * PCCS_MC_SHARDS selects Sharded. Overridable with
- * setDefaultMcRunMode() (e.g., from --mc-parallel).
+ * same switch that selects the single-controller reference core).
+ * Overridable with setDefaultMcRunMode() (e.g., from
+ * --dram-reference).
  */
 McRunMode defaultMcRunMode();
 
 /** Override the process-wide default multi-MC run mode. */
 void setDefaultMcRunMode(McRunMode mode);
-
-/**
- * Worker-thread cap for sharded multi-MC runs: the value of
- * PCCS_MC_SHARDS, or 0 (= size to min(controllers, hardware threads))
- * when the variable is unset or 0.
- */
-unsigned mcShardWorkers();
 
 } // namespace pccs::dram
 

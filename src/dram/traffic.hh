@@ -113,19 +113,6 @@ class CoreTrafficGenerator
     /** @return the source id. */
     unsigned source() const { return params_.source; }
 
-    /** First byte of this source's private address slice. */
-    Addr regionBase() const { return regionBase_; }
-
-    /**
-     * One past the last byte the address stream can touch; with
-     * regionBase(), lets a multi-MC router prove a generator's entire
-     * footprint lands on a single controller.
-     */
-    Addr regionEnd() const
-    {
-        return regionBase_ + regionLines_ * port_.lineBytes();
-    }
-
     /** @return the configured standalone demand in GB/s. */
     GBps demand() const { return params_.demand; }
 

@@ -30,14 +30,7 @@ resolveJobs(unsigned jobs)
 
 } // namespace
 
-ThreadPool::ThreadPool(unsigned workers)
-{
-    threads_.reserve(workers);
-    for (unsigned i = 0; i < workers; ++i) {
-        threads_.emplace_back(
-            [this](std::stop_token stop) { workerLoop(stop); });
-    }
-}
+ThreadPool::ThreadPool(unsigned workers) : size_(workers) {}
 
 ThreadPool::~ThreadPool()
 {
@@ -46,9 +39,8 @@ ThreadPool::~ThreadPool()
 }
 
 void
-ThreadPool::workerLoop(const std::stop_token &stop)
+ThreadPool::workerLoop(const std::stop_token &stop, std::uint64_t seen)
 {
-    std::uint64_t seen = 0;
     std::unique_lock lock(mutex_);
     while (true) {
         if (!cvWork_.wait(lock, stop,
@@ -73,13 +65,24 @@ void
 ThreadPool::run(std::size_t count,
                 const std::function<void(std::size_t)> &body)
 {
-    if (threads_.empty() || count <= 1) {
+    if (size_ == 0 || count <= 1) {
         for (std::size_t i = 0; i < count; ++i)
             body(i);
         return;
     }
 
     std::lock_guard batch(batchMutex_);
+    if (threads_.empty()) {
+        // generation_ only changes under batchMutex_, so each worker
+        // waits for the batch published below, not an earlier one.
+        threads_.reserve(size_);
+        for (unsigned i = 0; i < size_; ++i) {
+            threads_.emplace_back(
+                [this, seen = generation_](std::stop_token stop) {
+                    workerLoop(stop, seen);
+                });
+        }
+    }
     {
         std::lock_guard lock(mutex_);
         body_ = &body;

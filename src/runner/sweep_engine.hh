@@ -12,13 +12,15 @@
  * no memo (distinct designs almost never repeat a point) and no pool
  * hand-off (waking workers costs more than the batch).
  *
- * The pool serves work whose points are whole DRAM simulations
- * (`calib::calibrateMultiMc`, sharded multi-MC runs). Its results are
+ * The pool serves work whose points are whole, independent DRAM
+ * simulations (`calib::calibrateMultiMc`). Its results are
  * bit-identical to serial execution: point ordering is deterministic
  * and each point writes only its own result slot. Pool sizing:
  * `std::thread::hardware_concurrency()` by default, overridable with
  * the `PCCS_JOBS` environment variable. `PCCS_JOBS=1` disables the
- * pool entirely (pure serial fallback).
+ * pool entirely (pure serial fallback). Workers start on the first
+ * parallel batch, so processes that only evaluate SoC points (the
+ * server, most benches) never spawn them.
  */
 
 #ifndef PCCS_RUNNER_SWEEP_ENGINE_HH
@@ -65,19 +67,25 @@ struct EvalPoint
 /**
  * A fixed-size pool of `std::jthread` workers executing indexed loop
  * bodies. One batch runs at a time; `run()` blocks until the batch
- * completes and the calling thread participates in the work.
+ * completes and the calling thread participates in the work. The
+ * threads are spawned by the first `run()` that has more than one
+ * index, so a process that never fans out carries no idle workers.
  */
 class ThreadPool
 {
   public:
-    /** Spawn `workers` threads (0 = no pool; run() executes inline). */
+    /** Size the pool at `workers` threads (0 = run() executes inline). */
     explicit ThreadPool(unsigned workers);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    /** @return number of pool threads (excluding the caller). */
+    /**
+     * @return number of pool threads spawned so far (excluding the
+     * caller): 0 until the first parallel run(), the pool size after.
+     * Not synchronized with a run() in progress on another thread.
+     */
     unsigned workers() const
     {
         return static_cast<unsigned>(threads_.size());
@@ -95,9 +103,11 @@ class ThreadPool
              const std::function<void(std::size_t)> &body);
 
   private:
-    void workerLoop(const std::stop_token &stop);
+    /** @param seen the batch generation current at spawn time */
+    void workerLoop(const std::stop_token &stop, std::uint64_t seen);
 
-    std::mutex batchMutex_; ///< serializes concurrent run() callers
+    unsigned size_;
+    std::mutex batchMutex_; ///< serializes run() callers and spawning
     std::mutex mutex_;
     std::condition_variable_any cvWork_;
     std::condition_variable cvDone_;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "calib/calibrator.hh"
+#include "runner/sweep_engine.hh"
 
 namespace pccs::calib {
 namespace {
@@ -173,23 +174,31 @@ TEST(CalibrateMultiMc, ShapeAndSaneValues)
 
 TEST(CalibrateMultiMc, RunModesAgreeBitExactly)
 {
-    // The sweep is a pure function of the spec: every run mode (and
-    // the serial-points sharded path) must produce the identical
-    // matrix, doubles included.
+    // The sweep is a pure function of the spec: every run mode, on a
+    // serial engine or a pool, must produce the identical matrix,
+    // doubles included.
+    runner::SweepEngine serial(1);
+    runner::SweepEngine pool(4);
     McSweepSpec spec = smallMcSpec();
     spec.runMode = dram::McRunMode::Lockstep;
-    const CalibrationMatrix ref = calibrateMultiMc(spec);
-    for (dram::McRunMode mode : {dram::McRunMode::EventDriven,
-                                 dram::McRunMode::Sharded}) {
-        SCOPED_TRACE(dram::mcRunModeName(mode));
-        spec.runMode = mode;
-        const CalibrationMatrix got = calibrateMultiMc(spec);
-        ASSERT_EQ(got.numKernels(), ref.numKernels());
-        ASSERT_EQ(got.numExternal(), ref.numExternal());
-        for (std::size_t i = 0; i < ref.numKernels(); ++i) {
-            EXPECT_EQ(got.standaloneBw[i], ref.standaloneBw[i]);
-            for (std::size_t j = 0; j < ref.numExternal(); ++j)
-                EXPECT_EQ(got.rela[i][j], ref.rela[i][j]);
+    const CalibrationMatrix ref = calibrateMultiMc(spec, &serial);
+    for (dram::McRunMode mode : {dram::McRunMode::Lockstep,
+                                 dram::McRunMode::EventDriven}) {
+        for (runner::SweepEngine *eng : {&serial, &pool}) {
+            if (mode == dram::McRunMode::Lockstep && eng == &serial)
+                continue; // the reference itself
+            SCOPED_TRACE(testing::Message()
+                         << dram::mcRunModeName(mode)
+                         << " jobs=" << eng->jobs());
+            spec.runMode = mode;
+            const CalibrationMatrix got = calibrateMultiMc(spec, eng);
+            ASSERT_EQ(got.numKernels(), ref.numKernels());
+            ASSERT_EQ(got.numExternal(), ref.numExternal());
+            for (std::size_t i = 0; i < ref.numKernels(); ++i) {
+                EXPECT_EQ(got.standaloneBw[i], ref.standaloneBw[i]);
+                for (std::size_t j = 0; j < ref.numExternal(); ++j)
+                    EXPECT_EQ(got.rela[i][j], ref.rela[i][j]);
+            }
         }
     }
 }

@@ -170,10 +170,8 @@ TEST(MultiMc, PartitionedDisjointSlicesZeroMutualSlowdown)
     // not a queue, not a bank, not a data bus — so the slowdown is
     // exactly zero, not merely small. Every per-source observable
     // must be bit-identical between the solo and co-run simulations,
-    // in every run mode (this is also what licenses the whole-run
-    // independent-shard parallel path).
-    for (McRunMode mode : {McRunMode::Lockstep, McRunMode::EventDriven,
-                           McRunMode::Sharded}) {
+    // in both run modes.
+    for (McRunMode mode : {McRunMode::Lockstep, McRunMode::EventDriven}) {
         SCOPED_TRACE(mcRunModeName(mode));
         auto run = [&](bool with_other, unsigned keep_source,
                        std::uint64_t &issued, std::uint64_t &completed,

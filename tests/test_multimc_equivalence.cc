@@ -10,14 +10,16 @@
  *     behavior-preserving in absolute terms for every mode, not
  *     merely self-consistent.
  *
- *  2. Cross-mode equivalence: lockstep, event-driven, and sharded
- *     runs of the same system must agree on every per-controller
- *     stat, every per-source counter, and the exact achieved-
- *     bandwidth doubles — across every registered scheduling policy,
- *     both mappings, and controller counts that exercise both sharded
- *     sub-paths (4 MCs: clean range partition -> whole-run
- *     independent shards; 3 MCs: source 21 straddles an MC boundary
- *     -> one-cycle epoch barriers; LineInterleaved: always epoch).
+ *  2. Cross-mode equivalence: lockstep and event-driven runs of the
+ *     same system must agree on every per-controller stat, every
+ *     per-source counter, and the exact achieved-bandwidth doubles —
+ *     across every registered scheduling policy, both mappings, and
+ *     controller counts {2, 3, 4}. Under RangePartitioned, 4 MCs give
+ *     every source a slice on one controller, while at 3 MCs source
+ *     21's slice straddles a boundary, so one source is served (and
+ *     woken) by two controllers whose completions can land in the
+ *     same cycle; 2 MCs pair sources per controller. LineInterleaved
+ *     spreads every source over every controller.
  *
  * Set PCCS_POLICY_FILTER=name[,name...] to restrict the policy axis —
  * CI uses this to fan each policy out to its own job.
@@ -73,7 +75,7 @@ testPolicies()
  *
  * Source ids are spread over the address space so that slices are
  * clean at 4 controllers but straddle boundaries at 3 (64/3 is not
- * integral), pinning both sharded sub-paths.
+ * integral).
  */
 std::unique_ptr<MultiMcSystem>
 buildSystem(std::string_view policy, unsigned mcs, McMapping mapping,
@@ -127,8 +129,7 @@ const McMapping kMappings[] = {McMapping::LineInterleaved,
                                McMapping::RangePartitioned};
 
 const McRunMode kModes[] = {McRunMode::Lockstep,
-                            McRunMode::EventDriven,
-                            McRunMode::Sharded};
+                            McRunMode::EventDriven};
 
 /** Compare every observable of two runs of the same configuration. */
 void
@@ -341,8 +342,6 @@ INSTANTIATE_TEST_SUITE_P(AllModes, GoldenPinning,
                                  return "Lockstep";
                                case McRunMode::EventDriven:
                                  return "EventDriven";
-                               case McRunMode::Sharded:
-                                 return "Sharded";
                              }
                              return "Unknown";
                          });
@@ -363,16 +362,11 @@ TEST(MultiMcEquivalence, CrossModeMatrix)
                                                scale, seed,
                                                McRunMode::Lockstep);
                         runWindow(*ref);
-                        for (McRunMode mode :
-                             {McRunMode::EventDriven,
-                              McRunMode::Sharded}) {
-                            SCOPED_TRACE(mcRunModeName(mode));
-                            auto fast = buildSystem(policy, mcs,
-                                                    mapping, scale,
-                                                    seed, mode);
-                            runWindow(*fast);
-                            expectIdentical(*ref, *fast);
-                        }
+                        auto fast = buildSystem(policy, mcs, mapping,
+                                                scale, seed,
+                                                McRunMode::EventDriven);
+                        runWindow(*fast);
+                        expectIdentical(*ref, *fast);
                     }
                 }
             }
@@ -384,7 +378,7 @@ TEST(MultiMcEquivalence, SchedulerTickEventsUnderQuietTraffic)
 {
     // Small quanta + low demand: ATLAS quantum folds, TCM shuffle
     // boundaries, and BLISS blacklist clears land inside long quiet
-    // stretches; the jumping modes must wake on the exact boundary
+    // stretches; the event-driven loop must wake on the exact boundary
     // cycles per controller.
     SchedulerParams sp;
     sp.quantum = 1700;
@@ -400,14 +394,10 @@ TEST(MultiMcEquivalence, SchedulerTickEventsUnderQuietTraffic)
                 auto ref = buildSystem(policy, 4, mapping, scale, 3,
                                        McRunMode::Lockstep, sp);
                 runWindow(*ref);
-                for (McRunMode mode :
-                     {McRunMode::EventDriven, McRunMode::Sharded}) {
-                    SCOPED_TRACE(mcRunModeName(mode));
-                    auto fast = buildSystem(policy, 4, mapping, scale,
-                                            3, mode, sp);
-                    runWindow(*fast);
-                    expectIdentical(*ref, *fast);
-                }
+                auto fast = buildSystem(policy, 4, mapping, scale, 3,
+                                        McRunMode::EventDriven, sp);
+                runWindow(*fast);
+                expectIdentical(*ref, *fast);
             }
         }
     }
@@ -416,8 +406,9 @@ TEST(MultiMcEquivalence, SchedulerTickEventsUnderQuietTraffic)
 TEST(MultiMcEquivalence, TinyRequestBuffersMatrix)
 {
     // Two MCs with only 2 or 4 request-buffer entries per channel and
-    // twelve sources demanding ~2.3x their combined peak: the fast
-    // modes leave blocked and MLP-limited sources unticked, and must
+    // twelve sources demanding ~2.3x their combined peak: the
+    // event-driven loop leaves blocked and MLP-limited sources
+    // unticked, and must
     // still match lockstep (which retries every blocked request every
     // cycle) bit for bit.
     for (const std::string &policy : testPolicies()) {
@@ -447,13 +438,9 @@ TEST(MultiMcEquivalence, TinyRequestBuffersMatrix)
                 };
                 auto ref = build(McRunMode::Lockstep);
                 runWindow(*ref);
-                for (McRunMode mode :
-                     {McRunMode::EventDriven, McRunMode::Sharded}) {
-                    SCOPED_TRACE(mcRunModeName(mode));
-                    auto fast = build(mode);
-                    runWindow(*fast);
-                    expectIdentical(*ref, *fast);
-                }
+                auto fast = build(McRunMode::EventDriven);
+                runWindow(*fast);
+                expectIdentical(*ref, *fast);
             }
         }
     }
@@ -463,7 +450,7 @@ TEST(MultiMcEquivalence, ModeSwitchMidRun)
 {
     // A system may flip modes between run() calls; state carried
     // across the switch (open rows, tokens, inflight, refresh phase,
-    // deferred-delivery bookkeeping) must line up bit-for-bit with a
+    // lazy-scan wake bounds) must line up bit-for-bit with a
     // single-mode run.
     for (McMapping mapping : kMappings) {
         SCOPED_TRACE(mcMappingName(mapping));
@@ -473,12 +460,10 @@ TEST(MultiMcEquivalence, ModeSwitchMidRun)
                                  1.0, 5, McRunMode::EventDriven);
         ref->run(9000);
         mixed->run(3000);
-        mixed->setRunMode(McRunMode::Sharded);
-        mixed->run(3000);
         mixed->setRunMode(McRunMode::Lockstep);
-        mixed->run(1500);
+        mixed->run(3000);
         mixed->setRunMode(McRunMode::EventDriven);
-        mixed->run(1500);
+        mixed->run(3000);
         expectIdentical(*ref, *mixed);
     }
 }

@@ -2,21 +2,18 @@
  * @file
  * Tests of the runner layer: the sweep engine's bit-equality with
  * direct simulator calls at any job count, its always-empty cache
- * view, the PCCS_JOBS fallback, and the RunResult artifact
- * rendering.
+ * view, the PCCS_JOBS fallback, the pool's start on first use, and
+ * the RunResult artifact rendering.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdlib>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "calib/calibrator.hh"
 #include "runner/run_spec.hh"
-#include "runner/spin_barrier.hh"
 #include "runner/sweep_engine.hh"
 #include "soc/simulator.hh"
 
@@ -149,6 +146,24 @@ TEST(SweepEngine, ParallelForCoversEveryIndexOnce)
         EXPECT_EQ(counts[i], 1) << "index " << i;
 }
 
+TEST(ThreadPool, SpawnsWorkersOnFirstParallelRun)
+{
+    runner::ThreadPool pool(3);
+    EXPECT_EQ(pool.workers(), 0u);
+    int single = 0;
+    pool.run(1, [&](std::size_t) { ++single; }); // inline, no spawn
+    EXPECT_EQ(single, 1);
+    EXPECT_EQ(pool.workers(), 0u);
+    // Two batches: the first spawns, the second reuses the workers.
+    for (int batch = 0; batch < 2; ++batch) {
+        std::vector<int> counts(101, 0);
+        pool.run(counts.size(), [&](std::size_t i) { ++counts[i]; });
+        EXPECT_EQ(pool.workers(), 3u);
+        for (std::size_t i = 0; i < counts.size(); ++i)
+            EXPECT_EQ(counts[i], 1) << "batch " << batch << " index " << i;
+    }
+}
+
 TEST(RunResult, JsonContainsSpecSeriesAndTables)
 {
     runner::RunResult r;
@@ -186,43 +201,4 @@ TEST(RunResult, JsonNumberIsRoundTrippableAndFiniteSafe)
     EXPECT_EQ(runner::jsonNumber(
                   std::numeric_limits<double>::quiet_NaN()),
               "null");
-}
-
-TEST(SpinBarrier, RendezvousMakesWritesVisibleAcrossPhases)
-{
-    // N threads repeatedly: write their slot, cross the barrier, and
-    // check every other slot carries the current phase. Any missed
-    // rendezvous or stale read trips the expectations; the phase
-    // counter also proves the barrier is reusable back-to-back.
-    constexpr unsigned kParties = 4;
-    constexpr unsigned kPhases = 2000;
-    runner::SpinBarrier barrier(kParties);
-    std::vector<unsigned> slots(kParties, 0);
-    std::atomic<unsigned> mismatches{0};
-    {
-        std::vector<std::jthread> threads;
-        for (unsigned t = 0; t < kParties; ++t) {
-            threads.emplace_back([&, t] {
-                for (unsigned phase = 1; phase <= kPhases; ++phase) {
-                    slots[t] = phase;
-                    barrier.arriveAndWait();
-                    for (unsigned o = 0; o < kParties; ++o) {
-                        if (slots[o] != phase)
-                            mismatches.fetch_add(1);
-                    }
-                    barrier.arriveAndWait();
-                }
-            });
-        }
-    }
-    EXPECT_EQ(mismatches.load(), 0u);
-    EXPECT_EQ(barrier.parties(), kParties);
-}
-
-TEST(SpinBarrier, SinglePartyNeverBlocks)
-{
-    runner::SpinBarrier barrier(1);
-    for (int i = 0; i < 100; ++i)
-        barrier.arriveAndWait();
-    SUCCEED();
 }

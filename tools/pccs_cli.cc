@@ -47,12 +47,12 @@
  * --jobs N caps the sweep engine's worker threads, which run DRAM
  * calibration points (equivalent to setting PCCS_JOBS=N);
  * --dram-reference selects the per-cycle reference DRAM loops
- * (single-MC reference core + multi-MC lockstep); --mc-parallel
- * selects the sharded-parallel multi-MC run mode (PCCS_MC_SHARDS
- * sizes the worker team).
+ * (single-MC reference core + multi-MC lockstep).
  */
 
+#include <bit>
 #include <cctype>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -128,6 +128,23 @@ requireDouble(const ArgMap &args, const std::string &key)
     } catch (const std::exception &) {
         fatal("option --%s needs a number", key.c_str());
     }
+}
+
+/** --key as a whole number in [lo, hi]; anything else is fatal. */
+unsigned
+requireUnsigned(const ArgMap &args, const std::string &key, unsigned lo,
+                unsigned hi)
+{
+    const std::string &text = require(args, key);
+    unsigned value = 0;
+    const char *end = text.data() + text.size();
+    // Unsigned from_chars takes digits only: no sign, no whitespace.
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+        fatal("option --%s needs a whole number in [%u, %u], got '%s'",
+              key.c_str(), lo, hi, text.c_str());
+    }
+    return value;
 }
 
 soc::SocConfig
@@ -577,11 +594,13 @@ cmdMultimc(const ArgMap &args)
 {
     calib::McSweepSpec spec;
     if (args.count("mcs"))
-        spec.numMcs =
-            static_cast<unsigned>(std::atoi(args.at("mcs").c_str()));
-    if (args.count("channels"))
-        spec.perMcConfig.channels = static_cast<unsigned>(
-            std::atoi(args.at("channels").c_str()));
+        spec.numMcs = requireUnsigned(args, "mcs", 1, 64);
+    if (args.count("channels")) {
+        spec.perMcConfig.channels = requireUnsigned(args, "channels", 1, 64);
+        if (!std::has_single_bit(spec.perMcConfig.channels))
+            fatal("--channels must be a power of two, got %u",
+                  spec.perMcConfig.channels);
+    }
     spec.perMcConfig.requestBufferEntries =
         64 * spec.perMcConfig.channels;
     if (args.count("mapping")) {
@@ -599,11 +618,9 @@ cmdMultimc(const ArgMap &args)
         spec.policy = dram::schedulerFromName(args.at("policy")).name;
     }
     if (args.count("kernels"))
-        spec.numKernels = static_cast<unsigned>(
-            std::atoi(args.at("kernels").c_str()));
+        spec.numKernels = requireUnsigned(args, "kernels", 2, 64);
     if (args.count("external"))
-        spec.numExternal = static_cast<unsigned>(
-            std::atoi(args.at("external").c_str()));
+        spec.numExternal = requireUnsigned(args, "external", 1, 64);
 
     std::printf("multi-MC calibration sweep: %u MC x %u ch, %s, %s, "
                 "%s run mode\n\n",
@@ -652,11 +669,9 @@ cmdSchedule(const ArgMap &args)
     if (args.count("margin"))
         opts.safetyMargin = requireDouble(args, "margin");
     if (args.count("capacity"))
-        opts.puCapacity = static_cast<std::size_t>(
-            std::atoi(args.at("capacity").c_str()));
+        opts.puCapacity = requireUnsigned(args, "capacity", 1, 1024);
     if (args.count("grid-steps"))
-        opts.gridSteps = static_cast<unsigned>(
-            std::atoi(args.at("grid-steps").c_str()));
+        opts.gridSteps = requireUnsigned(args, "grid-steps", 1, 4096);
 
     // The arrival trace: `submit BENCH SLO [cpu|gpu|dla|any]` and
     // `complete N` (N indexes the admission-ordered job list,
@@ -868,11 +883,7 @@ usage(std::FILE *to)
         "  --dram-reference   per-cycle reference DRAM loops "
         "(PCCS_DRAM_REFERENCE=1):\n"
         "                     the single-MC reference core and the "
-        "multi-MC lockstep loop\n"
-        "  --mc-parallel      sharded-parallel multi-MC run mode "
-        "(PCCS_MC_SHARDS sizes\n"
-        "                     the worker team; bit-exact vs the "
-        "default event-driven loop)\n");
+        "multi-MC lockstep loop\n");
 }
 
 } // namespace
@@ -880,15 +891,13 @@ usage(std::FILE *to)
 int
 main(int argc, char **argv)
 {
-    // Strip the value-less global run-mode flags before parseArgs
+    // Strip the value-less global run-mode flag before parseArgs
     // (which pairs every --option with a value).
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--dram-reference") == 0) {
             dram::setDefaultDramRunMode(dram::DramRunMode::Reference);
             dram::setDefaultMcRunMode(dram::McRunMode::Lockstep);
-        } else if (std::strcmp(argv[i], "--mc-parallel") == 0) {
-            dram::setDefaultMcRunMode(dram::McRunMode::Sharded);
         } else {
             argv[kept++] = argv[i];
         }
