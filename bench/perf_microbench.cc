@@ -822,11 +822,12 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
     }
 
     /**
-     * Enforce a throughput floor on every saturated single-MC DRAM
-     * row that ran: the headline event-driven row plus each
-     * per-policy row (CI perf smoke; the floor binds on the whole
-     * registry, and `--policies` narrows the checked set along with
-     * the run set).
+     * Enforce a throughput floor on every saturated event-driven DRAM
+     * row that ran, single- and multi-MC: the 4- and 16-source
+     * headline rows, the multi-MC row, and each per-policy row (CI
+     * perf smoke; `--policies` narrows the per-policy set along with
+     * the run set). The per-cycle Reference and Lockstep rows are
+     * specifications, not fast paths, and are never floored.
      * @return true when at least one such row ran and all met the
      *         floor.
      */
@@ -836,12 +837,14 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
         bool ok = true;
         const Row *worst = nullptr;
         for (const Row &row : rows_) {
-            if (row.name.rfind("BM_DramCyclesSaturated4EventDriven",
-                               0) != 0 &&
-                row.name.rfind("BM_DramCyclesSaturatedPolicy/", 0) !=
-                    0) {
+            const bool saturated =
+                row.name.rfind("BM_DramCyclesSaturated", 0) == 0 ||
+                row.name.rfind("BM_MultiMcCyclesSaturated", 0) == 0;
+            const bool per_cycle =
+                row.name.find("Reference") != std::string::npos ||
+                row.name.find("Lockstep") != std::string::npos;
+            if (!saturated || per_cycle)
                 continue;
-            }
             found = true;
             if (!worst || row.itemsPerSecond < worst->itemsPerSecond)
                 worst = &row;

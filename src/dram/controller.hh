@@ -2,20 +2,23 @@
  * @file
  * The DRAM memory controller: per-channel request queues, bank state
  * machines, command issue (ACT/PRE/CAS) under DDR timing constraints,
- * and a pluggable scheduling policy.
+ * and a pluggable scheduling policy (the per-policy evaluate-and-issue
+ * path lives in dram/policy_controller.hh).
  */
 
 #ifndef PCCS_DRAM_CONTROLLER_HH
 #define PCCS_DRAM_CONTROLLER_HH
 
+#include <algorithm>
 #include <array>
-#include <deque>
 #include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/logging.hh"
 #include "dram/address_map.hh"
 #include "dram/bank.hh"
 #include "dram/config.hh"
@@ -75,14 +78,21 @@ struct ControllerStats
  *
  * Usage: enqueue() line-sized requests; call tick() once per bus cycle;
  * completed requests are reported through the completion callback.
+ *
+ * This base holds the state every policy shares (channels, queues,
+ * in-flight CASes, refresh cadence, statistics). The evaluate-and-issue
+ * path is PolicyController<P> (dram/policy_controller.hh), compiled
+ * once per registered policy type P; construct a controller through
+ * makeController(), which looks the policy up in the registry.
  */
 class MemoryController : public MemoryPort
 {
   public:
     using CompletionCallback = std::function<void(const Request &)>;
 
-    MemoryController(const DramConfig &cfg,
-                     std::unique_ptr<Scheduler> scheduler);
+    ~MemoryController() override = default;
+    MemoryController(const MemoryController &) = delete;
+    MemoryController &operator=(const MemoryController &) = delete;
 
     /**
      * Enqueue a request. Its id is assigned only on acceptance, so a
@@ -91,7 +101,7 @@ class MemoryController : public MemoryPort
      *         must retry later; this is the request-buffer backpressure)
      */
     bool enqueue(unsigned source, Addr addr, bool is_write,
-                 Cycles now) override;
+                 Cycles now) override = 0;
 
     /** The queue of the channel `addr` decodes to. */
     const RequestQueue &requestQueue(Addr addr) const override
@@ -117,7 +127,7 @@ class MemoryController : public MemoryPort
      *         controller, bank, or scheduler state, which is what lets
      *         the event-driven core skip ahead (see nextEventCycle()).
      */
-    bool tick(Cycles now);
+    virtual bool tick(Cycles now) = 0;
 
     /**
      * Earliest cycle >= now + 1 at which tick() could do anything,
@@ -129,7 +139,10 @@ class MemoryController : public MemoryPort
      * *later* than the first active cycle. kNoEvent when the
      * controller is fully idle.
      */
-    Cycles nextEventCycle(Cycles now) const;
+    virtual Cycles nextEventCycle(Cycles now) const = 0;
+
+    /** The policy instance this controller schedules with. */
+    virtual Scheduler &scheduler() = 0;
 
     /**
      * Enable/disable the event-driven evaluation: woken channels are
@@ -168,6 +181,12 @@ class MemoryController : public MemoryPort
         return {q.begin(), q.end()};
     }
 
+    /** One channel's request queue (debug/tests). */
+    const RequestQueue &channelQueue(unsigned channel) const
+    {
+        return queues_[channel];
+    }
+
     /**
      * Banks of `channel` whose open row has queued requests, as a
      * bitmask (incrementally maintained by the queue's per-bank hit
@@ -196,7 +215,6 @@ class MemoryController : public MemoryPort
 
     const DramConfig &config() const { return cfg_; }
     const AddressMapper &mapper() const { return mapper_; }
-    Scheduler &scheduler() { return *scheduler_; }
 
     /**
      * Effective bandwidth over an interval: bytes transferred during
@@ -204,70 +222,51 @@ class MemoryController : public MemoryPort
      */
     double effectiveBandwidthFraction(Cycles cycles) const;
 
-  private:
-    enum class RefreshOutcome
-    {
-        NotDue,     ///< no refresh work; normal scheduling proceeds
-        Busy,       ///< channel consumed by refresh, nothing changed
-        Progressed, ///< channel consumed and a PRE/refresh was issued
-    };
+  protected:
+    explicit MemoryController(const DramConfig &cfg);
 
-    /**
-     * Run the refresh prologue, then evaluate the channel.
-     * @return true when a command (ACT/PRE/CAS) was issued or refresh
-     *         progressed.
-     * When `wake` is non-null (event-driven lazy scan), the channel is
-     * decided by the fast issue engine and `*wake` receives a
-     * conservative lower bound on its next interesting cycle; with a
-     * null `wake` (reference core) it is decided by the materialized
-     * pick().
-     */
-    bool scheduleChannel(unsigned ch, Cycles now, Cycles *wake = nullptr);
-    /**
-     * The reference evaluation: gather the full QueueEntryView list,
-     * call pick(), issue. The executable specification the fast engine
-     * is verified against.
-     */
-    bool scheduleChannelSlow(unsigned ch, Cycles now);
-    /**
-     * The mask-based fast issue engine (bank-mask and source-mask
-     * evaluation over the queue's candidate lists via fastPick());
-     * sets `wake` to the channel's next interesting cycle.
-     */
-    bool scheduleChannelFast(unsigned ch, Cycles now, Cycles &wake);
-    /**
-     * Issue the chosen command (CAS for a hit, else PRE/ACT) and apply
-     * every side effect: bank/bus timing, stats, scheduler
-     * notification, hit-list maintenance, dequeue. Shared by the
-     * reference and fast evaluations so they cannot drift.
-     */
-    void issueCommand(unsigned ch, int slot, bool row_hit, Cycles now);
-
-    /** The command kinds, for the post-issue wake. */
-    enum class Command
+    /** Record an issued CAS (completion order == push order). */
+    void pushInflight(const Request &req)
     {
-        Cas,
-        Pre,
-        Act,
-    };
-    /**
-     * The fast engine's post-issue wake: the first cycle >= now + 1 at
-     * which any candidate class can issue, given the pre-issue view
-     * `v`, its not-yet-legal bound `future`, and the command `cmd`
-     * just issued on bank `b`.
-     */
-    Cycles issuedWake(unsigned ch, unsigned b, Command cmd,
-                      const FastIssueView &v, Cycles future,
-                      Cycles now) const;
-    /**
-     * Earliest cycle at which any queued candidate of bank `b` of
-     * channel `ch` could have its next command issued (kNoEvent when
-     * the bank is empty or holds only masked conflict PREs).
-     */
-    Cycles bankIssueBound(unsigned ch, unsigned b) const;
+        PCCS_ASSERT(inflightSize_ < inflight_.size(),
+                    "in-flight ring overflow (%zu CASes)", inflightSize_);
+        PCCS_ASSERT(inflightSize_ == 0 ||
+                        inflight_[(inflightHead_ + inflightSize_ - 1) &
+                                  inflightMask_]
+                                .completion <= req.completion,
+                    "CAS completions must be pushed in order");
+        inflight_[(inflightHead_ + inflightSize_) & inflightMask_] = req;
+        ++inflightSize_;
+    }
+
+    /** Completion cycle of the oldest in-flight CAS, or kNoEvent. */
+    Cycles nextCompletion() const
+    {
+        return inflightSize_ ? inflight_[inflightHead_].completion
+                             : kNoEvent;
+    }
+
     /** @return true when at least one completion drained. */
-    bool drainCompletions(Cycles now);
-    RefreshOutcome handleRefresh(unsigned ch, Cycles now);
+    bool drainCompletions(Cycles now)
+    {
+        // Requests completing on the same cycle are delivered in issue
+        // order; no observer depends on that order (delivery only
+        // decrements outstanding counts and adds to sums).
+        if (nextCompletion() > now)
+            return false;
+        do {
+            const Request req = inflight_[inflightHead_];
+            inflightHead_ = (inflightHead_ + 1) & inflightMask_;
+            --inflightSize_;
+            stats_.totalLatency += req.completion - req.arrival;
+            ++stats_.completed;
+            ++stats_.completedPerSource[req.source];
+            if (onComplete_)
+                onComplete_(req);
+        } while (nextCompletion() <= now);
+        return true;
+    }
+
     /**
      * Refresh-drain cursor shared by handleRefresh and
      * channelNextEvent (the two bank scans this helper replaced with
@@ -277,26 +276,19 @@ class MemoryController : public MemoryPort
      * earliest cycle >= now its PRE is legal (== now when it can
      * issue immediately).
      */
-    int firstReadyBank(unsigned ch, Cycles now, Cycles *pre_at) const;
-    /**
-     * Earliest cycle >= now + 1 at which channel `ch` (which must have
-     * queued requests) could issue a command or make refresh progress,
-     * in O(occupied banks) over the queue's bank masks.
-     */
-    Cycles channelNextEvent(unsigned ch, Cycles now) const;
+    int firstReadyBank(unsigned ch, Cycles now, Cycles *pre_at) const
+    {
+        const ChannelTiming &timing = channels_[ch];
+        const int b = timing.firstOpenBank();
+        if (b >= 0 && pre_at)
+            *pre_at = std::max(timing.bank(b).nextPrechargeAt(), now);
+        return b;
+    }
 
     DramConfig cfg_;
     AddressMapper mapper_;
-    std::unique_ptr<Scheduler> scheduler_;
     std::vector<ChannelTiming> channels_;
     std::vector<RequestQueue> queues_;
-    /**
-     * Issued CASes awaiting completion, oldest first. Every CAS, read
-     * or write, completes a fixed tCL + tBURST after it issues, and
-     * commands issue in cycle order, so requests arrive here in
-     * non-decreasing completion order and a FIFO drains them on time.
-     */
-    std::deque<Request> inflight_;
     ControllerStats stats_;
     CompletionCallback onComplete_;
     std::uint64_t nextId_ = 1;
@@ -318,7 +310,32 @@ class MemoryController : public MemoryPort
     bool lazyChannels_ = false;
     std::uint64_t channelEvaluations_ = 0;
     std::uint64_t issuedCommands_ = 0;
+
+  private:
+    /**
+     * Issued CASes awaiting completion, oldest first, in a ring of
+     * fixed power-of-two size. Every CAS, read or write, completes a
+     * fixed tCL + tBURST after it issues, and commands issue in cycle
+     * order, so requests arrive in non-decreasing completion order and
+     * a FIFO drains them on time. A tick drains every completion due
+     * before it can issue, and a channel issues at most one command
+     * per cycle, so at most channels * (tCL + tBURST) CASes are ever
+     * in flight: the ring is sized to that bound at construction and
+     * never grows.
+     */
+    std::vector<Request> inflight_;
+    std::size_t inflightMask_ = 0;
+    std::size_t inflightHead_ = 0;
+    std::size_t inflightSize_ = 0;
 };
+
+/**
+ * Build a controller running the registered policy `policy` (name or
+ * alias, case-insensitive; unknown names are a fatal user error).
+ */
+std::unique_ptr<MemoryController>
+makeController(const DramConfig &cfg, std::string_view policy,
+               const SchedulerParams &params = {});
 
 } // namespace pccs::dram
 

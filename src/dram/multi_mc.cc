@@ -30,8 +30,7 @@ MultiMcSystem::MultiMcSystem(const DramConfig &per_mc_cfg,
 {
     PCCS_ASSERT(num_mcs >= 1, "need at least one controller");
     for (unsigned m = 0; m < num_mcs; ++m) {
-        mcs_.push_back(std::make_unique<MemoryController>(
-            perMcCfg_, makeScheduler(policy, sched_params)));
+        mcs_.push_back(makeController(perMcCfg_, policy, sched_params));
         mcs_.back()->setCompletionCallback(
             [this](const Request &req) { deliver(req); });
     }

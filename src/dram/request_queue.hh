@@ -50,6 +50,14 @@
  *
  * All three layers are maintained on the same four events (enqueue,
  * CAS dequeue, PRE, ACT); nothing is derived by scanning the queue.
+ *
+ * The source tier costs a FIFO link and up to three count updates per
+ * event, and FCFS, FR-FCFS and MEDUSA never read it. So the four
+ * mutators take it as a compile-time parameter (`kSourceTier`): the
+ * controller instantiated for a policy passes the policy's
+ * kUsesSourceTier, and a queue driven with `false` keeps its source
+ * tier empty (activeSourceMask() == 0, every source FIFO and mask
+ * empty). The default, `true`, maintains every layer.
  */
 
 #ifndef PCCS_DRAM_REQUEST_QUEUE_HH
@@ -106,6 +114,7 @@ class RequestQueue
      *        (links it onto the bank's read or write hit list)
      * @return the slot index holding it (stable until erase).
      */
+    template <bool kSourceTier = true>
     int push_back(const Request &req, bool row_hit)
     {
         PCCS_ASSERT(!full(), "push_back on a full request queue");
@@ -130,23 +139,26 @@ class RequestQueue
         bankLink(bl, s);
         occupiedMask_ |= std::uint64_t{1} << b;
 
-        PCCS_ASSERT(req.source < kMaxQueueSources,
-                    "source id %u out of range", req.source);
-        const unsigned src = req.source;
-        srcOf_[s] = static_cast<std::uint8_t>(src);
-        srcLink(sources_[src], s);
-        activeSourceMask_ |= std::uint64_t{1} << src;
-        if (srcBankCount_[src * numBanks_ + b]++ == 0)
-            srcOccupied_[src] |= std::uint64_t{1} << b;
+        if constexpr (kSourceTier) {
+            PCCS_ASSERT(req.source < kMaxQueueSources,
+                        "source id %u out of range", req.source);
+            const unsigned src = req.source;
+            srcOf_[s] = static_cast<std::uint8_t>(src);
+            srcLink(sources_[src], s);
+            activeSourceMask_ |= std::uint64_t{1} << src;
+            if (srcBankCount_[src * numBanks_ + b]++ == 0)
+                srcOccupied_[src] |= std::uint64_t{1} << b;
+        }
 
         if (row_hit)
-            hitLink(bl, s);
+            hitLink<kSourceTier>(bl, s);
         else
             inHit_[s] = 0;
         return s;
     }
 
     /** Remove slot `s`; the relative order of the rest is unchanged. */
+    template <bool kSourceTier = true>
     void erase(int s)
     {
         const int p = prev_[s];
@@ -170,31 +182,36 @@ class RequestQueue
         if (bl.count == 0)
             occupiedMask_ &= ~(std::uint64_t{1} << b);
         if (inHit_[s])
-            hitUnlink(bl, s);
+            hitUnlink<kSourceTier>(bl, s);
 
-        const unsigned src = srcOf_[s];
-        SourceList &sl = sources_[src];
-        srcUnlink(sl, s);
-        if (sl.count == 0)
-            activeSourceMask_ &= ~(std::uint64_t{1} << src);
-        if (--srcBankCount_[src * numBanks_ + b] == 0)
-            srcOccupied_[src] &= ~(std::uint64_t{1} << b);
+        if constexpr (kSourceTier) {
+            const unsigned src = srcOf_[s];
+            SourceList &sl = sources_[src];
+            srcUnlink(sl, s);
+            if (sl.count == 0)
+                activeSourceMask_ &= ~(std::uint64_t{1} << src);
+            if (--srcBankCount_[src * numBanks_ + b] == 0)
+                srcOccupied_[src] &= ~(std::uint64_t{1} << b);
+        }
     }
 
     /**
      * Drop bank `b`'s hit lists (its open row is being closed by a PRE
      * or refresh drain); the bank FIFO is untouched.
      */
+    template <bool kSourceTier = true>
     void clearHits(unsigned b)
     {
         BankLists &bl = banks_[b];
         for (int s = bl.hitHead[0]; s >= 0; s = hitNext_[s]) {
             inHit_[s] = 0;
-            srcHitDrop(s);
+            if constexpr (kSourceTier)
+                srcHitDrop(s);
         }
         for (int s = bl.hitHead[1]; s >= 0; s = hitNext_[s]) {
             inHit_[s] = 0;
-            srcHitDrop(s);
+            if constexpr (kSourceTier)
+                srcHitDrop(s);
         }
         bl.hitHead[0] = bl.hitHead[1] = -1;
         bl.hitTail[0] = bl.hitTail[1] = -1;
@@ -207,13 +224,14 @@ class RequestQueue
      * queued request of the bank targeting `row` becomes a hit, in
      * arrival order (a walk of the bank FIFO, not the whole queue).
      */
+    template <bool kSourceTier = true>
     void rebuildHits(unsigned b, std::uint32_t row)
     {
-        clearHits(b);
+        clearHits<kSourceTier>(b);
         BankLists &bl = banks_[b];
         for (int s = bl.head; s >= 0; s = bankNext_[s]) {
             if (rowOf_[s] == row)
-                hitLink(bl, s);
+                hitLink<kSourceTier>(bl, s);
         }
     }
 
@@ -246,9 +264,6 @@ class RequestQueue
     unsigned bankCount(unsigned b) const { return banks_[b].count; }
     /** Next slot of the same bank in arrival order, or -1. */
     int bankNext(int s) const { return bankNext_[s]; }
-
-    /** Source id of the request in slot `s`. */
-    unsigned source(int s) const { return srcOf_[s]; }
 
     /** Sources with at least one queued request, one bit per source. */
     std::uint64_t activeSourceMask() const { return activeSourceMask_; }
@@ -371,6 +386,7 @@ class RequestQueue
         --bl.count;
     }
 
+    template <bool kSourceTier>
     void hitLink(BankLists &bl, int s)
     {
         const unsigned rw = writeOf_[s];
@@ -384,9 +400,11 @@ class RequestQueue
         ++bl.hitCount[rw];
         inHit_[s] = 1;
         hitMask_ |= std::uint64_t{1} << bankOf_[s];
-        srcHitAdd(s);
+        if constexpr (kSourceTier)
+            srcHitAdd(s);
     }
 
+    template <bool kSourceTier>
     void hitUnlink(BankLists &bl, int s)
     {
         const unsigned rw = writeOf_[s];
@@ -404,7 +422,8 @@ class RequestQueue
         inHit_[s] = 0;
         if (bl.hitCount[0] + bl.hitCount[1] == 0)
             hitMask_ &= ~(std::uint64_t{1} << bankOf_[s]);
-        srcHitDrop(s);
+        if constexpr (kSourceTier)
+            srcHitDrop(s);
     }
 
     void srcLink(SourceList &sl, int s)

@@ -1,6 +1,7 @@
 #include "sched_atlas.hh"
 
 #include "common/logging.hh"
+#include "dram/policy_controller.hh"
 
 // Event-driven audit: pick() is stateless (reads attained-service
 // tables, mutates nothing, no RNG). Its `now`-dependent starvation
@@ -150,16 +151,7 @@ AtlasScheduler::fastPick(const FastIssueView &view, unsigned channel,
 void
 registerAtlasPolicy()
 {
-    registerSchedulerPolicy({
-        .name = "ATLAS",
-        .aliases = {},
-        .factory =
-            [](const SchedulerParams &p) {
-                return std::make_unique<AtlasScheduler>(p);
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = true,
-    });
+    registerPolicy<AtlasScheduler>("ATLAS");
 }
 
 } // namespace pccs::dram

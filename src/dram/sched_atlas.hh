@@ -21,9 +21,12 @@
 
 namespace pccs::dram {
 
-class AtlasScheduler : public Scheduler
+class AtlasScheduler final : public Scheduler
 {
   public:
+    static constexpr bool kNeedsTickEvents = true;
+    static constexpr bool kUsesSourceTier = true;
+
     explicit AtlasScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "ATLAS"; }

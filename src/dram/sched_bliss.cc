@@ -1,6 +1,7 @@
 #include "sched_bliss.hh"
 
 #include "common/logging.hh"
+#include "dram/policy_controller.hh"
 
 // Event-driven audit: pick() reads the blacklist and mutates nothing,
 // so every skipped no-issuable cycle is a pure no-op, and it is
@@ -109,16 +110,7 @@ BlissScheduler::fastPick(const FastIssueView &view, unsigned channel,
 void
 registerBlissPolicy()
 {
-    registerSchedulerPolicy({
-        .name = "BLISS",
-        .aliases = {},
-        .factory =
-            [](const SchedulerParams &p) {
-                return std::make_unique<BlissScheduler>(p);
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = true,
-    });
+    registerPolicy<BlissScheduler>("BLISS");
 }
 
 } // namespace pccs::dram

@@ -24,9 +24,12 @@
 
 namespace pccs::dram {
 
-class BlissScheduler : public Scheduler
+class BlissScheduler final : public Scheduler
 {
   public:
+    static constexpr bool kNeedsTickEvents = true;
+    static constexpr bool kUsesSourceTier = true;
+
     explicit BlissScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "BLISS"; }

@@ -3,6 +3,8 @@
 #include <array>
 #include <utility>
 
+#include "dram/policy_controller.hh"
+
 // Event-driven audit (FCFS and FR-FCFS): pick() is a pure function of
 // (entries, now) with no mutable state and no RNG, and tick() is the
 // default no-op, so skipping pick() calls on cycles where no entry is
@@ -117,26 +119,8 @@ FrFcfsScheduler::fastPick(const FastIssueView &view, unsigned channel,
 void
 registerFcfsPolicies()
 {
-    registerSchedulerPolicy({
-        .name = "FCFS",
-        .aliases = {},
-        .factory =
-            [](const SchedulerParams &) {
-                return std::make_unique<FcfsScheduler>();
-            },
-        .preservesRowHits = false,
-        .needsTickEvents = false,
-    });
-    registerSchedulerPolicy({
-        .name = "FR-FCFS",
-        .aliases = {"frfcfs"},
-        .factory =
-            [](const SchedulerParams &) {
-                return std::make_unique<FrFcfsScheduler>();
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = false,
-    });
+    registerPolicy<FcfsScheduler>("FCFS");
+    registerPolicy<FrFcfsScheduler>("FR-FCFS", {"frfcfs"});
 }
 
 } // namespace pccs::dram

@@ -16,14 +16,15 @@ namespace pccs::dram {
  * older miss, which is what collapses the row-buffer hit rate under
  * co-location (Table 3: 47.7% RBH vs FR-FCFS's 91.6%).
  */
-class FcfsScheduler : public Scheduler
+class FcfsScheduler final : public Scheduler
 {
   public:
+    static constexpr bool kPreservesRowHits = false;
     /** In-order issue window: only this many oldest requests compete. */
     static constexpr int window = 16;
 
     const char *name() const override { return "FCFS"; }
-    bool preservesRowHits() const override { return false; }
+    bool preservesRowHits() const override { return kPreservesRowHits; }
     int pick(unsigned channel, std::span<const QueueEntryView> entries,
              Cycles now) override;
     int fastPick(const FastIssueView &view, unsigned channel,
@@ -36,7 +37,7 @@ class FcfsScheduler : public Scheduler
  * rate and bandwidth but has no fairness control, so memory-intensive
  * sources can starve others.
  */
-class FrFcfsScheduler : public Scheduler
+class FrFcfsScheduler final : public Scheduler
 {
   public:
     const char *name() const override { return "FR-FCFS"; }

@@ -1,5 +1,7 @@
 #include "sched_medusa.hh"
 
+#include "dram/policy_controller.hh"
+
 // Event-driven audit: pick() is a pure function of (entries, state) —
 // it reads the per-channel turn mask and mutates nothing, consumes no
 // RNG, and ignores `now` — so skipped no-issuable cycles are pure
@@ -120,16 +122,7 @@ MedusaScheduler::fastPick(const FastIssueView &view, unsigned channel,
 void
 registerMedusaPolicy()
 {
-    registerSchedulerPolicy({
-        .name = "MEDUSA",
-        .aliases = {},
-        .factory =
-            [](const SchedulerParams &p) {
-                return std::make_unique<MedusaScheduler>(p);
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = false,
-    });
+    registerPolicy<MedusaScheduler>("MEDUSA");
 }
 
 } // namespace pccs::dram

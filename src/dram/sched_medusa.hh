@@ -28,7 +28,7 @@
 
 namespace pccs::dram {
 
-class MedusaScheduler : public Scheduler
+class MedusaScheduler final : public Scheduler
 {
   public:
     explicit MedusaScheduler(const SchedulerParams &params);

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/logging.hh"
+#include "dram/policy_controller.hh"
 
 // Event-driven audit: PARBS's pick() mutates state (batch formation).
 // A new batch forms — the only mutation inside pick() — exactly when
@@ -236,16 +237,7 @@ ParbsScheduler::fastPick(const FastIssueView &view, unsigned channel,
 void
 registerParbsPolicy()
 {
-    registerSchedulerPolicy({
-        .name = "PARBS",
-        .aliases = {"par-bs"},
-        .factory =
-            [](const SchedulerParams &p) {
-                return std::make_unique<ParbsScheduler>(p);
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = false,
-    });
+    registerPolicy<ParbsScheduler>("PARBS", {"par-bs"});
 }
 
 } // namespace pccs::dram

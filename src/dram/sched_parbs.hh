@@ -38,9 +38,11 @@
 
 namespace pccs::dram {
 
-class ParbsScheduler : public Scheduler
+class ParbsScheduler final : public Scheduler
 {
   public:
+    static constexpr bool kUsesSourceTier = true;
+
     explicit ParbsScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "PARBS"; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "dram/policy_controller.hh"
 
 // Event-driven audit: SMS's pick() mutates state (batch bookkeeping)
 // and consumes RNG (batch selection), so the skipping contract needs
@@ -291,16 +292,7 @@ SmsScheduler::pickPending(unsigned channel, const RequestQueue &q) const
 void
 registerSmsPolicy()
 {
-    registerSchedulerPolicy({
-        .name = "SMS",
-        .aliases = {},
-        .factory =
-            [](const SchedulerParams &p) {
-                return std::make_unique<SmsScheduler>(p);
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = false,
-    });
+    registerPolicy<SmsScheduler>("SMS");
 }
 
 } // namespace pccs::dram

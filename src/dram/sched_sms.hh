@@ -23,9 +23,11 @@
 
 namespace pccs::dram {
 
-class SmsScheduler : public Scheduler
+class SmsScheduler final : public Scheduler
 {
   public:
+    static constexpr bool kUsesSourceTier = true;
+
     explicit SmsScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "SMS"; }

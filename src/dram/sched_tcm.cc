@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "dram/policy_controller.hh"
 
 // Event-driven audit: pick() reads cluster/rank tables and mutates
 // nothing, so skipped no-issuable cycles are pure no-ops, and it is
@@ -184,16 +185,7 @@ TcmScheduler::fastPick(const FastIssueView &view, unsigned channel,
 void
 registerTcmPolicy()
 {
-    registerSchedulerPolicy({
-        .name = "TCM",
-        .aliases = {},
-        .factory =
-            [](const SchedulerParams &p) {
-                return std::make_unique<TcmScheduler>(p);
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = true,
-    });
+    registerPolicy<TcmScheduler>("TCM");
 }
 
 } // namespace pccs::dram

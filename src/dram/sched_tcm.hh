@@ -23,9 +23,12 @@
 
 namespace pccs::dram {
 
-class TcmScheduler : public Scheduler
+class TcmScheduler final : public Scheduler
 {
   public:
+    static constexpr bool kNeedsTickEvents = true;
+    static constexpr bool kUsesSourceTier = true;
+
     explicit TcmScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "TCM"; }

@@ -84,8 +84,9 @@ registerSchedulerPolicy(PolicyInfo info)
 {
     if (!installingBuiltins())
         ensureBuiltins();
-    if (info.name.empty() || !info.factory)
-        fatal("scheduler policy registration needs a name and a factory");
+    if (info.name.empty() || !info.factory || !info.makeController)
+        fatal("scheduler policy registration needs a name and both "
+              "factories");
     for (const PolicyInfo &p : registry()) {
         if (lowered(p.name) == lowered(info.name)) {
             fatal("scheduler policy '%s' registered twice",

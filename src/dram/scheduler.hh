@@ -9,13 +9,19 @@
  * paper evaluates in Section 2.3 (Table 2) — FCFS, FR-FCFS, ATLAS,
  * TCM, SMS — plus the extension policies BLISS, PARBS, and MEDUSA.
  *
- * Adding a policy is a one-file affair: implement Scheduler in a new
- * sched_<name>.cc, describe it with a PolicyInfo, and register it (for
- * archive-linked builtins, through a register hook listed in
- * scheduler.cc's builtin table; external code can call
- * registerSchedulerPolicy() directly at any time before the first
- * lookup). Every consumer — systems, calibration, benches, the CLI,
- * the equivalence tests — enumerates schedulerNames() instead of a
+ * Adding a policy is a one-file affair: implement a `final` Scheduler
+ * subclass in a new sched_<name>.cc, set the compile-time constants it
+ * differs in (kPreservesRowHits, kNeedsTickEvents, kUsesSourceTier —
+ * see Scheduler), and register it with registerPolicy<P>(name,
+ * aliases) from dram/policy_controller.hh. That call compiles the
+ * controller's evaluate-and-issue path for P (PolicyController<P>,
+ * with direct calls into P and the request queues' per-source tier
+ * kept only when kUsesSourceTier) and derives the PolicyInfo
+ * capability flags from the constants. Archive-linked builtins call
+ * it from a register hook listed in scheduler.cc's builtin table;
+ * external code calls it directly at any time before the first lookup.
+ * Every consumer — systems, calibration, benches, the CLI, the
+ * equivalence tests — enumerates schedulerNames() instead of a
  * hard-coded list, so the new policy flows through all of them.
  */
 
@@ -321,10 +327,31 @@ fastPickOldestIssuable(const FastIssueView &v)
  * logically per-source (attained service, clusters, batches,
  * blacklists) is global, which mirrors how ATLAS coordinates across
  * memory controllers.
+ *
+ * The controller holds its policy as the concrete `final` type (see
+ * dram/policy_controller.hh), so the virtuals below are the interface
+ * for tests and tooling; the controller's calls bind statically. A
+ * policy states its capabilities as compile-time constants, shadowing
+ * the defaults here; the controller and the registry read only these.
  */
 class Scheduler
 {
   public:
+    /**
+     * Conflicting PREs are masked while the open row has pending hits
+     * (see preservesRowHits(); a policy that changes this overrides
+     * both).
+     */
+    static constexpr bool kPreservesRowHits = true;
+    /** nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */
+    static constexpr bool kNeedsTickEvents = false;
+    /**
+     * fastPick() or pickPending() read the queue's per-source tier
+     * (source FIFOs, per-source masks, FastIssueView's source-tier
+     * algebra). When false the controller's queues never maintain it.
+     */
+    static constexpr bool kUsesSourceTier = false;
+
     virtual ~Scheduler() = default;
 
     /** @return the policy's display name. */
@@ -468,11 +495,15 @@ struct SchedulerParams
     std::uint64_t seed = 0xC0FFEEull;
 };
 
+class MemoryController;
+struct DramConfig;
+
 /**
- * Descriptor of one registered scheduling policy.
+ * Descriptor of one registered scheduling policy, built by
+ * registerPolicy<P>() (dram/policy_controller.hh).
  *
- * The capability flags mirror the corresponding Scheduler virtuals so
- * tooling (`pccs policies`, CI matrices) can inspect a policy without
+ * The capability flags are P's compile-time constants, so tooling
+ * (`pccs policies`, CI matrices) can inspect a policy without
  * instantiating it; the registry self-check in tests asserts that the
  * descriptor and a fresh instance agree.
  */
@@ -488,6 +519,10 @@ struct PolicyInfo
     /** Factory over the shared parameter block. */
     std::function<std::unique_ptr<Scheduler>(const SchedulerParams &)>
         factory;
+    /** A controller compiled for this policy (PolicyController<P>). */
+    std::function<std::unique_ptr<MemoryController>(
+        const DramConfig &, const SchedulerParams &)>
+        makeController;
     /** Scheduler::preservesRowHits() of instances of this policy. */
     bool preservesRowHits = true;
     /** True when nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */
@@ -495,7 +530,8 @@ struct PolicyInfo
 };
 
 /**
- * Register a policy. Registration order defines enumeration order;
+ * Register a policy descriptor; registerPolicy<P>() builds it and is
+ * the way to call this. Registration order defines enumeration order;
  * re-registering an already-known canonical name (case-insensitively)
  * is a fatal user error. Builtin policies are installed first, in
  * Table-2 order followed by the extension policies, no matter how

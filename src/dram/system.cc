@@ -8,8 +8,7 @@ DramSystem::DramSystem(const DramConfig &cfg, std::string_view policy,
                        const SchedulerParams &sched_params,
                        DramRunMode mode)
     : mode_(mode),
-      controller_(std::make_unique<MemoryController>(
-          cfg, makeScheduler(policy, sched_params))),
+      controller_(makeController(cfg, policy, sched_params)),
       bySource_(Scheduler::maxSources, nullptr),
       replayBySource_(Scheduler::maxSources, nullptr)
 {

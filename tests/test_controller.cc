@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "dram/controller.hh"
@@ -17,10 +19,6 @@ namespace {
 class ControllerTest : public ::testing::Test
 {
   protected:
-    ControllerTest()
-        : ctrl(table1Config(), makeScheduler("FR-FCFS"))
-    {
-    }
 
     /** Run the controller for n cycles starting at `now`. */
     void run(Cycles n)
@@ -29,7 +27,9 @@ class ControllerTest : public ::testing::Test
             ctrl.tick(now++);
     }
 
-    MemoryController ctrl;
+    std::unique_ptr<MemoryController> owned =
+        makeController(table1Config(), "FR-FCFS");
+    MemoryController &ctrl = *owned;
     Cycles now = 0;
 };
 
@@ -199,6 +199,42 @@ TEST_F(ControllerTest, SourceLimitEnforced)
                  "source");
 }
 
+TEST(ControllerSourceTier, KeptOnlyForPoliciesThatReadIt)
+{
+    // The per-source FIFOs and masks are compiled into a policy's
+    // controller only when its fastPick() reads them: FCFS, FR-FCFS
+    // and MEDUSA never do, so their queues keep the tier empty under
+    // traffic, while the rank-ordered policies keep it populated.
+    const std::vector<std::string> without{"FCFS", "FR-FCFS", "MEDUSA"};
+    for (const std::string &name : schedulerNames()) {
+        SCOPED_TRACE(name);
+        auto ctrl = makeController(table1Config(), name);
+        Cycles now = 0;
+        unsigned accepted = 0;
+        for (unsigned i = 0; i < 96; ++i) {
+            const Addr a = (Addr{i} * 0x9E3779B1u) % ctrl->addressSpan();
+            accepted += ctrl->enqueue(i % 8, a & ~Addr{63}, i % 3 == 0,
+                                      now);
+        }
+        ASSERT_GT(accepted, 48u);
+        for (; now < 40; ++now)
+            ctrl->tick(now);
+        std::uint64_t sources = 0;
+        std::size_t queued = 0;
+        for (unsigned ch = 0; ch < ctrl->config().channels; ++ch) {
+            sources |= ctrl->channelQueue(ch).activeSourceMask();
+            queued += ctrl->channelQueue(ch).size();
+        }
+        ASSERT_GT(queued, 0u);
+        if (std::find(without.begin(), without.end(), name) !=
+            without.end()) {
+            EXPECT_EQ(sources, 0u);
+        } else {
+            EXPECT_NE(sources, 0u);
+        }
+    }
+}
+
 TEST(ControllerConfig, PeakBandwidthMatchesTable1)
 {
     EXPECT_NEAR(table1Config().peakBandwidth(), 102.4, 1e-9);
@@ -206,8 +242,8 @@ TEST(ControllerConfig, PeakBandwidthMatchesTable1)
 
 TEST(ControllerStatsPrint, Gem5StyleDump)
 {
-    MemoryController ctrl(table1Config(),
-                          makeScheduler("FR-FCFS"));
+    auto owned = makeController(table1Config(), "FR-FCFS");
+    MemoryController &ctrl = *owned;
     Cycles now = 0;
     ASSERT_TRUE(ctrl.enqueue(0, 0x0, false, now));
     for (; now < 300; ++now)

@@ -106,7 +106,8 @@ TEST(DramEvents, RunChunkingIsUnobservable)
 TEST(DramEvents, IdleControllerHasNoEvents)
 {
     DramConfig cfg = table1Config();
-    MemoryController mc(cfg, makeScheduler("FR-FCFS"));
+    auto owned = makeController(cfg, "FR-FCFS");
+    MemoryController &mc = *owned;
     EXPECT_FALSE(mc.tick(0));
     // No queued requests, nothing inflight, no scheduler tick events:
     // a fully idle controller never needs to wake.
@@ -121,7 +122,8 @@ TEST(DramEvents, SingleRequestWakesThroughActCasCompletion)
     // productive (the woken cycle is active) and tight against the
     // DDR timing parameters.
     DramConfig cfg = table1Config();
-    MemoryController mc(cfg, makeScheduler("FR-FCFS"));
+    auto owned = makeController(cfg, "FR-FCFS");
+    MemoryController &mc = *owned;
     ASSERT_TRUE(mc.enqueue(0, 0x40, false, 0));
     const DecodedAddr loc = mc.mapper().decode(0x40);
 

@@ -120,8 +120,8 @@ TEST(DramDrain, AllRequestsEventuallyComplete)
 {
     // Enqueue a burst of conflicting requests directly and tick until
     // the controller drains: nothing may get stuck.
-    MemoryController ctrl(table1Config(),
-                          makeScheduler("ATLAS"));
+    auto owned = makeController(table1Config(), "ATLAS");
+    MemoryController &ctrl = *owned;
     Rng rng(55);
     unsigned accepted = 0;
     std::uint64_t completed = 0;

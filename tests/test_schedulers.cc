@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/policy_controller.hh"
 #include "dram/sched_atlas.hh"
 #include "dram/sched_bliss.hh"
 #include "dram/sched_fcfs.hh"
@@ -21,6 +22,7 @@
 #include "dram/sched_sms.hh"
 #include "dram/sched_tcm.hh"
 #include "dram/scheduler.hh"
+#include "dram/system.hh"
 
 namespace pccs::dram {
 namespace {
@@ -146,17 +148,13 @@ TEST(SchedulerRegistryDeath, UnknownNameIsFatal)
 
 TEST(SchedulerRegistryDeath, DuplicateRegistrationIsFatal)
 {
-    PolicyInfo dup;
-    dup.name = "fcfs"; // collides case-insensitively with "FCFS"
-    dup.factory = [](const SchedulerParams &) {
-        return std::make_unique<FcfsScheduler>();
-    };
-    EXPECT_EXIT(registerSchedulerPolicy(std::move(dup)),
+    // "fcfs" collides case-insensitively with "FCFS".
+    EXPECT_EXIT(registerPolicy<FcfsScheduler>("fcfs"),
                 ::testing::ExitedWithCode(1), "registered twice");
 }
 
 /** A minimal external policy to prove third-party registration. */
-class RoundRobinTestScheduler : public Scheduler
+class RoundRobinTestScheduler final : public Scheduler
 {
   public:
     const char *name() const override { return "TEST-RR"; }
@@ -182,18 +180,17 @@ class RoundRobinTestScheduler : public Scheduler
     }
 };
 
+/** Register TEST-RR once per process (re-registering is fatal). */
+void
+ensureTestRr()
+{
+    if (!findSchedulerPolicy("TEST-RR"))
+        registerPolicy<RoundRobinTestScheduler>("TEST-RR", {"rr"});
+}
+
 TEST(SchedulerRegistry, ExternalRegistrationFlowsThroughLookup)
 {
-    registerSchedulerPolicy({
-        .name = "TEST-RR",
-        .aliases = {"rr"},
-        .factory =
-            [](const SchedulerParams &) {
-                return std::make_unique<RoundRobinTestScheduler>();
-            },
-        .preservesRowHits = true,
-        .needsTickEvents = false,
-    });
+    ensureTestRr();
     const PolicyInfo *info = findSchedulerPolicy("rr");
     ASSERT_NE(info, nullptr);
     EXPECT_EQ(info->name, "TEST-RR");
@@ -202,6 +199,50 @@ TEST(SchedulerRegistry, ExternalRegistrationFlowsThroughLookup)
     EXPECT_STREQ(sched->name(), "TEST-RR");
     const std::vector<std::string> names = schedulerNames();
     EXPECT_EQ(names.back(), "TEST-RR");
+}
+
+TEST(SchedulerRegistry, ExternalPolicyRunsBothLoopsIdentically)
+{
+    // The registry's controller factory compiles the external policy's
+    // evaluate-and-issue path too: the reference loop (pick() every
+    // cycle) and the event-driven loop (fastPick() on woken channels)
+    // run through it and must agree bit for bit.
+    ensureTestRr();
+    auto build = [](DramRunMode mode) {
+        auto sys = std::make_unique<DramSystem>(
+            table1Config(), "test-rr", SchedulerParams{}, mode);
+        for (unsigned src = 0; src < 6; ++src) {
+            TrafficParams p;
+            p.source = src;
+            p.demand = 12.0;
+            p.seed = 41 + src;
+            p.writeFraction = src % 2 ? 0.3 : 0.0;
+            sys->addGenerator(p);
+        }
+        return sys;
+    };
+    auto ref = build(DramRunMode::Reference);
+    auto evt = build(DramRunMode::EventDriven);
+    ref->run(6000);
+    evt->run(6000);
+    const ControllerStats &a = ref->controller().stats();
+    const ControllerStats &b = evt->controller().stats();
+    ASSERT_GT(a.completed, 0u);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.rowHits, b.rowHits);
+    EXPECT_EQ(a.rowMisses, b.rowMisses);
+    EXPECT_EQ(a.refreshes, b.refreshes);
+    EXPECT_EQ(a.bytesTransferred, b.bytesTransferred);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.totalLatency, b.totalLatency);
+    EXPECT_EQ(a.bytesPerSource, b.bytesPerSource);
+    EXPECT_EQ(a.completedPerSource, b.completedPerSource);
+    for (std::size_t g = 0; g < ref->numGenerators(); ++g) {
+        EXPECT_EQ(ref->generator(g).completedLines(),
+                  evt->generator(g).completedLines())
+            << "generator " << g;
+    }
 }
 
 TEST(Fcfs, PicksOldestWhenIssuable)

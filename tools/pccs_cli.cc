@@ -50,6 +50,7 @@
  * (single-MC reference core + multi-MC lockstep).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cctype>
 #include <charconv>
@@ -322,11 +323,8 @@ cmdSweep(const ArgMap &args)
             ? requireDouble(args, "max-external")
             : 0.73 * soc.memory.peakBandwidth;
     const unsigned steps =
-        args.count("steps")
-            ? static_cast<unsigned>(requireDouble(args, "steps"))
-            : 10;
-    if (steps == 0)
-        fatal("--steps must be at least 1");
+        args.count("steps") ? requireUnsigned(args, "steps", 1, 10000)
+                            : 10;
 
     std::vector<GBps> ladder;
     for (unsigned j = 1; j <= steps; ++j)
@@ -416,6 +414,18 @@ handleStopSignal(int)
 int
 cmdServe(const ArgMap &args)
 {
+    // Integer options first: a bad value fails before any model loads
+    // or any socket or thread exists.
+    serve::ServerOptions opts;
+    if (args.count("host"))
+        opts.host = args.at("host");
+    if (args.count("port"))
+        opts.port =
+            static_cast<std::uint16_t>(requireUnsigned(args, "port", 0,
+                                                       65535));
+    if (args.count("shards"))
+        opts.shards = requireUnsigned(args, "shards", 0, 64);
+
     serve::ModelRegistry registry;
 
     // --model NAME=FILE[,NAME=FILE...]: preload serialized models.
@@ -473,16 +483,6 @@ cmdServe(const ArgMap &args)
 
     serve::Metrics metrics;
     serve::Dispatcher dispatcher(registry, metrics);
-    serve::ServerOptions opts;
-    if (args.count("host"))
-        opts.host = args.at("host");
-    if (args.count("port"))
-        opts.port =
-            static_cast<std::uint16_t>(requireDouble(args, "port"));
-    if (args.count("shards"))
-        opts.shards =
-            static_cast<unsigned>(requireDouble(args, "shards"));
-
     serve::Server server(dispatcher, opts);
     std::string err;
     if (!server.start(&err))
@@ -511,7 +511,8 @@ cmdClient(const ArgMap &args)
     const std::string host =
         args.count("host") ? args.at("host") : "127.0.0.1";
     const std::uint16_t port =
-        static_cast<std::uint16_t>(requireDouble(args, "port"));
+        static_cast<std::uint16_t>(requireUnsigned(args, "port", 1,
+                                                   65535));
 
     serve::Json req;
     if (args.count("send")) {
@@ -804,11 +805,16 @@ cmdSchedule(const ArgMap &args)
     return 0;
 }
 
-/** One `pccs` subcommand: dispatch entry plus its usage synopsis. */
+/**
+ * One `pccs` subcommand: dispatch entry, the option keys it reads
+ * (without the leading "--"; --jobs is accepted everywhere), and its
+ * usage synopsis.
+ */
 struct Command
 {
     const char *name;
     int (*run)(const ArgMap &args);
+    std::vector<std::string> keys;
     const char *synopsis;
 };
 
@@ -819,45 +825,75 @@ struct Command
  */
 const Command kCommands[] = {
     {"calibrate", cmdCalibrate,
+     {"soc", "pu", "out"},
      "  pccs calibrate --soc S --pu P [--out FILE]\n"},
     {"predict", cmdPredict,
+     {"model", "soc", "pu", "demand", "external"},
      "  pccs predict   (--model FILE | --soc S --pu P) --demand X "
      "--external Y\n"},
     {"scale", cmdScale,
+     {"model", "ratio", "out"},
      "  pccs scale     --model FILE --ratio R [--out FILE]\n"},
     {"explore", cmdExplore,
+     {"soc", "pu", "bench", "external", "allowed"},
      "  pccs explore   --soc S --pu P --bench NAME --external Y "
      "--allowed PCT\n"},
     {"region", cmdRegion,
+     {"model", "soc", "pu", "demand"},
      "  pccs region    (--model FILE | --soc S --pu P) --demand X\n"},
     {"phases", cmdPhases,
+     {"trace", "model", "soc", "pu", "external"},
      "  pccs phases    --trace FILE (--model FILE | --soc S --pu P) "
      "--external Y\n"},
     {"sweep", cmdSweep,
+     {"soc", "pu", "bench", "max-external", "steps", "out"},
      "  pccs sweep     --soc S --pu P --bench NAME "
      "[--max-external Y]\n"
      "                 [--steps N] [--out DIR]\n"},
     {"schedule", cmdSchedule,
+     {"soc", "policy", "trace", "margin", "capacity", "grid-steps"},
      "  pccs schedule  [--soc S] "
      "[--policy strict|best-effort|fairness]\n"
      "                 [--trace FILE] [--margin F] [--capacity N] "
      "[--grid-steps N]\n"},
     {"serve", cmdServe,
+     {"host", "port", "shards", "model", "calibrate"},
      "  pccs serve     [--host H] [--port N] [--shards N] "
      "[--model NAME=FILE,...]\n"
      "                 [--calibrate SOC:PU,...]\n"},
     {"client", cmdClient,
+     {"port", "host", "send", "op", "model", "demand", "external",
+      "path"},
      "  pccs client    --port N [--host H] (--send JSON | --op OP "
      "[--model M]\n"
      "                 [--demand X] [--external Y] [--path FILE])\n"},
     {"multimc", cmdMultimc,
+     {"mcs", "channels", "mapping", "policy", "kernels", "external"},
      "  pccs multimc   [--mcs N] [--channels N] "
      "[--mapping interleaved|partitioned]\n"
      "                 [--policy NAME] [--kernels N] "
      "[--external N]\n"},
     {"policies", cmdPolicies,
+     {"format"},
      "  pccs policies  [--format names|table]\n"},
 };
+
+/** Any key `c` does not read is a fatal user error naming the valid ones. */
+void
+checkKeys(const Command &c, const ArgMap &args)
+{
+    for (const auto &[key, value] : args) {
+        (void)value;
+        if (key == "jobs" ||
+            std::find(c.keys.begin(), c.keys.end(), key) != c.keys.end())
+            continue;
+        std::string valid;
+        for (const std::string &k : c.keys)
+            valid += "--" + k + ", ";
+        fatal("unknown option --%s for '%s' (valid: %s--jobs)",
+              key.c_str(), c.name, valid.c_str());
+    }
+}
 
 void
 usage(std::FILE *to)
@@ -917,13 +953,16 @@ main(int argc, char **argv)
         return 0;
     }
     const ArgMap args = parseArgs(argc, argv, 2);
-    if (args.count("jobs")) {
-        // Must land before the first SweepEngine::global() call.
-        setenv("PCCS_JOBS", args.at("jobs").c_str(), 1);
-    }
-    for (const Command &c : kCommands)
-        if (cmd == c.name)
+    for (const Command &c : kCommands) {
+        if (cmd == c.name) {
+            checkKeys(c, args);
+            if (args.count("jobs")) {
+                // Must land before the first SweepEngine::global() call.
+                setenv("PCCS_JOBS", args.at("jobs").c_str(), 1);
+            }
             return c.run(args);
+        }
+    }
     usage(stderr);
     fatal("unknown command '%s'", cmd.c_str());
 }
