@@ -701,10 +701,40 @@ multiMcCyclesSaturatedPolicy(benchmark::State &state,
 }
 
 /**
- * Register the per-policy saturated rows, restricted to `filter` when
- * non-empty (entries already validated against the registry). Called
- * from main() after benchmark::Initialize so each row is named after
- * its policy rather than a registry index.
+ * Raw policy-decision cost on a synthetic 32-entry queue: one
+ * reference-loop decision per iteration — the prepare() state step,
+ * the key argmax pick(), then commit().
+ */
+void
+schedulerPick(benchmark::State &state, const std::string &policy)
+{
+    auto sched = dram::makeScheduler(policy);
+    dram::RequestQueue queue(32, 8);
+    std::vector<dram::QueueEntryView> entries;
+    for (unsigned i = 0; i < 32; ++i) {
+        dram::Request r;
+        r.id = i;
+        r.source = i % 16;
+        r.arrival = i;
+        r.loc.row = i / 4;
+        const int s = queue.push_back(r, false);
+        entries.push_back({&queue.slot(s), (i % 3) != 0, (i % 2) == 0});
+    }
+    for (auto _ : state) {
+        sched->prepare(0, queue, 1000);
+        const int idx = sched->pick(0, entries, 1000);
+        sched->commit(
+            0, idx < 0 ? nullptr : entries[static_cast<std::size_t>(idx)].req,
+            true);
+        benchmark::DoNotOptimize(idx);
+    }
+}
+
+/**
+ * Register the per-policy saturated and decision rows, restricted to
+ * `filter` when non-empty (entries already validated against the
+ * registry). Called from main() after benchmark::Initialize so each
+ * row is named after its policy rather than a registry index.
  */
 void
 registerPerPolicyBenchmarks(const std::vector<std::string> &filter)
@@ -728,39 +758,11 @@ registerPerPolicyBenchmarks(const std::vector<std::string> &filter)
                 multiMcCyclesSaturatedPolicy(st, name);
             })
             ->Unit(benchmark::kMillisecond);
+        benchmark::RegisterBenchmark(
+            ("BM_SchedulerPick/" + name).c_str(),
+            [name](benchmark::State &st) { schedulerPick(st, name); });
     }
 }
-
-void
-BM_SchedulerPick(benchmark::State &state)
-{
-    // Raw policy-decision cost on a synthetic 32-entry queue. The
-    // argument indexes the registry, so new registrations are
-    // benchmarked automatically.
-    const auto &policies = dram::schedulerPolicies();
-    const auto &info =
-        policies[static_cast<std::size_t>(state.range(0))];
-    state.SetLabel(info.name);
-    auto sched = info.factory(dram::SchedulerParams{});
-    std::vector<dram::Request> reqs(32);
-    std::vector<dram::QueueEntryView> entries(32);
-    for (unsigned i = 0; i < 32; ++i) {
-        reqs[i].id = i;
-        reqs[i].source = i % 16;
-        reqs[i].arrival = i;
-        reqs[i].loc.row = i / 4;
-        entries[i] = {&reqs[i], (i % 3) != 0, (i % 2) == 0};
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(sched->pick(0, entries, 1000));
-}
-BENCHMARK(BM_SchedulerPick)
-    ->Apply([](benchmark::internal::Benchmark *b) {
-        const auto n = static_cast<long>(
-            dram::schedulerPolicies().size());
-        b->DenseRange(0, n - 1);
-    })
-    ->ArgNames({"policy"});
 
 /** A 64-point sweep batch (8 kernels x 8 external-BW steps). */
 std::vector<runner::EvalPoint>

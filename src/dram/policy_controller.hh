@@ -5,18 +5,21 @@
  * instantiates it.
  *
  * PolicyController<P> owns its policy by value. P is a `final`
- * Scheduler subclass, so every call the hot path makes into it —
- * pickPending, fastPick, pick, onEnqueue, onService, tick,
- * nextTickEvent — binds statically and can inline; a policy that
- * keeps a base default (FR-FCFS's tick(), pickPending(), onService())
- * compiles to nothing. P's constants pick the rest at compile time:
- * kPreservesRowHits masks conflict PREs, and kUsesSourceTier decides
- * whether the request queues keep their per-source layer at all.
+ * KeyedScheduler<P>, so every call the hot path makes into it —
+ * pickPending, prepare, fastPick, pick, commit, onEnqueue, onService,
+ * tick, nextTickEvent — binds statically and can inline; a policy
+ * that keeps a base default (FR-FCFS's tick(), pickPending(), state
+ * steps, onService()) compiles to nothing. P's constants pick the
+ * rest at compile time: kPreservesRowHits masks conflict PREs, and
+ * kUsesSourceTier decides whether the request queues keep their
+ * per-source layer at all.
  *
  * There is one instantiation per policy and no runtime choice between
  * paths: the reference loop (materialized pick() every cycle) and the
  * event-driven loop (fastPick() on woken channels) are two evaluations
  * inside the same instantiation, selected by setLazyChannelScan().
+ * Both run a decision the same way: the policy's prepare() state
+ * step, the pure choice, then its commit() state step.
  *
  * Include this header only where a policy is registered (its
  * sched_*.cc, or a test's own policy): each includer compiles the
@@ -58,8 +61,9 @@ constructPolicy(const SchedulerParams &params)
 template <class P>
 class PolicyController final : public MemoryController
 {
-    static_assert(std::is_base_of_v<Scheduler, P> && std::is_final_v<P>,
-                  "a policy is a final Scheduler subclass");
+    static_assert(std::is_base_of_v<KeyedScheduler<P>, P> &&
+                      std::is_final_v<P>,
+                  "a policy is a final KeyedScheduler<P> subclass");
 
   public:
     PolicyController(const DramConfig &cfg, const SchedulerParams &params)
@@ -104,8 +108,8 @@ class PolicyController final : public MemoryController
     bool scheduleChannel(unsigned ch, Cycles now, Cycles *wake);
     /**
      * The reference evaluation: gather the full QueueEntryView list,
-     * call pick(), issue. The executable specification the fast engine
-     * is verified against.
+     * run the decision (prepare(), pick(), commit()), issue. The
+     * executable specification the fast engine is verified against.
      */
     bool scheduleChannelSlow(unsigned ch, Cycles now);
     /**
@@ -304,6 +308,7 @@ PolicyController<P>::scheduleChannelSlow(unsigned ch, Cycles now)
     const Cycles rank_ready = timing.rankActivateReadyAt();
     const Cycles bus_ready_rd = timing.busReadyAt(false);
     const Cycles bus_ready_wr = timing.busReadyAt(true);
+    bool any_issuable = false;
     for (int s = queue.head(); s >= 0; s = queue.next(s)) {
         const Request &r = queue.slot(s);
         const Bank &bank = timing.bank(r.loc.bank);
@@ -325,6 +330,7 @@ PolicyController<P>::scheduleChannelSlow(unsigned ch, Cycles now)
             t = std::max(bank.nextActivateAt(), rank_ready);
         }
         e.issuable = t <= now;
+        any_issuable |= e.issuable;
         scratchEntries_.push_back(e);
         scratchSlots_.push_back(s);
     }
@@ -333,7 +339,10 @@ PolicyController<P>::scheduleChannelSlow(unsigned ch, Cycles now)
     PCCS_ASSERT(scratchReallocs_ == 0,
                 "scheduler-view gather reallocated mid-run");
 
+    policy_.prepare(ch, queue, now);
     const int idx = policy_.pick(ch, scratchEntries_, now);
+    policy_.commit(ch, idx >= 0 ? scratchEntries_[idx].req : nullptr,
+                   any_issuable);
     if (idx < 0)
         return false;
     PCCS_ASSERT(static_cast<std::size_t>(idx) < scratchEntries_.size() &&
@@ -482,7 +491,6 @@ PolicyController<P>::scheduleChannelFast(unsigned ch, Cycles now,
     // earliest not-yet-legal bound `future` feed the wake.
     FastIssueView v;
     v.queue = &queue;
-    v.numBanks = cfg_.banksPerChannel;
     v.openRowMask = timing.openRowMask();
     const Cycles rank_ready = timing.rankActivateReadyAt();
     const Cycles bus_ready_rd = timing.busReadyAt(false);
@@ -534,11 +542,14 @@ PolicyController<P>::scheduleChannelFast(unsigned ch, Cycles now,
     }
 
     int slot = -1;
-    if ((v.hitBanks() | v.otherBanks()) ||
-        policy_.pickPending(ch, queue)) {
+    const bool any_issuable = (v.hitBanks() | v.otherBanks()) != 0;
+    if (any_issuable || policy_.pickPending(ch, queue)) {
+        policy_.prepare(ch, queue, now);
         slot = policy_.fastPick(v, ch, now);
         PCCS_ASSERT(slot < 0 || v.slotIssuable(slot),
                     "fast pick chose a non-issuable slot %d", slot);
+        policy_.commit(ch, slot >= 0 ? &queue.slot(slot) : nullptr,
+                       any_issuable);
     }
     if (slot < 0) {
         // A declined issuable set (FCFS's in-order window) is declined

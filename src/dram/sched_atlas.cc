@@ -3,25 +3,25 @@
 #include "common/logging.hh"
 #include "dram/policy_controller.hh"
 
-// Event-driven audit: pick() is stateless (reads attained-service
-// tables, mutates nothing, no RNG). Its `now`-dependent starvation
-// test can flip an *ordering* between two entries as time passes, but
-// on skipped cycles no entry is issuable, so pick() returns -1 under
-// either ordering; at the next wake the test is evaluated with the
-// true `now`, exactly as the reference loop would. It is
-// work-conserving (the best issuable entry always wins), so it never
-// declines an issuable set and keeps pickPending()'s default. tick()'s
-// quantum fold is the one time-triggered state change; it is exported
-// through nextTickEvent() so the event core wakes on the precise
-// boundary cycle.
+// Event-driven audit: ATLAS has no state steps — a decision reads the
+// attained-service tables, mutates nothing, and draws no RNG. The
+// key's `now`-dependent starvation test can flip an *ordering*
+// between two entries as time passes, but on skipped cycles no entry
+// is issuable, so the choice is -1 under either ordering; at the next
+// wake the test is evaluated with the true `now`, exactly as the
+// reference loop would. The choice is work-conserving (the best
+// issuable entry always wins), so it never declines an issuable set
+// and keeps pickPending()'s default. tick()'s quantum fold is the one
+// time-triggered state change; it is exported through nextTickEvent()
+// so the event core wakes on the precise boundary cycle.
 //
-// Fast-pick audit: the comparator ladder is (starved, least attained
-// service, row hit, age). Starvation is per *entry*, but the queue's
-// arrival list is ordered by non-decreasing arrival, so the starved
-// entries are exactly a prefix of it; the starved tier walks that
-// prefix and applies the rest of the ladder to its issuable members
-// (ties to the lower serial, which is walk order). With no issuable
-// starved entry the ladder is a source tier followed by the shared
+// Fast-pick audit: the key is (starved, least attained service, row
+// hit, age). Starvation is per *entry*, but the queue's arrival list
+// is ordered by non-decreasing arrival, so the starved entries are
+// exactly a prefix of it; the starved tier walks that prefix and
+// applies the rest of the key to its issuable members (ties to the
+// lower serial, which is walk order). With no issuable starved entry
+// the key is a source tier followed by the shared
 // oldest-hit-else-oldest step, which the per-source masks express
 // exactly. An un-starved head costs one subtraction; under saturation
 // queue residence is far below the 20k-cycle default threshold.
@@ -59,45 +59,21 @@ AtlasScheduler::onService(const Request &req, Cycles now, unsigned bytes)
     quantumService_[req.source] += 1.0;
 }
 
-int
-AtlasScheduler::pick(unsigned channel,
-                     std::span<const QueueEntryView> entries, Cycles now)
+std::optional<std::tuple<bool, double, bool, Cycles>>
+AtlasScheduler::key(const QueueEntryView &e, unsigned channel,
+                    Cycles now) const
 {
     (void)channel;
-    int best = -1;
-    // Rank key, in decreasing priority: starved, least attained
-    // service, row hit, age.
-    auto better = [&](const QueueEntryView &a,
-                      const QueueEntryView &b) -> bool {
-        const bool a_starved =
-            now - a.req->arrival > params_.starvationThreshold;
-        const bool b_starved =
-            now - b.req->arrival > params_.starvationThreshold;
-        if (a_starved != b_starved)
-            return a_starved;
-        const double a_svc = totalService_[a.req->source] +
-                             quantumService_[a.req->source];
-        const double b_svc = totalService_[b.req->source] +
-                             quantumService_[b.req->source];
-        if (a_svc != b_svc)
-            return a_svc < b_svc;
-        if (a.rowHit != b.rowHit)
-            return a.rowHit;
-        return a.req->arrival < b.req->arrival;
-    };
-
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].issuable)
-            continue;
-        if (best < 0 || better(entries[i], entries[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    const Request &r = *e.req;
+    const bool starved = now - r.arrival > params_.starvationThreshold;
+    return std::tuple{!starved,
+                      totalService_[r.source] + quantumService_[r.source],
+                      !e.rowHit, r.arrival};
 }
 
 int
 AtlasScheduler::fastPick(const FastIssueView &view, unsigned channel,
-                         Cycles now)
+                         Cycles now) const
 {
     (void)channel;
     // Starved tier: the starved entries are the arrival-ordered prefix

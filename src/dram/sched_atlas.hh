@@ -16,12 +16,14 @@
 #define PCCS_DRAM_SCHED_ATLAS_HH
 
 #include <array>
+#include <optional>
+#include <tuple>
 
 #include "dram/scheduler.hh"
 
 namespace pccs::dram {
 
-class AtlasScheduler final : public Scheduler
+class AtlasScheduler final : public KeyedScheduler<AtlasScheduler>
 {
   public:
     static constexpr bool kNeedsTickEvents = true;
@@ -33,10 +35,11 @@ class AtlasScheduler final : public Scheduler
     void tick(Cycles now) override;
     Cycles nextTickEvent() const override { return nextQuantum_; }
     void onService(const Request &req, Cycles now, unsigned bytes) override;
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
+    /** (!starved, attained service, !row hit, arrival). */
+    std::optional<std::tuple<bool, double, bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
     int fastPick(const FastIssueView &view, unsigned channel,
-                 Cycles now) override;
+                 Cycles now) const override;
 
     /** @return smoothed attained service of a source (for tests). */
     double attainedService(unsigned source) const

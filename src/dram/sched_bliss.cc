@@ -3,21 +3,22 @@
 #include "common/logging.hh"
 #include "dram/policy_controller.hh"
 
-// Event-driven audit: pick() reads the blacklist and mutates nothing,
-// so every skipped no-issuable cycle is a pure no-op, and it is
-// work-conserving (the best issuable entry always wins), so it never
-// declines an issuable set and keeps pickPending()'s default. The two
-// state mutators are onService() — driven by CAS issues, which both
-// cores process on identical cycles — and the periodic blacklist clear
-// in tick(). The clear is the one time-triggered change and is
-// exported through nextTickEvent(), so the event core wakes on the
-// precise boundary cycle and the `nextClear_ = now + interval` rearm
-// chain advances identically in both modes.
+// Event-driven audit: BLISS has no state steps — a decision reads the
+// blacklist and mutates nothing, so every skipped no-issuable cycle
+// is a pure no-op, and the choice is work-conserving (the best
+// issuable entry always wins), so it never declines an issuable set
+// and keeps pickPending()'s default. The two state mutators are
+// onService() — driven by CAS issues, which both cores process on
+// identical cycles — and the periodic blacklist clear in tick(). The
+// clear is the one time-triggered change and is exported through
+// nextTickEvent(), so the event core wakes on the precise boundary
+// cycle and the `nextClear_ = now + interval` rearm chain advances
+// identically in both modes.
 //
-// Fast-pick audit: the comparator is a two-tier source split
-// (non-blacklisted first) with the FR-FCFS step inside each tier.
-// With an empty blacklist — or every issuable source on one side of
-// it — the split vanishes and the decision is the shared bank-level
+// Fast-pick audit: the key is a two-tier source split (non-blacklisted
+// first) with the FR-FCFS step inside each tier. With an empty
+// blacklist — or every issuable source on one side of it — the split
+// vanishes and the decision is the shared bank-level
 // oldest-hit-else-oldest helper; otherwise the clean tier wins and
 // the per-source masks restrict the same helper to its members.
 namespace pccs::dram {
@@ -34,8 +35,6 @@ BlissScheduler::tick(Cycles now)
         return;
     // Periodic forgiveness: every source gets a clean slate, so a
     // blacklisted source is deprioritized for at most one interval.
-    blacklist_.fill(false);
-    blacklistCount_ = 0;
     blacklistMask_ = 0;
     lastSource_ = -1;
     streak_ = 0;
@@ -50,52 +49,31 @@ BlissScheduler::onService(const Request &req, Cycles now, unsigned bytes)
     PCCS_ASSERT(req.source < maxSources, "source id %u out of range",
                 req.source);
     if (static_cast<int>(req.source) == lastSource_) {
-        if (++streak_ >= params_.blissBlacklistThreshold &&
-            !blacklist_[req.source]) {
-            blacklist_[req.source] = true;
-            ++blacklistCount_;
+        if (++streak_ >= params_.blissBlacklistThreshold)
             blacklistMask_ |= std::uint64_t{1} << req.source;
-        }
     } else {
         lastSource_ = static_cast<int>(req.source);
         streak_ = 1;
     }
 }
 
-int
-BlissScheduler::pick(unsigned channel,
-                     std::span<const QueueEntryView> entries, Cycles now)
+std::optional<std::tuple<bool, bool, Cycles>>
+BlissScheduler::key(const QueueEntryView &e, unsigned channel,
+                    Cycles now) const
 {
     (void)channel;
     (void)now;
-    auto better = [&](const QueueEntryView &a,
-                      const QueueEntryView &b) -> bool {
-        const bool a_black = blacklist_[a.req->source];
-        const bool b_black = blacklist_[b.req->source];
-        if (a_black != b_black)
-            return !a_black;
-        if (a.rowHit != b.rowHit)
-            return a.rowHit;
-        return a.req->arrival < b.req->arrival;
-    };
-
-    int best = -1;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].issuable)
-            continue;
-        if (best < 0 || better(entries[i], entries[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    return std::tuple{blacklisted(e.req->source), !e.rowHit,
+                      e.req->arrival};
 }
 
 int
 BlissScheduler::fastPick(const FastIssueView &view, unsigned channel,
-                         Cycles now)
+                         Cycles now) const
 {
     (void)channel;
     (void)now;
-    if (blacklistCount_ == 0)
+    if (!blacklistMask_)
         return fastPickOldestHitElseOldest(view);
     const std::uint64_t issuable = view.issuableSourceMask();
     const std::uint64_t clean = issuable & ~blacklistMask_;

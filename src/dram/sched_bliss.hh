@@ -18,13 +18,15 @@
 #ifndef PCCS_DRAM_SCHED_BLISS_HH
 #define PCCS_DRAM_SCHED_BLISS_HH
 
-#include <array>
+#include <cstdint>
+#include <optional>
+#include <tuple>
 
 #include "dram/scheduler.hh"
 
 namespace pccs::dram {
 
-class BlissScheduler final : public Scheduler
+class BlissScheduler final : public KeyedScheduler<BlissScheduler>
 {
   public:
     static constexpr bool kNeedsTickEvents = true;
@@ -36,13 +38,17 @@ class BlissScheduler final : public Scheduler
     void tick(Cycles now) override;
     Cycles nextTickEvent() const override { return nextClear_; }
     void onService(const Request &req, Cycles now, unsigned bytes) override;
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
+    /** (blacklisted, !row hit, arrival). */
+    std::optional<std::tuple<bool, bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
     int fastPick(const FastIssueView &view, unsigned channel,
-                 Cycles now) override;
+                 Cycles now) const override;
 
     /** @return true if a source is currently blacklisted (for tests). */
-    bool blacklisted(unsigned source) const { return blacklist_[source]; }
+    bool blacklisted(unsigned source) const
+    {
+        return (blacklistMask_ >> source) & 1;
+    }
 
   private:
     SchedulerParams params_;
@@ -51,10 +57,6 @@ class BlissScheduler final : public Scheduler
     /** Length of the current consecutive-service streak. */
     unsigned streak_ = 0;
     /** One interference bit per source. */
-    std::array<bool, maxSources> blacklist_{};
-    /** Number of set bits in blacklist_ (fast-pick degeneracy check). */
-    unsigned blacklistCount_ = 0;
-    /** Bitmask mirror of blacklist_ (fast-pick tier filter). */
     std::uint64_t blacklistMask_ = 0;
     Cycles nextClear_;
 };

@@ -6,6 +6,11 @@
 #ifndef PCCS_DRAM_SCHED_FCFS_HH
 #define PCCS_DRAM_SCHED_FCFS_HH
 
+#include <cstdint>
+#include <optional>
+#include <tuple>
+#include <vector>
+
 #include "dram/scheduler.hh"
 
 namespace pccs::dram {
@@ -16,7 +21,7 @@ namespace pccs::dram {
  * older miss, which is what collapses the row-buffer hit rate under
  * co-location (Table 3: 47.7% RBH vs FR-FCFS's 91.6%).
  */
-class FcfsScheduler final : public Scheduler
+class FcfsScheduler final : public KeyedScheduler<FcfsScheduler>
 {
   public:
     static constexpr bool kPreservesRowHits = false;
@@ -24,11 +29,22 @@ class FcfsScheduler final : public Scheduler
     static constexpr int window = 16;
 
     const char *name() const override { return "FCFS"; }
-    bool preservesRowHits() const override { return kPreservesRowHits; }
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
-    int fastPick(const FastIssueView &view, unsigned channel,
+    /** Record which queued requests fall inside the window. */
+    void prepare(unsigned channel, const RequestQueue &q,
                  Cycles now) override;
+    /** (arrival); not eligible past the window. */
+    std::optional<Cycles> key(const QueueEntryView &e, unsigned channel,
+                              Cycles now) const;
+    int fastPick(const FastIssueView &view, unsigned channel,
+                 Cycles now) const override;
+
+  private:
+    /**
+     * Per channel, the id of the first queued request past the window
+     * (every request inside it has a smaller id); all ids pass on a
+     * channel no prepare() has seen.
+     */
+    std::vector<std::uint64_t> windowEnd_;
 };
 
 /**
@@ -37,14 +53,15 @@ class FcfsScheduler final : public Scheduler
  * rate and bandwidth but has no fairness control, so memory-intensive
  * sources can starve others.
  */
-class FrFcfsScheduler final : public Scheduler
+class FrFcfsScheduler final : public KeyedScheduler<FrFcfsScheduler>
 {
   public:
     const char *name() const override { return "FR-FCFS"; }
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
+    /** (!row hit, arrival). */
+    std::optional<std::tuple<bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
     int fastPick(const FastIssueView &view, unsigned channel,
-                 Cycles now) override;
+                 Cycles now) const override;
 };
 
 /** Register FCFS and FR-FCFS with the policy registry. */

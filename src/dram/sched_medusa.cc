@@ -2,20 +2,20 @@
 
 #include "dram/policy_controller.hh"
 
-// Event-driven audit: pick() is a pure function of (entries, state) —
-// it reads the per-channel turn mask and mutates nothing, consumes no
-// RNG, and ignores `now` — so skipped no-issuable cycles are pure
-// no-ops. It is work-conserving (every tier falls through to the
-// next, so some issuable entry always wins), so it never declines an
-// issuable set and keeps pickPending()'s default. The only state
-// mutation is the turn-mask rotation in onService(), which runs on
-// CAS-issue cycles; both cores process every CAS on identical cycles,
-// so the masks advance in lockstep. tick() is the default no-op and
+// Event-driven audit: MEDUSA has no state steps — a decision reads the
+// per-channel turn mask and mutates nothing, consumes no RNG, and
+// ignores `now` — so skipped no-issuable cycles are pure no-ops. The
+// choice is work-conserving (every tier falls through to the next, so
+// some issuable entry always wins), so it never declines an issuable
+// set and keeps pickPending()'s default. The only state mutation is
+// the turn-mask rotation in onService(), which runs on CAS-issue
+// cycles; both cores process every CAS on identical cycles, so the
+// masks advance in lockstep. tick() is the default no-op and
 // nextTickEvent() stays kNoEvent.
 //
-// Fast-pick audit: the comparator is a strict three-tier ladder keyed
-// only on the bank index, and within a tier it is exactly FR-FCFS, so
-// each tier maps onto a bank-filtered oldest-hit-else-oldest pass:
+// Fast-pick audit: the key is a strict three-tier ladder on the bank
+// index, and within a tier it is exactly FR-FCFS, so each tier maps
+// onto a bank-filtered oldest-hit-else-oldest pass:
 // tier 0 (reserved banks holding their turn) picks the lowest bank
 // index with any issuable candidate — hit preferred within the bank —
 // tier 1 restricts the helper to reserved & ~turns, tier 2 to
@@ -53,56 +53,30 @@ MedusaScheduler::onService(const Request &req, Cycles now, unsigned bytes)
         mask = reserved;
 }
 
-int
-MedusaScheduler::pick(unsigned channel,
-                      std::span<const QueueEntryView> entries, Cycles now)
+std::optional<std::tuple<unsigned, unsigned, bool, Cycles>>
+MedusaScheduler::key(const QueueEntryView &e, unsigned channel,
+                     Cycles now) const
 {
     (void)now;
-    const std::uint32_t reserved = params_.medusaReservedBankMask;
-    const std::uint32_t turns = channelMask(channel);
-
-    // Priority tier per entry: 0 = reserved bank holding its turn,
-    // 1 = reserved bank out of turn, 2 = non-reserved.
-    auto tier = [&](const QueueEntryView &e) -> int {
-        const std::uint32_t bit = std::uint32_t{1} << e.req->loc.bank;
-        if (!(bit & reserved))
-            return 2;
-        return (bit & turns) ? 0 : 1;
-    };
-
-    auto better = [&](const QueueEntryView &a,
-                      const QueueEntryView &b) -> bool {
-        const int ta = tier(a);
-        const int tb = tier(b);
-        if (ta != tb)
-            return ta < tb;
-        if (ta == 0 && a.req->loc.bank != b.req->loc.bank) {
-            // In-turn reserved banks are taken in bank order so the
-            // round-robin sequence is deterministic.
-            return a.req->loc.bank < b.req->loc.bank;
-        }
-        if (a.rowHit != b.rowHit)
-            return a.rowHit;
-        return a.req->arrival < b.req->arrival;
-    };
-
-    int best = -1;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].issuable)
-            continue;
-        if (best < 0 || better(entries[i], entries[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    // Tier 0 = reserved bank holding its turn, 1 = reserved bank out
+    // of turn, 2 = non-reserved. In-turn reserved banks are taken in
+    // bank order so the round-robin sequence is deterministic.
+    const unsigned bank = e.req->loc.bank;
+    const std::uint32_t bit = std::uint32_t{1} << bank;
+    const unsigned tier = !(bit & params_.medusaReservedBankMask) ? 2
+                          : (bit & turnMask(channel))             ? 0
+                                                                  : 1;
+    return std::tuple{tier, tier == 0 ? bank : 0u, !e.rowHit,
+                      e.req->arrival};
 }
 
 int
 MedusaScheduler::fastPick(const FastIssueView &view, unsigned channel,
-                          Cycles now)
+                          Cycles now) const
 {
     (void)now;
     const std::uint64_t reserved = params_.medusaReservedBankMask;
-    const std::uint64_t turns = channelMask(channel);
+    const std::uint64_t turns = turnMask(channel);
 
     // Tier 0: lowest-indexed in-turn reserved bank with an issuable
     // candidate; a hit in that bank beats its oldest non-hit.

@@ -22,23 +22,26 @@
 #define PCCS_DRAM_SCHED_MEDUSA_HH
 
 #include <cstdint>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "dram/scheduler.hh"
 
 namespace pccs::dram {
 
-class MedusaScheduler final : public Scheduler
+class MedusaScheduler final : public KeyedScheduler<MedusaScheduler>
 {
   public:
     explicit MedusaScheduler(const SchedulerParams &params);
 
     const char *name() const override { return "MEDUSA"; }
     void onService(const Request &req, Cycles now, unsigned bytes) override;
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
+    /** (tier, in-turn bank, !row hit, arrival). */
+    std::optional<std::tuple<unsigned, unsigned, bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
     int fastPick(const FastIssueView &view, unsigned channel,
-                 Cycles now) override;
+                 Cycles now) const override;
 
     /** @return reserved banks still holding a turn (for tests). */
     std::uint32_t turnMask(unsigned channel) const

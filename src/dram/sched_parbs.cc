@@ -4,34 +4,31 @@
 #include <bit>
 #include <numeric>
 
-#include "common/logging.hh"
 #include "dram/policy_controller.hh"
 
-// Event-driven audit: PARBS's pick() mutates state (batch formation).
-// A new batch forms — the only mutation inside pick() — exactly when
-// no marked request is visible in a non-empty queue snapshot, which
-// is what pickPending() reports, so the event core asks again on the
-// next cycle while it holds — precisely when the reference loop would
-// re-form. Otherwise the marked set is non-empty and pick() reads
-// state without touching it (and PARBS uses no RNG); it is
-// work-conserving (the best issuable entry always wins), so it never
-// declines an issuable set. Hence batch boundaries and rankings are
+// Event-driven audit: PARBS's one decision-time state change is batch
+// formation, in prepare(). A batch forms exactly when no marked
+// request is queued on a non-empty channel, which is what
+// pickPending() reports, so the event core decides again on the next
+// cycle while it holds — precisely when the reference loop would
+// re-form. Otherwise the marked set is non-empty and prepare() leaves
+// it alone (and PARBS uses no RNG); the choice is work-conserving
+// (the best issuable entry always wins), so it never declines an
+// issuable set. Hence batch boundaries and rankings are
 // cycle-for-cycle identical across the two cores.
 //
 // Fast-pick audit: marked requests leave the queue only through the
-// CAS that services them, so "any marked visible" is markedTotal > 0
-// and both paths re-form on identical cycles. A source's marked
-// requests are the prefix of its arrival FIFO below its id bound
-// (see sched_parbs.hh), so the marked tier reduces to: among the
-// sources with outstanding marked requests, the minimum-rank one
-// whose bounded prefix holds an issuable entry (ranks are a
-// permutation, so that source is unique — the first such source of
-// the batch's rank-ordered member list; within it the comparator is
-// row hit then age, i.e. the first issuable hit else the first
+// CAS that services them, so "any marked queued" is markedTotal > 0.
+// A source's marked requests are the prefix of its arrival FIFO below
+// its id bound (see sched_parbs.hh), so the key's marked tier reduces
+// to: among the sources with outstanding marked requests, the
+// minimum-rank one whose bounded prefix holds an issuable entry
+// (ranks are a permutation, so that source is unique — the first such
+// source of the batch's rank-ordered member list; within it the key
+// is row hit then age, i.e. the first issuable hit else the first
 // issuable slot of the prefix walk). When no marked entry is
-// issuable, every issuable entry is unmarked and the ladder
-// degenerates to FR-FCFS — the shared bank-level helper. fastPick()
-// performs the same formation mutation pick() would.
+// issuable, every issuable entry is unmarked and the key degenerates
+// to FR-FCFS — the shared bank-level helper.
 namespace pccs::dram {
 
 ParbsScheduler::ParbsScheduler(const SchedulerParams &params)
@@ -45,6 +42,13 @@ ParbsScheduler::channelState(unsigned channel)
     if (channel >= channels_.size())
         channels_.resize(channel + 1);
     return channels_[channel];
+}
+
+const ParbsScheduler::ChannelState &
+ParbsScheduler::state(unsigned channel) const
+{
+    static const ChannelState empty;
+    return channel < channels_.size() ? channels_[channel] : empty;
 }
 
 void
@@ -63,19 +67,40 @@ ParbsScheduler::onService(const Request &req, Cycles now, unsigned bytes)
 }
 
 void
-ParbsScheduler::finishBatch(ChannelState &st,
-                            const std::array<unsigned, maxSources> &take,
-                            const std::array<Cycles, maxSources> &oldest)
+ParbsScheduler::prepare(unsigned channel, const RequestQueue &q,
+                        Cycles now)
 {
-    st.markedLeft = take;
+    (void)now;
+    ChannelState &st = channelState(channel);
+    if (st.markedTotal != 0 || q.empty())
+        return;
+
+    // Batch formation: mark up to parbsBatchCap of each source's
+    // oldest requests — the front of its arrival FIFO — then rank the
+    // sources shortest-job first so light sources finish their batch
+    // quickly while each source's marked requests stay under one
+    // consistent ranking (the "parallelism-aware" part — its
+    // bank-level parallel accesses are not interleaved apart by rank
+    // churn).
+    std::array<unsigned, maxSources> take{};
+    std::array<Cycles, maxSources> oldest{};
+    st.markedBelow.fill(0);
     st.markedSources = 0;
     st.markedTotal = 0;
-    for (unsigned s = 0; s < maxSources; ++s) {
-        if (take[s]) {
-            st.markedSources |= std::uint64_t{1} << s;
-            st.markedTotal += take[s];
+    for (std::uint64_t m = q.activeSourceMask(); m; m &= m - 1) {
+        const unsigned src = static_cast<unsigned>(std::countr_zero(m));
+        int s = q.sourceHead(src);
+        oldest[src] = q.slot(s).arrival;
+        for (; s >= 0 && take[src] < params_.parbsBatchCap;
+             s = q.sourceNext(s)) {
+            ++take[src];
+            st.markedBelow[src] = q.serial(s) + 1;
         }
+        if (take[src])
+            st.markedSources |= std::uint64_t{1} << src;
+        st.markedTotal += take[src];
     }
+    st.markedLeft = take;
 
     std::array<unsigned, maxSources> order;
     std::iota(order.begin(), order.end(), 0u);
@@ -103,106 +128,30 @@ ParbsScheduler::finishBatch(ChannelState &st,
 bool
 ParbsScheduler::pickPending(unsigned channel, const RequestQueue &q) const
 {
-    const unsigned marked =
-        channel < channels_.size() ? channels_[channel].markedTotal : 0;
-    return marked == 0 && !q.empty();
+    return state(channel).markedTotal == 0 && !q.empty();
 }
 
-int
-ParbsScheduler::pick(unsigned channel,
-                     std::span<const QueueEntryView> entries, Cycles now)
+std::optional<std::tuple<bool, unsigned, bool, Cycles>>
+ParbsScheduler::key(const QueueEntryView &e, unsigned channel,
+                    Cycles now) const
 {
     (void)now;
-    ChannelState &st = channelState(channel);
-
-    if (st.markedTotal == 0 && !entries.empty()) {
-        // Batch formation: mark up to parbsBatchCap of each source's
-        // oldest requests, then rank the sources shortest-job first so
-        // light sources finish their batch quickly while each source's
-        // marked requests stay under one consistent ranking (the
-        // "parallelism-aware" part — its bank-level parallel accesses
-        // are not interleaved apart by rank churn). The entry span is
-        // walked in arrival order, so per source the first take seen
-        // are its oldest and the bound after the last marked one
-        // covers exactly them.
-        std::array<unsigned, maxSources> take{};
-        std::array<Cycles, maxSources> oldest{};
-        st.markedBelow.fill(0);
-        for (const auto &e : entries) {
-            PCCS_ASSERT(e.req->source < maxSources,
-                        "source id %u out of range", e.req->source);
-            const unsigned s = e.req->source;
-            if (take[s] == 0)
-                oldest[s] = e.req->arrival;
-            if (take[s] < params_.parbsBatchCap) {
-                ++take[s];
-                st.markedBelow[s] = e.req->id + 1;
-            }
-        }
-        finishBatch(st, take, oldest);
-    }
-
-    auto marked = [&](const Request &r) -> bool {
-        return r.id < st.markedBelow[r.source];
-    };
-    auto better = [&](const QueueEntryView &a,
-                      const QueueEntryView &b) -> bool {
-        const bool a_marked = marked(*a.req);
-        const bool b_marked = marked(*b.req);
-        if (a_marked != b_marked)
-            return a_marked;
-        if (a_marked) {
-            const unsigned ra = st.rank[a.req->source];
-            const unsigned rb = st.rank[b.req->source];
-            if (ra != rb)
-                return ra < rb;
-        }
-        if (a.rowHit != b.rowHit)
-            return a.rowHit;
-        return a.req->arrival < b.req->arrival;
-    };
-
-    int best = -1;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].issuable)
-            continue;
-        if (best < 0 || better(entries[i], entries[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    // Marked (current-batch) requests first, by their source's rank
+    // within the batch; then row hit, then age.
+    const ChannelState &st = state(channel);
+    const unsigned src = e.req->source;
+    const bool marked = e.req->id < st.markedBelow[src];
+    return std::tuple{!marked, marked ? st.rank[src] : 0u, !e.rowHit,
+                      e.req->arrival};
 }
 
 int
 ParbsScheduler::fastPick(const FastIssueView &view, unsigned channel,
-                         Cycles now)
+                         Cycles now) const
 {
     (void)now;
-    ChannelState &st = channelState(channel);
+    const ChannelState &st = state(channel);
     const RequestQueue &q = *view.queue;
-
-    if (st.markedTotal == 0 && !q.empty()) {
-        // The FIFO form of the formation walk above: a source's
-        // oldest take requests are the front of its arrival FIFO.
-        std::array<unsigned, maxSources> take{};
-        std::array<Cycles, maxSources> oldest{};
-        st.markedBelow.fill(0);
-        for (std::uint64_t m = q.activeSourceMask(); m; m &= m - 1) {
-            const unsigned src =
-                static_cast<unsigned>(std::countr_zero(m));
-            int s = q.sourceHead(src);
-            oldest[src] = q.slot(s).arrival;
-            unsigned n = 0;
-            std::uint64_t bound = 0;
-            for (; s >= 0 && n < params_.parbsBatchCap;
-                 s = q.sourceNext(s)) {
-                ++n;
-                bound = q.serial(s) + 1;
-            }
-            take[src] = n;
-            st.markedBelow[src] = bound;
-        }
-        finishBatch(st, take, oldest);
-    }
 
     // Marked tier: the first source in rank order with an issuable
     // marked entry; within it, the oldest issuable hit of the marked
@@ -230,7 +179,7 @@ ParbsScheduler::fastPick(const FastIssueView &view, unsigned channel,
     }
 
     // No marked entry is issuable: every issuable entry is unmarked
-    // and the ladder below the marked tier is plain FR-FCFS.
+    // and the key below the marked tier is plain FR-FCFS.
     return fastPickOldestHitElseOldest(view);
 }
 

@@ -23,7 +23,7 @@
  * unmarked, and services only shrink the prefix, so membership is the
  * O(1) test `id < markedBelow[source]` for the batch's whole
  * lifetime — no id set to hash into, and the same test serves the
- * materialized comparator and the fast path's FIFO-prefix walks.
+ * key and the fast path's FIFO-prefix walks.
  */
 
 #ifndef PCCS_DRAM_SCHED_PARBS_HH
@@ -32,13 +32,15 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "dram/scheduler.hh"
 
 namespace pccs::dram {
 
-class ParbsScheduler final : public Scheduler
+class ParbsScheduler final : public KeyedScheduler<ParbsScheduler>
 {
   public:
     static constexpr bool kUsesSourceTier = true;
@@ -50,16 +52,19 @@ class ParbsScheduler final : public Scheduler
     bool pickPending(unsigned channel,
                      const RequestQueue &q) const override;
     void onService(const Request &req, Cycles now, unsigned bytes) override;
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
-    int fastPick(const FastIssueView &view, unsigned channel,
+    /** Form a batch when one is due. */
+    void prepare(unsigned channel, const RequestQueue &q,
                  Cycles now) override;
+    /** (!marked, rank if marked, !row hit, arrival). */
+    std::optional<std::tuple<bool, unsigned, bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
+    int fastPick(const FastIssueView &view, unsigned channel,
+                 Cycles now) const override;
 
     /** @return marked requests outstanding on a channel (for tests). */
     std::size_t markedCount(unsigned channel) const
     {
-        return channel < channels_.size() ? channels_[channel].markedTotal
-                                          : 0;
+        return state(channel).markedTotal;
     }
 
   private:
@@ -83,16 +88,8 @@ class ParbsScheduler final : public Scheduler
     };
 
     ChannelState &channelState(unsigned channel);
-
-    /**
-     * Shared tail of batch formation: record the per-source marked
-     * counts, rebuild the marked bookkeeping, and rank the sources
-     * shortest-job first. `take`/`oldest` come from either formation
-     * walk (entry span or per-source FIFOs — both arrival-ordered).
-     */
-    void finishBatch(ChannelState &st,
-                     const std::array<unsigned, maxSources> &take,
-                     const std::array<Cycles, maxSources> &oldest);
+    /** Channel state; a channel never batched reads as empty. */
+    const ChannelState &state(unsigned channel) const;
 
     SchedulerParams params_;
     std::vector<ChannelState> channels_;

@@ -14,8 +14,9 @@
 #ifndef PCCS_DRAM_SCHED_SMS_HH
 #define PCCS_DRAM_SCHED_SMS_HH
 
-#include <array>
 #include <cstdint>
+#include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
@@ -23,7 +24,7 @@
 
 namespace pccs::dram {
 
-class SmsScheduler final : public Scheduler
+class SmsScheduler final : public KeyedScheduler<SmsScheduler>
 {
   public:
     static constexpr bool kUsesSourceTier = true;
@@ -39,10 +40,20 @@ class SmsScheduler final : public Scheduler
      */
     bool pickPending(unsigned channel,
                      const RequestQueue &q) const override;
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
-    int fastPick(const FastIssueView &view, unsigned channel,
+    /** Reselect the batch when one is due (the one RNG draw). */
+    void prepare(unsigned channel, const RequestQueue &q,
                  Cycles now) override;
+    /** Count a served batch request; record a reselection decline. */
+    void commit(unsigned channel, const Request *chosen,
+                bool any_issuable) override;
+    /**
+     * (!in batch, arrival); outside the batch not eligible on the
+     * decision that reselected it.
+     */
+    std::optional<std::tuple<bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
+    int fastPick(const FastIssueView &view, unsigned channel,
+                 Cycles now) const override;
 
   private:
     /** Per-channel batch-service state. */
@@ -56,15 +67,24 @@ class SmsScheduler final : public Scheduler
         unsigned remaining = 0;
         /** Round-robin pointer for (1-p) selections. */
         unsigned rrNext = 0;
+        /** The current decision reselected the batch. */
+        bool reselected = false;
         /**
-         * The last pick reselected, its owner could not issue, and
-         * another entry could: the next pick serves the oldest
+         * The last decision reselected, its owner could not issue,
+         * and another entry could: the next one serves the oldest
          * issuable entry.
          */
         bool declined = false;
+
+        bool inBatch(const Request &r) const
+        {
+            return static_cast<int>(r.source) == currentSource &&
+                   r.loc.row == batchRow;
+        }
     };
 
-    ChannelState &channelState(unsigned channel);
+    /** Channel state; a channel never prepared reads as idle. */
+    const ChannelState &state(unsigned channel) const;
 
     SchedulerParams params_;
     Rng rng_;

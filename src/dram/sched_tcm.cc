@@ -7,21 +7,21 @@
 #include "common/logging.hh"
 #include "dram/policy_controller.hh"
 
-// Event-driven audit: pick() reads cluster/rank tables and mutates
-// nothing, so skipped no-issuable cycles are pure no-ops, and it is
-// work-conserving (the best issuable entry always wins), so it never
-// declines an issuable set and keeps pickPending()'s default. Both
-// time-triggered updates (the recluster quantum and the rank shuffle)
-// live in tick() and are exported through nextTickEvent(), so the
-// event core wakes on exactly the reference cycles and the
-// `nextQuantum_/nextShuffle_ = now + interval` rearm chains advance
-// identically in both modes.
+// Event-driven audit: TCM has no state steps — a decision reads the
+// cluster/rank tables and mutates nothing, so skipped no-issuable
+// cycles are pure no-ops, and the choice is work-conserving (the best
+// issuable entry always wins), so it never declines an issuable set
+// and keeps pickPending()'s default. Both time-triggered updates (the
+// recluster quantum and the rank shuffle) live in tick() and are
+// exported through nextTickEvent(), so the event core wakes on
+// exactly the reference cycles and the `nextQuantum_/nextShuffle_ =
+// now + interval` rearm chains advance identically in both modes.
 //
-// Fast-pick audit: the comparator is two source tiers with the
-// FR-FCFS step inside each. The latency cluster is a set (no ranks
-// inside it), expressed as one bitmask rebuilt on recluster; the
-// bandwidth cluster is ranked by a permutation, so its winner is the
-// unique minimum-rank issuable source.
+// Fast-pick audit: the key is two source tiers with the FR-FCFS step
+// inside each. The latency cluster is a set (no ranks inside it),
+// one bitmask rebuilt on recluster; the bandwidth cluster is ranked
+// by a permutation, so its winner is the unique minimum-rank issuable
+// source.
 namespace pccs::dram {
 
 TcmScheduler::TcmScheduler(const SchedulerParams &params)
@@ -29,10 +29,6 @@ TcmScheduler::TcmScheduler(const SchedulerParams &params)
       nextQuantum_(params.quantum),
       nextShuffle_(params.tcmShuffleInterval)
 {
-    // Until the first quantum completes, treat everyone as
-    // latency-sensitive (no information yet).
-    latencyCluster_.fill(true);
-    latencyMask_ = ~std::uint64_t{0};
     for (unsigned s = 0; s < maxSources; ++s)
         rank_[s] = s;
 }
@@ -71,25 +67,20 @@ TcmScheduler::recluster()
         total += intensity_[s];
     const double budget = params_.tcmClusterFraction * total;
 
-    latencyCluster_.fill(false);
+    latencyMask_ = 0;
     double used = 0.0;
     for (unsigned s : order) {
+        const std::uint64_t bit = std::uint64_t{1} << s;
         if (intensity_[s] <= 0.0) {
-            latencyCluster_[s] = true; // idle sources are harmless
+            latencyMask_ |= bit; // idle sources are harmless
             continue;
         }
         if (used + intensity_[s] <= budget) {
-            latencyCluster_[s] = true;
+            latencyMask_ |= bit;
             used += intensity_[s];
         } else {
             break; // order is ascending; nothing further fits
         }
-    }
-
-    latencyMask_ = 0;
-    for (unsigned s = 0; s < maxSources; ++s) {
-        if (latencyCluster_[s])
-            latencyMask_ |= std::uint64_t{1} << s;
     }
 }
 
@@ -113,42 +104,23 @@ TcmScheduler::onService(const Request &req, Cycles now, unsigned bytes)
     quantumService_[req.source] += 1.0;
 }
 
-int
-TcmScheduler::pick(unsigned channel,
-                   std::span<const QueueEntryView> entries, Cycles now)
+std::optional<std::tuple<bool, unsigned, bool, Cycles>>
+TcmScheduler::key(const QueueEntryView &e, unsigned channel,
+                  Cycles now) const
 {
     (void)channel;
     (void)now;
-    auto better = [&](const QueueEntryView &a,
-                      const QueueEntryView &b) -> bool {
-        const bool a_lat = latencyCluster_[a.req->source];
-        const bool b_lat = latencyCluster_[b.req->source];
-        if (a_lat != b_lat)
-            return a_lat;
-        if (!a_lat) { // both bandwidth-sensitive: shuffled rank decides
-            const unsigned ra = rank_[a.req->source];
-            const unsigned rb = rank_[b.req->source];
-            if (ra != rb)
-                return ra < rb;
-        }
-        if (a.rowHit != b.rowHit)
-            return a.rowHit;
-        return a.req->arrival < b.req->arrival;
-    };
-
-    int best = -1;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (!entries[i].issuable)
-            continue;
-        if (best < 0 || better(entries[i], entries[best]))
-            best = static_cast<int>(i);
-    }
-    return best;
+    // The latency cluster is a set; only the bandwidth cluster is
+    // ranked, by the shuffled permutation.
+    const unsigned src = e.req->source;
+    const bool lat = inLatencyCluster(src);
+    return std::tuple{!lat, lat ? 0u : rank_[src], !e.rowHit,
+                      e.req->arrival};
 }
 
 int
 TcmScheduler::fastPick(const FastIssueView &view, unsigned channel,
-                       Cycles now)
+                       Cycles now) const
 {
     (void)channel;
     (void)now;
@@ -156,7 +128,7 @@ TcmScheduler::fastPick(const FastIssueView &view, unsigned channel,
     if (!issuable)
         return -1;
     // Tier 1: the latency-sensitive cluster. Ranks are not consulted
-    // inside it — the comparator falls straight through to row hit
+    // inside it — the key falls straight through to row hit
     // then age, which is the shared helper over the cluster members.
     const std::uint64_t lat = issuable & latencyMask_;
     if (lat) {

@@ -18,12 +18,14 @@
 #define PCCS_DRAM_SCHED_TCM_HH
 
 #include <array>
+#include <optional>
+#include <tuple>
 
 #include "dram/scheduler.hh"
 
 namespace pccs::dram {
 
-class TcmScheduler final : public Scheduler
+class TcmScheduler final : public KeyedScheduler<TcmScheduler>
 {
   public:
     static constexpr bool kNeedsTickEvents = true;
@@ -39,15 +41,16 @@ class TcmScheduler final : public Scheduler
                                            : nextQuantum_;
     }
     void onService(const Request &req, Cycles now, unsigned bytes) override;
-    int pick(unsigned channel, std::span<const QueueEntryView> entries,
-             Cycles now) override;
+    /** (!latency cluster, shuffled rank, !row hit, arrival). */
+    std::optional<std::tuple<bool, unsigned, bool, Cycles>>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const;
     int fastPick(const FastIssueView &view, unsigned channel,
-                 Cycles now) override;
+                 Cycles now) const override;
 
     /** @return true if a source is in the latency-sensitive cluster. */
     bool inLatencyCluster(unsigned source) const
     {
-        return latencyCluster_[source];
+        return (latencyMask_ >> source) & 1;
     }
 
   private:
@@ -59,10 +62,12 @@ class TcmScheduler final : public Scheduler
     std::array<double, maxSources> quantumService_{};
     /** Smoothed per-source intensity from the previous quanta. */
     std::array<double, maxSources> intensity_{};
-    /** Cluster membership, recomputed each quantum. */
-    std::array<bool, maxSources> latencyCluster_{};
-    /** Bitmask mirror of latencyCluster_ (fast-pick tier filter). */
-    std::uint64_t latencyMask_ = 0;
+    /**
+     * Latency-cluster membership, one bit per source, recomputed each
+     * quantum; everyone until the first quantum completes (no
+     * information yet).
+     */
+    std::uint64_t latencyMask_ = ~std::uint64_t{0};
     /** Rank of each bandwidth-cluster source (lower = higher priority). */
     std::array<unsigned, maxSources> rank_{};
     Cycles nextQuantum_;

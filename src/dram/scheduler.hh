@@ -9,10 +9,20 @@
  * paper evaluates in Section 2.3 (Table 2) — FCFS, FR-FCFS, ATLAS,
  * TCM, SMS — plus the extension policies BLISS, PARBS, and MEDUSA.
  *
- * Adding a policy is a one-file affair: implement a `final` Scheduler
- * subclass in a new sched_<name>.cc, set the compile-time constants it
- * differs in (kPreservesRowHits, kNeedsTickEvents, kUsesSourceTier —
- * see Scheduler), and register it with registerPolicy<P>(name,
+ * Adding a policy is a one-file affair: derive a `final` class P from
+ * KeyedScheduler<P> in a new sched_<name>.cc and write three parts:
+ *  - key(): the policy's priority rule over one QueueEntryView, read
+ *    only from the entry and the policy's own state (or "not
+ *    eligible"). The reference loop's pick() is the one argmax over
+ *    it, in KeyedScheduler; no policy writes its own.
+ *  - optional state steps, prepare() before the choice and commit()
+ *    after it: every decision-time state change and RNG draw (SMS's
+ *    batch reselection, PARBS's batch formation), written once over
+ *    the request queue and called by both controller loops.
+ *  - fastPick(): the same choice over the bank masks, pure.
+ * Then set the compile-time constants it differs in
+ * (kPreservesRowHits, kNeedsTickEvents, kUsesSourceTier — see
+ * Scheduler), and register it with registerPolicy<P>(name,
  * aliases) from dram/policy_controller.hh. That call compiles the
  * controller's evaluate-and-issue path for P (PolicyController<P>,
  * with direct calls into P and the request queues' per-source tier
@@ -32,6 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -77,7 +88,6 @@ struct QueueEntryView
 struct FastIssueView
 {
     const RequestQueue *queue = nullptr;
-    unsigned numBanks = 0;
     std::uint64_t openRowMask = 0;
     std::uint64_t hitReadMask = 0;
     std::uint64_t hitWriteMask = 0;
@@ -201,8 +211,8 @@ struct FastIssueView
  * Oldest issuable row hit, falling back to the oldest issuable
  * non-hit, over the banks selected by `filter` — the FR-FCFS decision
  * (row hit first, then age; age == min arrival serial, which matches
- * the materialized comparators' arrival-then-walk-order tie-break),
- * shared by the policies' fastPick() tiers.
+ * the keys' arrival-then-walk-order tie-break), shared by the
+ * policies' fastPick() tiers.
  * @return the chosen slot, or -1 when no filtered bank has a candidate.
  */
 inline int
@@ -338,17 +348,20 @@ class Scheduler
 {
   public:
     /**
-     * Conflicting PREs are masked while the open row has pending hits
-     * (see preservesRowHits(); a policy that changes this overrides
-     * both).
+     * Conflicting PREs are masked while the open row has pending hits.
+     * Locality-aware policies keep a bank's row open while requests to
+     * it are pending; FCFS is defined by *not* doing this: it
+     * schedules chronologically with no locality awareness, which is
+     * what collapses its row-buffer hit rate (Table 3).
      */
     static constexpr bool kPreservesRowHits = true;
     /** nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */
     static constexpr bool kNeedsTickEvents = false;
     /**
-     * fastPick() or pickPending() read the queue's per-source tier
-     * (source FIFOs, per-source masks, FastIssueView's source-tier
-     * algebra). When false the controller's queues never maintain it.
+     * fastPick(), pickPending() or a state step read the queue's
+     * per-source tier (source FIFOs, per-source masks, FastIssueView's
+     * source-tier algebra). When false the controller's queues never
+     * maintain it.
      */
     static constexpr bool kUsesSourceTier = false;
 
@@ -356,15 +369,6 @@ class Scheduler
 
     /** @return the policy's display name. */
     virtual const char *name() const = 0;
-
-    /**
-     * Locality-aware policies keep a bank's row open while requests to
-     * it are pending (the controller then refuses conflicting PREs).
-     * FCFS is defined by *not* doing this: it schedules chronologically
-     * with no locality awareness, which is what collapses its
-     * row-buffer hit rate (Table 3).
-     */
-    virtual bool preservesRowHits() const { return true; }
 
     /**
      * Called before any pick on every *simulated* cycle the controller
@@ -399,18 +403,18 @@ class Scheduler
     }
 
     /**
-     * True when the next pick() on `channel` could act — mutate state,
-     * draw RNG, or pick after having declined — even though neither
-     * the queue `q` nor its issuable set has changed since the last
-     * pick(). The event-driven core calls fastPick() on a cycle with
-     * nothing issuable, or re-evaluates a channel on the cycle after
-     * an issue, enqueue, or declined evaluation, only while this
-     * holds; otherwise it sleeps until the next command-legality edge.
-     * The default (false) fits every work-conserving policy with a
-     * pure pick(). SMS and PARBS override it: their pick() rebatches
-     * only when a batch is due, and SMS serves the oldest issuable
-     * entry on the cycle after a reselection whose owner could not
-     * issue.
+     * True when the next decision on `channel` could act — change
+     * state in prepare()/commit(), draw RNG, or choose after having
+     * declined — even though neither the queue `q` nor its issuable
+     * set has changed since the last one. The event-driven core
+     * decides on a cycle with nothing issuable, or re-evaluates a
+     * channel on the cycle after an issue, enqueue, or declined
+     * evaluation, only while this holds; otherwise it sleeps until
+     * the next command-legality edge. The default (false) fits every
+     * work-conserving policy without state steps. SMS and PARBS
+     * override it: their prepare() rebatches only when a batch is
+     * due, and SMS serves the oldest issuable entry on the cycle
+     * after a reselection whose owner could not issue.
      */
     virtual bool pickPending(unsigned channel, const RequestQueue &q) const
     {
@@ -420,50 +424,117 @@ class Scheduler
     }
 
     /**
-     * Choose the next request to advance on a channel.
+     * Decision-time state step before the choice. Both controller
+     * loops call it on every decision they make for `channel`, with
+     * the channel's request queue, then make the choice (pick() or
+     * fastPick()), then call commit(). Every state change a decision
+     * makes, and every RNG draw, lives here or in commit(), written
+     * once over the queue, so the two loops cannot drift in it.
+     */
+    virtual void prepare(unsigned channel, const RequestQueue &q,
+                         Cycles now)
+    {
+        (void)channel;
+        (void)q;
+        (void)now;
+    }
+
+    /**
+     * Decision-time state step after the choice: `chosen` is the
+     * request the decision picked (nullptr when it declined), and
+     * `any_issuable` tells whether any queued entry could have issued.
+     */
+    virtual void commit(unsigned channel, const Request *chosen,
+                        bool any_issuable)
+    {
+        (void)channel;
+        (void)chosen;
+        (void)any_issuable;
+    }
+
+    /**
+     * Choose the next request to advance on a channel, after
+     * prepare(): the argmax of the policy's key over the issuable,
+     * eligible entries, written once in KeyedScheduler.
      *
-     * This is the executable specification: the reference core calls
-     * pick() on every cycle a channel has queued requests. The
+     * This is the executable specification: the reference core
+     * decides on every cycle a channel has queued requests. The
      * event-driven core makes the same decision through fastPick(),
      * and only on cycles where some entry's next command is
      * timing-legal or pickPending() holds. After a declined
      * evaluation it sleeps until the next legality edge unless
-     * pickPending(). A policy is compatible iff every pick() call the
-     * event core leaves out would have been a pure no-op (returns -1,
-     * no state or RNG consumption): with nothing issuable that is
-     * !pickPending(); after a decline, the same -1 again on an
-     * unchanged queue and issuable set. All registered policies
-     * satisfy this; the per-policy audits live at the top of each
-     * sched_*.cc.
+     * pickPending(). A policy is compatible iff every decision the
+     * event core leaves out would have been a pure no-op (chooses
+     * nothing, no state or RNG consumption in the state steps): with
+     * nothing issuable that is !pickPending(); after a decline, the
+     * same -1 again on an unchanged queue and issuable set. All
+     * registered policies satisfy this; the per-policy audits live at
+     * the top of each sched_*.cc.
      *
      * @param channel index of the channel being scheduled
      * @param entries snapshot of the channel's queued requests
      * @param now current cycle
      * @return index of the chosen entry, or -1 to idle. The returned
-     *         entry must have issuable == true.
+     *         entry has issuable == true.
      */
     virtual int pick(unsigned channel,
                      std::span<const QueueEntryView> entries,
-                     Cycles now) = 0;
+                     Cycles now) const = 0;
 
     /**
      * Branch-light pick over the bank-granular FastIssueView (plus
      * the per-source rank-tier masks) instead of a materialized entry
-     * span: the event-driven core's only decision path. Must return
-     * exactly the slot the materialized pick() would have chosen (the
-     * differential fuzz in tests/test_dram_fastpath.cc enforces this
-     * per policy), or -1 to idle. Called when at least one candidate
-     * is issuable or pickPending() holds (then possibly with nothing
-     * issuable); it must perform the same state mutations and RNG
-     * draws pick() would.
+     * span: the event-driven core's only decision path, called
+     * between prepare() and commit() like pick(). Must return exactly
+     * the slot pick() would have chosen (the differential fuzz in
+     * tests/test_dram_fastpath.cc enforces this per policy), or -1 to
+     * idle. Called when at least one candidate is issuable or
+     * pickPending() holds (then possibly with nothing issuable).
      *
      * @return a queue slot index (not an entry index), or -1.
      */
     virtual int fastPick(const FastIssueView &view, unsigned channel,
-                         Cycles now) = 0;
+                         Cycles now) const = 0;
 
     /** Maximum number of sources a policy tracks. */
     static constexpr unsigned maxSources = kMaxQueueSources;
+};
+
+/**
+ * The base every policy P derives from (`final class P : public
+ * KeyedScheduler<P>`): it writes the reference pick() once, as the
+ * argmax of P's priority key
+ *
+ *     std::optional<K> key(const QueueEntryView &e, unsigned channel,
+ *                          Cycles now) const;
+ *
+ * over the issuable entries. K is any totally ordered type, smaller
+ * is more urgent (a std::tuple spells a policy's Table 2 rule field
+ * by field); std::nullopt marks an entry not eligible this decision.
+ * The first of equal keys wins, which is walk order (arrival order in
+ * the controller's snapshot).
+ */
+template <class P>
+class KeyedScheduler : public Scheduler
+{
+  public:
+    int pick(unsigned channel, std::span<const QueueEntryView> entries,
+             Cycles now) const final
+    {
+        const P &policy = static_cast<const P &>(*this);
+        decltype(policy.key(entries[0], channel, now)) best_key;
+        int best = -1;
+        for (std::size_t i = 0; i < entries.size(); ++i) {
+            if (!entries[i].issuable)
+                continue;
+            const auto k = policy.key(entries[i], channel, now);
+            if (k && (!best_key || *k < *best_key)) {
+                best_key = k;
+                best = static_cast<int>(i);
+            }
+        }
+        return best;
+    }
 };
 
 /** Tunable knobs of the fairness-aware policies. */
@@ -523,7 +594,7 @@ struct PolicyInfo
     std::function<std::unique_ptr<MemoryController>(
         const DramConfig &, const SchedulerParams &)>
         makeController;
-    /** Scheduler::preservesRowHits() of instances of this policy. */
+    /** P::kPreservesRowHits of this policy. */
     bool preservesRowHits = true;
     /** True when nextTickEvent() is ever != kNoEvent (ATLAS/TCM/BLISS). */
     bool needsTickEvents = false;

@@ -3,11 +3,13 @@
  * Differential fuzz for the saturated-path fast issue engine.
  *
  * Every configuration is run two ways — the per-cycle reference loop
- * (materialized pick()) and the event-driven loop (mask-based
- * fastPick()) — and both must agree on every statistic, per-source
- * counter, and the final pending-request census. The
- * workloads are randomized per seed and deliberately hostile: mixed
- * read/write traffic, tiny queues so enqueue backpressure is constant,
+ * (the argmax of each policy's key over the materialized entries) and
+ * the event-driven loop (mask-based fastPick()) — and both must agree
+ * on every statistic, per-source counter, and the final
+ * pending-request census. The workloads are randomized per seed and
+ * deliberately hostile: mixed read/write traffic, tiny queues so
+ * enqueue backpressure is constant (and, in a deeper-queue row, long
+ * enough to reach past FCFS's issue window),
  * write drains, refresh cadence, and scheduler quantum/shuffle/clear
  * ticks at shortened intervals. Source-skewed mixes target the
  * per-source rank tiers: a hot source camping most of the queue
@@ -51,18 +53,19 @@ enum class TrafficSkew
 
 /**
  * A randomized small-queue system: per-seed traffic mix over 2
- * channels with 16 queue slots each, so saturation and queue-full
- * retry paths are exercised from the first few hundred cycles.
+ * channels with `depth` queue slots each (16 by default), so
+ * saturation and queue-full retry paths are exercised from the first
+ * few hundred cycles.
  */
 std::unique_ptr<DramSystem>
 buildFuzzSystem(std::string_view policy, std::uint64_t seed,
                 DramRunMode mode, TrafficSkew skew,
-                Cycles starvation_threshold)
+                Cycles starvation_threshold, unsigned depth)
 {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
     DramConfig cfg = table1Config();
     cfg.channels = 2;
-    cfg.requestBufferEntries = 16 * cfg.channels;
+    cfg.requestBufferEntries = depth * cfg.channels;
 
     // Shortened tick cadences so quantum/shuffle/blacklist-clear
     // events land inside the short fuzz window.
@@ -175,15 +178,17 @@ runSegmented(DramSystem &sys)
 /** One two-way differential run of a (policy, seed, skew) triple. */
 void
 twoWayCheck(const std::string &policy, std::uint64_t seed,
-            TrafficSkew skew, Cycles starvation_threshold = 600)
+            TrafficSkew skew, Cycles starvation_threshold = 600,
+            unsigned depth = 16)
 {
-    SCOPED_TRACE("seed " + std::to_string(seed));
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", depth " +
+                 std::to_string(depth));
 
     auto ref = buildFuzzSystem(policy, seed, DramRunMode::Reference,
-                               skew, starvation_threshold);
+                               skew, starvation_threshold, depth);
     runSegmented(*ref);
     auto fast = buildFuzzSystem(policy, seed, DramRunMode::EventDriven,
-                                skew, starvation_threshold);
+                                skew, starvation_threshold, depth);
     runSegmented(*fast);
 
     expectIdenticalStats(*ref, *fast, "reference vs event-driven");
@@ -199,20 +204,24 @@ class FastPathDifferential
 {
 };
 
-TEST_P(FastPathDifferential, ThreeWayAgreement)
+TEST_P(FastPathDifferential, TwoWayAgreement)
 {
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
         twoWayCheck(GetParam(), seed, TrafficSkew::Mixed);
+    // Deeper queues hold more than FCFS's 16-entry issue window, so
+    // its decline past the window is compared too.
+    for (std::uint64_t seed = 1; seed <= 2; ++seed)
+        twoWayCheck(GetParam(), seed, TrafficSkew::Mixed, 600, 32);
 }
 
-TEST_P(FastPathDifferential, ThreeWayAgreementHotSource)
+TEST_P(FastPathDifferential, TwoWayAgreementHotSource)
 {
     SCOPED_TRACE("skew HotSource");
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
         twoWayCheck(GetParam(), seed, TrafficSkew::HotSource);
 }
 
-TEST_P(FastPathDifferential, ThreeWayAgreementBursts)
+TEST_P(FastPathDifferential, TwoWayAgreementBursts)
 {
     SCOPED_TRACE("skew Bursts");
     for (std::uint64_t seed = 1; seed <= 3; ++seed)

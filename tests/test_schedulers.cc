@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <initializer_list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,13 +44,16 @@ makeReq(std::uint64_t id, unsigned source, Cycles arrival,
 
 /**
  * One channel's RequestQueue together with the QueueEntryView span
- * pick() takes over it, so a test can drive pick() and ask
- * pickPending() about the same queue. Every request sits in a closed
- * bank (no row hits); the test decides per call which are issuable.
+ * pick() takes over it, so a test can run decisions — state steps
+ * included — and ask pickPending() about the same queue. Every
+ * request sits in a closed bank; the test decides per call which are
+ * issuable and which the entry view shows as row hits.
  */
 class QueueHarness
 {
   public:
+    using Ids = std::vector<std::uint64_t>;
+
     void push(const Request &r) { q.push_back(r, false); }
 
     /** Remove the queued request with id `id` (its CAS issued). */
@@ -65,26 +68,62 @@ class QueueHarness
         FAIL() << "request " << id << " is not queued";
     }
 
-    /** The queue in arrival order; ids in `blocked` are not issuable. */
+    /**
+     * The queue in arrival order; ids in `blocked` are not issuable,
+     * ids in `hits` are row hits.
+     */
     std::vector<QueueEntryView>
-    entries(std::initializer_list<std::uint64_t> blocked = {}) const
+    entries(const Ids &blocked = {}, const Ids &hits = {}) const
     {
+        auto has = [](const Ids &ids, std::uint64_t id) {
+            return std::find(ids.begin(), ids.end(), id) != ids.end();
+        };
         std::vector<QueueEntryView> out;
         for (int s = q.head(); s >= 0; s = q.next(s)) {
             const Request &r = q.slot(s);
-            const bool issuable =
-                std::find(blocked.begin(), blocked.end(), r.id) ==
-                blocked.end();
-            out.push_back({&r, issuable, false});
+            out.push_back({&r, !has(blocked, r.id), has(hits, r.id)});
         }
         return out;
     }
 
-    /** Id of the request pick() chose from `view`, or 0 for none. */
-    static std::uint64_t
-    chosen(const std::vector<QueueEntryView> &view, int idx)
+    /**
+     * One decision the way the reference loop runs it: prepare(),
+     * pick() over entries(blocked, hits), commit().
+     * @return the chosen request's id, or 0 for none.
+     */
+    std::uint64_t decide(Scheduler &s, unsigned channel, Cycles now,
+                         const Ids &blocked = {}, const Ids &hits = {})
     {
-        return idx < 0 ? 0 : view[static_cast<std::size_t>(idx)].req->id;
+        s.prepare(channel, q, now);
+        const std::vector<QueueEntryView> view = entries(blocked, hits);
+        const bool any = std::any_of(
+            view.begin(), view.end(),
+            [](const QueueEntryView &e) { return e.issuable; });
+        const int idx = s.pick(channel, view, now);
+        const Request *req =
+            idx < 0 ? nullptr : view[static_cast<std::size_t>(idx)].req;
+        s.commit(channel, req, any);
+        return req ? req->id : 0;
+    }
+
+    /** The same decision the way the event-driven loop runs it. */
+    std::uint64_t decideFast(Scheduler &s, unsigned channel, Cycles now,
+                             const FastIssueView &view)
+    {
+        s.prepare(channel, q, now);
+        const int slot = s.fastPick(view, channel, now);
+        const Request *req = slot < 0 ? nullptr : &q.slot(slot);
+        s.commit(channel, req, (view.hitBanks() | view.otherBanks()) != 0);
+        return req ? req->id : 0;
+    }
+
+    /** A mask view of the queue where only banks in `act` can ACT. */
+    FastIssueView fastView(std::uint64_t act) const
+    {
+        FastIssueView view;
+        view.queue = &q;
+        view.actMask = act;
+        return view;
     }
 
     RequestQueue q{32, 8};
@@ -118,7 +157,6 @@ TEST(SchedulerRegistry, DescriptorAgreesWithInstance)
         auto sched = info.factory(SchedulerParams{});
         ASSERT_NE(sched, nullptr);
         EXPECT_EQ(sched->name(), info.name);
-        EXPECT_EQ(sched->preservesRowHits(), info.preservesRowHits);
         EXPECT_EQ(sched->nextTickEvent() != kNoEvent,
                   info.needsTickEvents);
     }
@@ -154,25 +192,21 @@ TEST(SchedulerRegistryDeath, DuplicateRegistrationIsFatal)
 }
 
 /** A minimal external policy to prove third-party registration. */
-class RoundRobinTestScheduler final : public Scheduler
+class RoundRobinTestScheduler final
+    : public KeyedScheduler<RoundRobinTestScheduler>
 {
   public:
     const char *name() const override { return "TEST-RR"; }
-    int
-    pick(unsigned channel, std::span<const QueueEntryView> entries,
-         Cycles now) override
+    std::optional<Cycles>
+    key(const QueueEntryView &e, unsigned channel, Cycles now) const
     {
         (void)channel;
         (void)now;
-        for (std::size_t i = 0; i < entries.size(); ++i) {
-            if (entries[i].issuable)
-                return static_cast<int>(i);
-        }
-        return -1;
+        return e.req->arrival;
     }
     int
     fastPick(const FastIssueView &view, unsigned channel,
-             Cycles now) override
+             Cycles now) const override
     {
         (void)channel;
         (void)now;
@@ -204,7 +238,7 @@ TEST(SchedulerRegistry, ExternalRegistrationFlowsThroughLookup)
 TEST(SchedulerRegistry, ExternalPolicyRunsBothLoopsIdentically)
 {
     // The registry's controller factory compiles the external policy's
-    // evaluate-and-issue path too: the reference loop (pick() every
+    // evaluate-and-issue path too: the reference loop (key argmax every
     // cycle) and the event-driven loop (fastPick() on woken channels)
     // run through it and must agree bit for bit.
     ensureTestRr();
@@ -273,6 +307,28 @@ TEST(Fcfs, NeverPrefersRowHitOverOlderRequest)
     Request r2 = makeReq(2, 1, 10); // younger, row hit
     std::vector<QueueEntryView> q{{&r1, true, false}, {&r2, true, true}};
     EXPECT_EQ(s.pick(0, q, 20), 0);
+}
+
+TEST(Fcfs, DeclinesIssuableRequestPastTheWindow)
+{
+    // Only the `window` oldest requests compete: with one more queued
+    // and just the youngest issuable, FCFS idles...
+    static_assert(FcfsScheduler::window == 16);
+    FcfsScheduler s;
+    QueueHarness h;
+    QueueHarness::Ids blocked;
+    for (std::uint64_t id = 1; id <= 16; ++id) {
+        h.push(makeReq(id, 0, id, 0, /*bank=*/0));
+        blocked.push_back(id);
+    }
+    h.push(makeReq(17, 1, 17, 0, /*bank=*/1));
+    EXPECT_EQ(h.decide(s, 0, 20, blocked), 0u);
+    // (the mask engine agrees: bank 1, the youngest's, alone can ACT)
+    EXPECT_EQ(h.decideFast(s, 0, 20, h.fastView(0b10)), 0u);
+    // ...until the head leaves and the youngest enters the window.
+    h.erase(1);
+    EXPECT_EQ(h.decide(s, 0, 21, blocked), 17u);
+    EXPECT_EQ(h.decideFast(s, 0, 21, h.fastView(0b10)), 17u);
 }
 
 TEST(FrFcfs, PrefersRowHitOverOlder)
@@ -414,24 +470,20 @@ TEST(Sms, ServesBatchToCompletion)
     SchedulerParams p;
     p.smsShortestFirstProb = 1.0; // deterministic
     SmsScheduler s(p);
-    Request a1 = makeReq(1, 0, 0, /*row=*/5);
-    Request a2 = makeReq(2, 0, 1, /*row=*/5);
-    Request b1 = makeReq(3, 1, 2, /*row=*/9);
+    QueueHarness h;
+    h.push(makeReq(1, 0, 0, /*row=*/5));
+    h.push(makeReq(2, 0, 1, /*row=*/5));
+    h.push(makeReq(3, 1, 2, /*row=*/9));
     // Source 1's batch (1 request) is shorter: SJF picks it first.
-    std::vector<QueueEntryView> q{{&a1, true, false},
-                                  {&a2, true, false},
-                                  {&b1, true, false}};
-    EXPECT_EQ(s.pick(0, q, 10), 2);
-    // Next pick: source 1 exhausted, source 0's batch begins.
-    std::vector<QueueEntryView> q2{{&a1, true, false},
-                                   {&a2, true, false}};
-    EXPECT_EQ(s.pick(0, q2, 11), 0);
+    EXPECT_EQ(h.decide(s, 0, 10), 3u);
+    h.erase(3);
+    // Next decision: source 1 exhausted, source 0's batch begins.
+    EXPECT_EQ(h.decide(s, 0, 11), 1u);
+    h.erase(1);
     // The batch continues with the same source/row even though another
     // source could be selected.
-    Request c1 = makeReq(4, 2, 3, /*row=*/7);
-    std::vector<QueueEntryView> q3{{&a2, true, false},
-                                   {&c1, true, false}};
-    EXPECT_EQ(s.pick(0, q3, 12), 0) << "batch not preempted";
+    h.push(makeReq(4, 2, 3, /*row=*/7));
+    EXPECT_EQ(h.decide(s, 0, 12), 2u) << "batch not preempted";
 }
 
 TEST(Sms, WorkConservingWhenBatchHeadNotIssuable)
@@ -439,26 +491,26 @@ TEST(Sms, WorkConservingWhenBatchHeadNotIssuable)
     SchedulerParams p;
     p.smsShortestFirstProb = 1.0;
     SmsScheduler s(p);
-    Request a1 = makeReq(1, 0, 0, 5);
-    Request a2 = makeReq(2, 0, 1, 5);
-    std::vector<QueueEntryView> q{{&a1, true, false}, {&a2, true, false}};
-    EXPECT_EQ(s.pick(0, q, 10), 0);
+    QueueHarness h;
+    h.push(makeReq(1, 0, 0, 5));
+    h.push(makeReq(2, 0, 1, 5));
+    EXPECT_EQ(h.decide(s, 0, 10), 1u);
+    h.erase(1);
     // The batch of source 0 is in flight but its next request is
     // blocked (bank activating): the slot serves another source's
     // ready request instead of idling...
-    Request b1 = makeReq(3, 1, 2, 9);
-    std::vector<QueueEntryView> q2{{&a2, false, false},
-                                   {&b1, true, false}};
-    EXPECT_EQ(s.pick(0, q2, 11), 1);
+    h.push(makeReq(3, 1, 2, 9));
+    EXPECT_EQ(h.decide(s, 0, 11, {2}), 3u);
+    h.erase(3);
     // ...and with nothing issuable at all, the slot idles.
-    std::vector<QueueEntryView> q3{{&a2, false, false}};
-    EXPECT_EQ(s.pick(0, q3, 12), -1);
+    EXPECT_EQ(h.decide(s, 0, 12, {2}), 0u);
 }
 
 TEST(Sms, EmptyQueueIdles)
 {
     SmsScheduler s{SchedulerParams{}};
-    EXPECT_EQ(s.pick(0, {}, 0), -1);
+    QueueHarness h;
+    EXPECT_EQ(h.decide(s, 0, 0), 0u);
 }
 
 TEST(Sms, PerChannelBatchesAreIndependent)
@@ -466,14 +518,17 @@ TEST(Sms, PerChannelBatchesAreIndependent)
     SchedulerParams p;
     p.smsShortestFirstProb = 1.0;
     SmsScheduler s(p);
-    Request a = makeReq(1, 0, 0, 5);
-    Request b = makeReq(2, 1, 1, 9);
-    std::vector<QueueEntryView> q{{&a, true, false}, {&b, true, false}};
+    QueueHarness h0;
+    QueueHarness h1;
+    for (QueueHarness *h : {&h0, &h1}) {
+        h->push(makeReq(1, 0, 0, 5));
+        h->push(makeReq(2, 1, 1, 9));
+    }
     // Channel 0 picks source 0's single-request batch... (both size 1;
     // older arrival wins the SJF tie).
-    EXPECT_EQ(s.pick(0, q, 10), 0);
+    EXPECT_EQ(h0.decide(s, 0, 10), 1u);
     // ...while channel 1's state is untouched and makes its own pick.
-    EXPECT_EQ(s.pick(1, q, 10), 0);
+    EXPECT_EQ(h1.decide(s, 1, 10), 1u);
 }
 
 TEST(Sms, PickPendingTracksBatchReselection)
@@ -490,34 +545,30 @@ TEST(Sms, PickPendingTracksBatchReselection)
     EXPECT_TRUE(s.pickPending(0, h.q)) << "no batch selected yet";
 
     // SJF selects source 1's one-request batch and serves it: the
-    // batch is exhausted, so the next pick reselects.
-    auto v = h.entries();
-    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 10)), 3u);
+    // batch is exhausted, so the next decision reselects.
+    EXPECT_EQ(h.decide(s, 0, 10), 3u);
     h.erase(3);
     EXPECT_TRUE(s.pickPending(0, h.q)) << "batch exhausted";
 
     // Source 0's two-request batch starts; with one request left the
-    // batch is in flight and a pick with nothing issuable is a no-op.
-    v = h.entries();
-    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 11)), 1u);
+    // batch is in flight and a decision with nothing issuable is a
+    // no-op.
+    EXPECT_EQ(h.decide(s, 0, 11), 1u);
     h.erase(1);
     EXPECT_FALSE(s.pickPending(0, h.q)) << "batch in flight";
-    v = h.entries({2});
-    EXPECT_EQ(s.pick(0, v, 12), -1);
+    EXPECT_EQ(h.decide(s, 0, 12, {2}), 0u);
     EXPECT_FALSE(s.pickPending(0, h.q));
 
     // An enqueue behind the batch head leaves the batch in flight.
     h.push(makeReq(4, 0, 13, 7));
     EXPECT_FALSE(s.pickPending(0, h.q)) << "head still in the batch row";
 
-    v = h.entries();
-    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 14)), 2u);
+    EXPECT_EQ(h.decide(s, 0, 14), 2u);
     h.erase(2);
     EXPECT_TRUE(s.pickPending(0, h.q)) << "last batch request served";
 
     // Serving the last queued request leaves nothing to act on.
-    v = h.entries();
-    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 15)), 4u);
+    EXPECT_EQ(h.decide(s, 0, 15), 4u);
     h.erase(4);
     EXPECT_FALSE(s.pickPending(0, h.q)) << "empty queue";
 }
@@ -533,11 +584,10 @@ TEST(Sms, PickPendingWhenBatchHeadLeavesTheBatchRow)
     h.push(makeReq(1, 0, 0, 5));
     h.push(makeReq(2, 0, 1, 6));
     h.push(makeReq(3, 0, 2, 5));
-    auto v = h.entries();
-    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 10)), 1u);
+    EXPECT_EQ(h.decide(s, 0, 10), 1u);
     h.erase(1);
     // One batch request remains, but the source's head is now row 6:
-    // the batch is no longer visible and the next pick reselects.
+    // the batch is no longer visible and the next decision reselects.
     EXPECT_TRUE(s.pickPending(0, h.q));
 }
 
@@ -553,20 +603,18 @@ TEST(Sms, PickPendingAfterReselectionDecline)
 
     // With nothing issuable, the reselection idles and nothing is
     // pending: the in-flight batch waits for a legality edge.
-    auto v = h.entries({1, 2, 3});
-    EXPECT_EQ(s.pick(0, v, 10), -1);
+    EXPECT_EQ(h.decide(s, 0, 10, {1, 2, 3}), 0u);
     EXPECT_FALSE(s.pickPending(0, h.q));
-    EXPECT_EQ(s.pick(0, v, 11), -1);
+    EXPECT_EQ(h.decide(s, 0, 11, {1, 2, 3}), 0u);
     EXPECT_FALSE(s.pickPending(0, h.q));
 
     // A fresh scheduler reselects source 0 (shorter batch) while only
-    // source 1 can issue: it declines, and the next pick serves the
-    // oldest issuable request with the issuable set unchanged.
+    // source 1 can issue: it declines, and the next decision serves
+    // the oldest issuable request with the issuable set unchanged.
     SmsScheduler t(p);
-    v = h.entries({1});
-    EXPECT_EQ(t.pick(0, v, 10), -1);
+    EXPECT_EQ(h.decide(t, 0, 10, {1}), 0u);
     EXPECT_TRUE(t.pickPending(0, h.q)) << "declined reselection";
-    EXPECT_EQ(QueueHarness::chosen(v, t.pick(0, v, 11)), 2u);
+    EXPECT_EQ(h.decide(t, 0, 11, {1}), 2u);
     h.erase(2);
     EXPECT_FALSE(t.pickPending(0, h.q)) << "source 0's batch in flight";
 }
@@ -583,15 +631,10 @@ TEST(Sms, FastPickRecordsReselectionDecline)
     h.push(makeReq(1, 0, 0, 5, /*bank=*/0));
     h.push(makeReq(2, 1, 1, 9, /*bank=*/1));
     h.push(makeReq(3, 1, 2, 9, /*bank=*/1));
-    FastIssueView view;
-    view.queue = &h.q;
-    view.numBanks = 8;
-    view.actMask = 0b10;
-    EXPECT_EQ(s.fastPick(view, 0, 10), -1);
+    const FastIssueView view = h.fastView(0b10);
+    EXPECT_EQ(h.decideFast(s, 0, 10, view), 0u);
     EXPECT_TRUE(s.pickPending(0, h.q));
-    const int served = s.fastPick(view, 0, 11);
-    ASSERT_GE(served, 0);
-    EXPECT_EQ(h.q.slot(served).id, 2u);
+    EXPECT_EQ(h.decideFast(s, 0, 11, view), 2u);
     EXPECT_FALSE(s.pickPending(0, h.q));
 }
 
@@ -666,18 +709,15 @@ TEST(Parbs, BatchRanksShortestSourceFirst)
     SchedulerParams p;
     p.parbsBatchCap = 2;
     ParbsScheduler s(p);
-    Request a1 = makeReq(1, 0, 0);
-    Request a2 = makeReq(2, 0, 1);
-    Request a3 = makeReq(3, 0, 2);
-    Request b1 = makeReq(4, 1, 3);
-    std::vector<QueueEntryView> q{{&a1, true, false},
-                                  {&a2, true, false},
-                                  {&a3, true, false},
-                                  {&b1, true, false}};
-    // First pick forms the batch: two oldest of source 0 plus source
-    // 1's only request; source 1 (shortest job) ranks first, so its
-    // request wins despite being the youngest.
-    EXPECT_EQ(s.pick(0, q, 10), 3);
+    QueueHarness h;
+    h.push(makeReq(1, 0, 0));
+    h.push(makeReq(2, 0, 1));
+    h.push(makeReq(3, 0, 2));
+    h.push(makeReq(4, 1, 3));
+    // The first decision forms the batch: two oldest of source 0 plus
+    // source 1's only request; source 1 (shortest job) ranks first, so
+    // its request wins despite being the youngest.
+    EXPECT_EQ(h.decide(s, 0, 10), 4u);
     EXPECT_EQ(s.markedCount(0), 3u);
 }
 
@@ -686,16 +726,14 @@ TEST(Parbs, MarkedRequestsBeatUnmarkedRowHits)
     SchedulerParams p;
     p.parbsBatchCap = 1;
     ParbsScheduler s(p);
-    Request a1 = makeReq(1, 0, 0);
-    Request a2 = makeReq(2, 0, 1, /*row=*/7);
-    std::vector<QueueEntryView> q{{&a1, true, false},
-                                  {&a2, true, false}};
-    // Batch = {a1} (cap 1). a2 later turns into a row hit; the marked
-    // a1 still goes first — batch membership outranks row locality.
-    EXPECT_EQ(s.pick(0, q, 10), 0);
-    std::vector<QueueEntryView> q2{{&a1, true, false},
-                                   {&a2, true, true}};
-    EXPECT_EQ(s.pick(0, q2, 11), 0);
+    QueueHarness h;
+    h.push(makeReq(1, 0, 0));
+    h.push(makeReq(2, 0, 1, /*row=*/7));
+    // Batch = {1} (cap 1). Request 2 later turns into a row hit; the
+    // marked request 1 still goes first — batch membership outranks
+    // row locality.
+    EXPECT_EQ(h.decide(s, 0, 10), 1u);
+    EXPECT_EQ(h.decide(s, 0, 11, {}, /*hits=*/{2}), 1u);
 }
 
 TEST(Parbs, BatchCompletionTriggersReformation)
@@ -703,25 +741,24 @@ TEST(Parbs, BatchCompletionTriggersReformation)
     SchedulerParams p;
     p.parbsBatchCap = 2;
     ParbsScheduler s(p);
-    Request a1 = makeReq(1, 0, 0);
-    Request a2 = makeReq(2, 0, 1);
-    Request a3 = makeReq(3, 0, 2);
-    std::vector<QueueEntryView> q{{&a1, true, false},
-                                  {&a2, true, false},
-                                  {&a3, true, false}};
-    EXPECT_EQ(s.pick(0, q, 10), 0);
+    QueueHarness h;
+    const Request a1 = makeReq(1, 0, 0);
+    const Request a2 = makeReq(2, 0, 1);
+    h.push(a1);
+    h.push(a2);
+    h.push(makeReq(3, 0, 2));
+    EXPECT_EQ(h.decide(s, 0, 10), 1u);
     EXPECT_EQ(s.markedCount(0), 2u) << "a1 and a2 marked";
     // Servicing drains the batch; ids leave the marked set.
     s.onService(a1, 10, 64);
+    h.erase(1);
     EXPECT_EQ(s.markedCount(0), 1u);
-    std::vector<QueueEntryView> q2{{&a2, true, false},
-                                   {&a3, true, false}};
-    EXPECT_EQ(s.pick(0, q2, 11), 0) << "a2 is the marked survivor";
+    EXPECT_EQ(h.decide(s, 0, 11), 2u) << "a2 is the marked survivor";
     s.onService(a2, 11, 64);
+    h.erase(2);
     EXPECT_EQ(s.markedCount(0), 0u);
-    // With the batch complete, the next pick re-forms around a3.
-    std::vector<QueueEntryView> q3{{&a3, true, false}};
-    EXPECT_EQ(s.pick(0, q3, 12), 0);
+    // With the batch complete, the next decision re-forms around a3.
+    EXPECT_EQ(h.decide(s, 0, 12), 3u);
     EXPECT_EQ(s.markedCount(0), 1u) << "new batch marked a3";
 }
 
@@ -730,12 +767,13 @@ TEST(Parbs, ChannelsBatchIndependently)
     SchedulerParams p;
     p.parbsBatchCap = 2;
     ParbsScheduler s(p);
-    Request a = makeReq(1, 0, 0, 0, 0, /*channel=*/0);
-    Request b = makeReq(2, 1, 1, 0, 0, /*channel=*/1);
-    std::vector<QueueEntryView> q0{{&a, true, false}};
-    std::vector<QueueEntryView> q1{{&b, true, false}};
-    EXPECT_EQ(s.pick(0, q0, 10), 0);
-    EXPECT_EQ(s.pick(1, q1, 10), 0);
+    const Request a = makeReq(1, 0, 0, 0, 0, /*channel=*/0);
+    QueueHarness h0;
+    QueueHarness h1;
+    h0.push(a);
+    h1.push(makeReq(2, 1, 1, 0, 0, /*channel=*/1));
+    EXPECT_EQ(h0.decide(s, 0, 10), 1u);
+    EXPECT_EQ(h1.decide(s, 1, 10), 2u);
     EXPECT_EQ(s.markedCount(0), 1u);
     EXPECT_EQ(s.markedCount(1), 1u);
     // Service on channel 0 must not disturb channel 1's batch.
@@ -759,27 +797,24 @@ TEST(Parbs, PickPendingWhileABatchIsDue)
     EXPECT_TRUE(s.pickPending(0, h.q)) << "no batch formed yet";
 
     // Forming the batch (a1, cap 1) settles it, even when nothing is
-    // issuable; later picks leave the marked set alone.
-    auto v = h.entries({1, 2});
-    EXPECT_EQ(s.pick(0, v, 10), -1);
+    // issuable; later decisions leave the marked set alone.
+    EXPECT_EQ(h.decide(s, 0, 10, {1, 2}), 0u);
     EXPECT_EQ(s.markedCount(0), 1u);
     EXPECT_FALSE(s.pickPending(0, h.q)) << "batch outstanding";
-    EXPECT_EQ(s.pick(0, v, 11), -1);
+    EXPECT_EQ(h.decide(s, 0, 11, {1, 2}), 0u);
     EXPECT_EQ(s.markedCount(0), 1u);
 
     // An unmarked newcomer does not end the batch.
     h.push(makeReq(3, 1, 12));
     EXPECT_FALSE(s.pickPending(0, h.q));
 
-    // Serving the last marked request makes the next pick re-form.
-    v = h.entries();
-    EXPECT_EQ(QueueHarness::chosen(v, s.pick(0, v, 13)), 1u);
+    // Serving the last marked request makes the next decision re-form.
+    EXPECT_EQ(h.decide(s, 0, 13), 1u);
     s.onService(a1, 13, 64);
     h.erase(1);
     EXPECT_EQ(s.markedCount(0), 0u);
     EXPECT_TRUE(s.pickPending(0, h.q)) << "batch exhausted";
-    v = h.entries();
-    s.pick(0, v, 14);
+    h.decide(s, 0, 14);
     EXPECT_EQ(s.markedCount(0), 2u) << "a2 and the newcomer marked";
     EXPECT_FALSE(s.pickPending(0, h.q));
 

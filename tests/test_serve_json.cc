@@ -384,7 +384,7 @@ TEST(JsonNumberIo, ReaderIsBitEqualToStrtod)
     EXPECT_TRUE(std::signbit(runner::parseJsonNumber("-0")));
 }
 
-TEST(JsonNumberIo, FastAndGenericPredictRepliesAreByteIdentical)
+TEST(JsonNumberIo, EscapedAndPlainOpSpellingsReplyIdentically)
 {
     model::PccsParams p;
     p.normalBw = 38.1;
