@@ -15,9 +15,10 @@
  * On top of the per-policy grids, each policy's measured matrix is fed
  * through the PCCS model-construction algorithm (Section 3.2) and the
  * closing table reports the extracted region boundaries plus the
- * model's mean fit error against the measurements — i.e., which
- * policies preserve the minor/normal/intensive three-region structure
- * and how the PCCS calibration error shifts per policy.
+ * model's mean fit error against the measurements, next to the Gables
+ * baseline's error on the same grid — i.e., which policies preserve
+ * the minor/normal/intensive three-region structure and how the PCCS
+ * calibration error shifts per policy.
  *
  * Flags: `--policies A,B,...` restricts the run to a subset of
  * registered policies; `--quick` shrinks the demand grids and windows
@@ -33,6 +34,7 @@
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "dram/system.hh"
+#include "gables/gables.hh"
 #include "pccs/builder.hh"
 
 using namespace pccs;
@@ -95,6 +97,8 @@ struct Characterization
     model::PccsParams params;
     /** Mean |model - measured| over the grid, percentage points. */
     double fitError = 0.0;
+    /** The same mean for the Gables baseline, percentage points. */
+    double gablesError = 0.0;
     /** True when the minor/normal/intensive structure survived. */
     bool threeRegions = false;
 };
@@ -117,19 +121,22 @@ characterize(const std::string &policy,
 
     Characterization c;
     c.policy = policy;
-    c.params =
-        model::buildModelParams(matrix, table1Config().peakBandwidth());
-    model::PccsModel m(c.params);
-    double err = 0.0;
-    for (std::size_t i = 0; i < high_demands.size(); ++i) {
-        for (std::size_t j = 0; j < low_demands.size(); ++j) {
-            err += std::abs(m.relativeSpeed(high_demands[i],
-                                            low_demands[j]) -
-                            rela[i][j]);
+    const GBps peak = table1Config().peakBandwidth();
+    c.params = model::buildModelParams(matrix, peak);
+    const auto meanError = [&](const model::SlowdownPredictor &m) {
+        double err = 0.0;
+        for (std::size_t i = 0; i < high_demands.size(); ++i) {
+            for (std::size_t j = 0; j < low_demands.size(); ++j) {
+                err += std::abs(m.relativeSpeed(high_demands[i],
+                                                low_demands[j]) -
+                                rela[i][j]);
+            }
         }
-    }
-    c.fitError = err / static_cast<double>(high_demands.size() *
-                                           low_demands.size());
+        return err / static_cast<double>(high_demands.size() *
+                                         low_demands.size());
+    };
+    c.fitError = meanError(model::PccsModel(c.params));
+    c.gablesError = meanError(gables::GablesModel(peak));
     c.threeRegions = !c.params.noMinorRegion() &&
                      c.params.normalBw > 0.0 &&
                      c.params.normalBw < c.params.intensiveBw;
@@ -222,9 +229,11 @@ main(int argc, char **argv)
 
     // Three-region characterization: which policies keep the paper's
     // minor/normal/intensive structure, and how well the PCCS model
-    // built from each policy's matrix fits it back.
+    // built from each policy's matrix fits it back (Gables, which has
+    // nothing to fit, as the baseline).
     Table summary({"policy", "normalBW", "intensiveBW", "MRMC (%)",
-                   "rateN", "fit err (%)", "three regions"});
+                   "rateN", "fit err (%)", "Gables err (%)",
+                   "three regions"});
     for (const Characterization &c : chars) {
         summary.addRow(
             {c.policy, fmtDouble(c.params.normalBw, 1),
@@ -232,7 +241,7 @@ main(int argc, char **argv)
              c.params.noMinorRegion() ? std::string("NA")
                                       : fmtDouble(c.params.mrmc, 1),
              fmtDouble(c.params.rateN, 2), fmtDouble(c.fitError, 1),
-             c.threeRegions ? "yes" : "no"});
+             fmtDouble(c.gablesError, 1), c.threeRegions ? "yes" : "no"});
     }
     std::printf("--- PCCS three-region characterization ---\n%s\n",
                 summary.str().c_str());

@@ -21,6 +21,11 @@
  * policies get rows, so CI floors can target policy subsets. The
  * saturated event-driven DRAM rows also report `evals/cmd`: channel
  * evaluations of the fast issue engine per issued DRAM command.
+ *
+ * The `BM_DramCyclesSaturatedPolicy/<policy>` rows move by up to +-14%
+ * from code layout alone (appending one unused function to another
+ * policy's source file shifted them that much), so single runs of
+ * these rows cannot resolve per-policy effects below ~15%.
  */
 
 #include <benchmark/benchmark.h>
@@ -316,6 +321,19 @@ BM_WaterFillAllocation(benchmark::State &state)
         benchmark::DoNotOptimize(mem.allocate(demands));
 }
 BENCHMARK(BM_WaterFillAllocation);
+
+/** One calibrator solve: a GPU kernel at a mid-range target. */
+void
+BM_MakeCalibrator(benchmark::State &state)
+{
+    const soc::ExecutionModel model(xavier().memory);
+    const soc::PuParams &gpu = xavier().pu(soc::PuKind::Gpu);
+    const GBps target = 0.5 * gpu.drawBandwidth();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            calib::makeCalibrator(model, gpu, target));
+}
+BENCHMARK(BM_MakeCalibrator);
 
 void
 BM_StandaloneProfile(benchmark::State &state)

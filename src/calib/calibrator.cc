@@ -1,59 +1,83 @@
 #include "calibrator.hh"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <utility>
 
+#include "common/bisection.hh"
 #include "common/logging.hh"
 
 namespace pccs::calib {
+
+namespace {
+
+/**
+ * Where the rate formula, inverted, puts the target: the intensity at
+ * which the standalone time per byte t_base = max(t_c, t_m) +
+ * (1 - o) * min(t_c, t_m) equals 1 / target. Only a seed.
+ */
+double
+intensityEstimate(const soc::RateTerms &terms, GBps target_bw)
+{
+    const double tau = 1.0 / (target_bw * bytesPerGB);
+    const double t_m = terms.serviceTime;
+    const double hidden = 1.0 - terms.overlap;
+    double t_c = tau - hidden * t_m; // compute-bound side, t_c >= t_m
+    if (t_c < t_m)
+        t_c = hidden > 0.0 ? (tau - t_m) / hidden : t_m;
+    return t_c * terms.compute;
+}
+
+/**
+ * The operational intensity whose standalone demand on the PU behind
+ * `terms` is as close as possible to `target_bw`: the end of an
+ * 80-step geometric bisection of [1e-4, 1e5] (1e-4 itself when the
+ * target is beyond what the PU can draw).
+ */
+double
+solveIntensity(const soc::RateTerms &terms, GBps target_bw)
+{
+    PCCS_ASSERT(target_bw > 0.0, "calibrator target must be positive");
+    // Standalone demand is monotonically non-increasing in operational
+    // intensity: more flops per byte -> more compute-bound -> less
+    // bandwidth, and every rounded step of the rate formula keeps that
+    // order. So the bisection's end is solved exactly from the
+    // intensity where demand first drops to the target.
+    const auto demand = [&terms](double intensity) -> GBps {
+        return terms.rate(intensity, 0.0, 0.0) / bytesPerGB;
+    };
+    const double lo = 1e-4; // essentially pure streaming
+    const double hi = 1e5;  // essentially pure compute
+    if (target_bw >= demand(lo)) {
+        // Target beyond what the PU can draw: the most memory-bound
+        // calibrator.
+        return lo;
+    }
+    return solveBisection<Midpoint::Geometric>(
+        lo, hi, 80, intensityEstimate(terms, target_bw),
+        [&](double x) { return !(demand(x) > target_bw); });
+}
+
+soc::KernelProfile
+calibratorKernel(double intensity, double locality)
+{
+    soc::KernelProfile kernel;
+    kernel.locality = locality;
+    kernel.workBytes = 1e9;
+    kernel.intensity = intensity;
+    return kernel;
+}
+
+} // namespace
 
 soc::KernelProfile
 makeCalibrator(const soc::ExecutionModel &model, const soc::PuParams &pu,
                GBps target_bw, double locality)
 {
-    PCCS_ASSERT(target_bw > 0.0, "calibrator target must be positive");
-
-    soc::KernelProfile kernel;
+    soc::KernelProfile kernel = calibratorKernel(
+        solveIntensity(model.rateTerms(pu, locality), target_bw), locality);
     char name[64];
     std::snprintf(name, sizeof(name), "calib-%.1fGBps", target_bw);
     kernel.name = name;
-    kernel.locality = locality;
-    kernel.workBytes = 1e9;
-
-    // Standalone demand is monotonically non-increasing in operational
-    // intensity: more flops per byte -> more compute-bound -> less
-    // bandwidth. Bisect intensity to hit the target. Only the
-    // intensity varies, so the PU's rate terms are computed once.
-    const soc::RateTerms terms = model.rateTerms(pu, locality);
-    const auto demand = [&terms](double intensity) -> GBps {
-        return terms.rate(intensity, 0.0, 0.0) / bytesPerGB;
-    };
-    double lo = 1e-4;  // essentially pure streaming
-    double hi = 1e5;   // essentially pure compute
-    kernel.intensity = lo;
-    if (target_bw >= demand(lo)) {
-        // Target beyond what the PU can draw: return the most
-        // memory-bound calibrator.
-        return kernel;
-    }
-
-    // Geometric bisection, stopped at its fixed point: the result is
-    // the one all 80 steps would give. Once mid == lo or mid == hi,
-    // the step either leaves (lo, hi) unchanged, so every later step
-    // repeats it, or collapses the bracket to lo == hi == mid, where
-    // sqrt(mid * mid) == mid exactly (true of correctly rounded binary
-    // floating point short of overflow and underflow). Either way
-    // every later midpoint, and the final one, is mid.
-    double mid = std::sqrt(lo * hi);
-    for (int iter = 0; iter < 80 && mid != lo && mid != hi; ++iter) {
-        if (demand(mid) > target_bw)
-            lo = mid;
-        else
-            hi = mid;
-        mid = std::sqrt(lo * hi);
-    }
-    kernel.intensity = mid;
     return kernel;
 }
 
@@ -75,6 +99,9 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
     CalibrationMatrix m;
 
     // Calibrator ladder: evenly spaced targets over the PU's range.
+    // The kernels never leave this function, so they go unnamed, and
+    // they share one PU and locality, so the rate terms are hoisted.
+    const soc::RateTerms terms = sim.model().rateTerms(pu, spec.locality);
     std::vector<soc::KernelProfile> kernels;
     for (unsigned i = 0; i < spec.numKernels; ++i) {
         const double frac =
@@ -83,8 +110,8 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
                 static_cast<double>(i) /
                 static_cast<double>(spec.numKernels - 1);
         const GBps target = frac * draw;
-        soc::KernelProfile k =
-            makeCalibrator(sim.model(), pu, target, spec.locality);
+        soc::KernelProfile k = calibratorKernel(
+            solveIntensity(terms, target), spec.locality);
         const GBps achieved =
             sim.model().standalone(pu, k).bandwidthDemand;
         kernels.push_back(std::move(k));

@@ -30,7 +30,9 @@ inline constexpr double calibratorLocality = 0.97;
 /**
  * Build a calibrator kernel whose standalone bandwidth demand on `pu`
  * is as close as possible to `target_bw` (GB/s). The operational
- * intensity is solved by bisection (demand is monotone in intensity).
+ * intensity is the end of a geometric bisection (demand is monotone in
+ * intensity), solved exactly from the point where demand crosses the
+ * target.
  * Targets beyond the PU's achievable draw are clipped to it.
  */
 soc::KernelProfile makeCalibrator(const soc::ExecutionModel &model,

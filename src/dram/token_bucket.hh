@@ -37,16 +37,26 @@ class TokenBucket
     /**
      * Accrue tokens for every cycle through `now`: one capped addition
      * per elapsed cycle, never a closed form, so the float result is
-     * the same however the cycles are batched. The cap is absorbing
-     * (the addition is min-clamped), so once full the remaining
-     * iterations are skippable no-ops.
+     * the same however the cycles are batched. The cap is absorbing,
+     * so the first addition that reaches it ends the loop; the clamp
+     * sits off the chain of additions, which are the same ones in the
+     * same order as min(t + perCycle, cap) per cycle.
      */
     void accrueThrough(Cycles now)
     {
         PCCS_ASSERT(now + 1 >= tickedThrough_,
                     "token bucket accrued backwards");
-        for (Cycles i = tickedThrough_; i <= now && tokens_ < cap_; ++i)
-            tokens_ = std::min(tokens_ + perCycle_, cap_);
+        double t = tokens_;
+        if (t < cap_) {
+            for (Cycles i = tickedThrough_; i <= now; ++i) {
+                t += perCycle_;
+                if (t >= cap_) {
+                    t = cap_;
+                    break;
+                }
+            }
+        }
+        tokens_ = t;
         tickedThrough_ = now + 1;
     }
 
@@ -76,10 +86,11 @@ class TokenBucket
         if (readyAt_ > last)
             return;
         // A short wait is found exactly by replaying the very
-        // additions accrueThrough() will make.
+        // additions accrueThrough() will make. The level stays below
+        // line_ < cap_ until the loop exits, so the cap never applies.
         double t = tokens_;
         for (Cycles k = 1; k <= kExactCycles; ++k) {
-            t = std::min(t + perCycle_, cap_);
+            t += perCycle_;
             if (t >= line_) {
                 readyAt_ = last + k;
                 return;

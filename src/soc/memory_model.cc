@@ -53,9 +53,45 @@ SharedMemorySystem::effectiveBandwidth(
     return params_.peakBandwidth * efficiency;
 }
 
+namespace {
+
+/**
+ * The real-valued fill level: the f at which sum(min(d_i, w_i * f))
+ * reaches `capacity`, or `top` when the weighted demands cannot reach
+ * it. Newton steps on the concave, piecewise-linear served curve climb
+ * from f = 0 and saturate at least one more source each, so there are
+ * at most n + 1 of them. Only a seed for the exact solve.
+ */
+double
+levelEstimate(std::span<const BandwidthDemand> demands, GBps capacity,
+              double top)
+{
+    double f = 0.0;
+    for (std::size_t step = 0; step <= demands.size(); ++step) {
+        double fixed = 0.0;
+        double slope = 0.0;
+        for (const auto &d : demands) {
+            if (d.demand <= d.weight * f)
+                fixed += d.demand;
+            else
+                slope += d.weight;
+        }
+        if (!(slope > 0.0))
+            return top;
+        const double next = (capacity - fixed) / slope;
+        if (!(next > f))
+            break;
+        f = next;
+    }
+    return f;
+}
+
+} // namespace
+
 void
 SharedMemorySystem::waterFill(std::span<const BandwidthDemand> demands,
-                              GBps capacity, std::span<GBps> grants)
+                              GBps capacity, std::span<GBps> grants,
+                              BisectionTrace *trace)
 {
     const std::size_t n = demands.size();
     double total = 0.0;
@@ -67,32 +103,26 @@ SharedMemorySystem::waterFill(std::span<const BandwidthDemand> demands,
         return;
     }
 
-    // Find the fill level f such that sum(min(d_i, w_i * f)) == capacity
-    // by bisection on f; min(d_i, w_i*f) is monotone in f.
-    //
-    // The loop exits at its fixed point, which gives the same fill as
-    // running all 64 steps. Once f == lo or f == hi, the step either
-    // leaves (lo, hi) unchanged, so every later step repeats it, or
-    // collapses the bracket to lo == hi == f, where 0.5 * (f + f) == f
-    // exactly (doubling and halving a binary float are exact short of
-    // overflow). Either
-    // way every later midpoint, and the final one, is f.
-    double lo = 0.0;
+    // The fill level f is the end of a 64-step bisection of [0, hi]
+    // that moves hi down wherever sum(min(d_i, w_i * f)) covers the
+    // capacity. That sum never decreases as f grows (each term and
+    // each rounded addition is monotone for w_i >= 0), so the level is
+    // solved exactly from the sum's flip point.
     double hi = capacity;
-    for (const auto &d : demands)
+    for (const auto &d : demands) {
+        PCCS_ASSERT(!(d.weight < 0.0), "negative fairness weight %g",
+                    d.weight);
         if (d.weight > 0.0)
             hi = std::max(hi, d.demand / d.weight);
-    double fill = 0.5 * (lo + hi);
-    for (int iter = 0; iter < 64 && fill != lo && fill != hi; ++iter) {
+    }
+    const auto covers = [demands, capacity](double f) {
         double served = 0.0;
         for (const auto &d : demands)
-            served += std::min(d.demand, d.weight * fill);
-        if (served < capacity)
-            lo = fill;
-        else
-            hi = fill;
-        fill = 0.5 * (lo + hi);
-    }
+            served += std::min(d.demand, d.weight * f);
+        return !(served < capacity);
+    };
+    const double fill = solveBisection<Midpoint::Arithmetic>(
+        0.0, hi, 64, levelEstimate(demands, capacity, hi), covers, trace);
     for (std::size_t i = 0; i < n; ++i)
         grants[i] = std::min(demands[i].demand, demands[i].weight * fill);
 }

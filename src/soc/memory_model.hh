@@ -31,6 +31,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bisection.hh"
 #include "common/units.hh"
 
 namespace pccs::soc {
@@ -92,7 +93,7 @@ struct BandwidthDemand
     GBps demand = 0.0;
     /** Row locality of the stream, [0, 1]. */
     double locality = 0.9;
-    /** Fairness weight of the owning PU. */
+    /** Fairness weight of the owning PU, >= 0. */
     double weight = 1.0;
 };
 
@@ -140,14 +141,19 @@ class SharedMemorySystem
 
     const MemoryParams &params() const { return params_; }
 
-  private:
     /**
      * Weighted water-filling: find grants g_i = min(d_i, w_i * f) with
-     * sum(g_i) = min(sum(d_i), capacity), written to `grants`.
+     * sum(g_i) = min(sum(d_i), capacity), written to `grants`. The
+     * fill f is bit-identical to the end of a 64-step bisection of
+     * [0, max(capacity, max d_i / w_i)]; `trace`, when given, records
+     * how it was solved (the all-satisfied exit leaves it untouched).
+     * Weights must be non-negative.
      */
     static void waterFill(std::span<const BandwidthDemand> demands,
-                          GBps capacity, std::span<GBps> grants);
+                          GBps capacity, std::span<GBps> grants,
+                          BisectionTrace *trace = nullptr);
 
+  private:
     MemoryParams params_;
 };
 

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -360,6 +362,333 @@ TEST(SocEquivalence, CalibratorMatchesFullBisection)
     // Both the clipped exit and the bisection are covered.
     EXPECT_GT(clipped, 0u);
     EXPECT_LT(clipped, socs.size() * 3u * 25u / 2u);
+}
+
+// ---- Exact flip-point solves: every branch. -------------------------
+
+/** Grants through the water-fill seam, with how the level was solved. */
+std::vector<GBps>
+seamWaterFill(const std::vector<BandwidthDemand> &demands, GBps capacity,
+              BisectionTrace *trace)
+{
+    std::vector<GBps> grants(demands.size(), -1.0);
+    SharedMemorySystem::waterFill(demands, capacity, grants, trace);
+    return grants;
+}
+
+bool
+grantsEqual(const std::vector<GBps> &a, const std::vector<GBps> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(GBps)) == 0;
+}
+
+/** Checks one demand set at `capacity`; returns whether it replayed. */
+bool
+expectWaterFillExact(const std::vector<BandwidthDemand> &demands,
+                     GBps capacity, const std::string &what)
+{
+    BisectionTrace trace;
+    const std::vector<GBps> got = seamWaterFill(demands, capacity, &trace);
+    EXPECT_TRUE(grantsEqual(got, refWaterFill(demands, capacity)))
+        << what << " at capacity " << capacity;
+    return trace.replayed;
+}
+
+TEST(SocEquivalence, WaterFillWithoutFlipPoint)
+{
+    // Every weight zero: the served sum never reaches the capacity, so
+    // the bisection climbs to the top of its bracket.
+    const std::vector<BandwidthDemand> demands{
+        {80.0, 0.9, 0.0}, {60.0, 0.9, 0.0}, {25.0, 0.9, 0.0}};
+    EXPECT_FALSE(expectWaterFillExact(demands, 100.0, "all weights zero"));
+    // Positive weights whose demands cannot cover the capacity.
+    const std::vector<BandwidthDemand> short_of{
+        {80.0, 0.9, 1.0}, {60.0, 0.9, 0.0}};
+    expectWaterFillExact(short_of, 100.0, "weighted demand short");
+}
+
+TEST(SocEquivalence, WaterFillSomeWeightsZero)
+{
+    Rng rng(11);
+    for (int c = 0; c < 500; ++c) {
+        std::vector<BandwidthDemand> demands;
+        for (int i = 0; i < 5; ++i)
+            demands.push_back({rng.uniform(1.0, 100.0), 0.9,
+                               i % 2 == 0 ? 0.0 : rng.uniform(0.2, 3.0)});
+        expectWaterFillExact(demands, rng.uniform(10.0, 150.0),
+                             "case " + std::to_string(c));
+    }
+}
+
+TEST(SocEquivalence, WaterFillTooWideForDirectForm)
+{
+    // Tiny weights put max(d_i / w_i) far above the fill level, past
+    // the direct form's 256x guard: the solve must replay the loop,
+    // and both sides of that guard must match the full bisection.
+    Rng rng(12);
+    std::size_t replayed = 0;
+    std::size_t direct = 0;
+    for (int c = 0; c < 4000; ++c) {
+        std::vector<BandwidthDemand> demands{
+            {rng.uniform(10.0, 100.0), 0.9, rng.uniform(0.5, 2.0)},
+            {rng.uniform(10.0, 100.0), 0.9, rng.uniform(0.5, 2.0)}};
+        // hi / fill spread log-uniformly over 1 .. 2^16.
+        const double ratio = std::exp2(rng.uniform(0.0, 16.0));
+        demands.push_back({rng.uniform(50.0, 200.0), 0.9, 0.0});
+        const GBps capacity = rng.uniform(5.0, 40.0);
+        demands.back().weight =
+            demands.back().demand / (ratio * capacity / 2.5);
+        if (expectWaterFillExact(demands, capacity,
+                                 "case " + std::to_string(c)))
+            ++replayed;
+        else
+            ++direct;
+    }
+    EXPECT_GT(replayed, 1000u);
+    EXPECT_GT(direct, 1000u);
+}
+
+TEST(SocEquivalence, WaterFillReplayLandsOnFlipPoint)
+{
+    // One source with hi = d and a capacity of d / 2^j: the served sum
+    // first covers the capacity exactly at the j-th halving of the
+    // bracket, so a replay midpoint equals the flip point itself.
+    for (int j = 9; j <= 30; ++j) {
+        const double d = 100.0;
+        const std::vector<BandwidthDemand> demands{{d, 0.9, 1.0}};
+        EXPECT_TRUE(expectWaterFillExact(demands, std::ldexp(d, -j),
+                                         "j = " + std::to_string(j)));
+    }
+}
+
+TEST(SocEquivalence, WaterFillSingleDemand)
+{
+    Rng rng(13);
+    for (int c = 0; c < 500; ++c) {
+        const std::vector<BandwidthDemand> demands{
+            {rng.uniform(1.0, 200.0), 0.9, rng.uniform(0.1, 4.0)}};
+        expectWaterFillExact(demands, rng.uniform(0.5, 1.0) *
+                                          demands[0].demand,
+                             "case " + std::to_string(c));
+    }
+}
+
+TEST(SocEquivalence, WaterFillEqualRatios)
+{
+    Rng rng(14);
+    for (int c = 0; c < 500; ++c) {
+        const double ratio = rng.uniform(5.0, 80.0);
+        std::vector<BandwidthDemand> demands;
+        for (int i = 0; i < 4; ++i) {
+            const double w = rng.uniform(0.2, 3.0);
+            demands.push_back({ratio * w, 0.9, w});
+        }
+        double total = 0.0;
+        for (const auto &d : demands)
+            total += d.demand;
+        expectWaterFillExact(demands, rng.uniform(0.2, 1.0) * total,
+                             "case " + std::to_string(c));
+    }
+}
+
+TEST(SocEquivalence, WaterFillCapacityAtPartialSum)
+{
+    // Capacities equal to the served sum at a breakpoint d_k / w_k,
+    // where the slope of the served curve changes.
+    const std::vector<BandwidthDemand> demands{
+        {10.0, 0.9, 1.0}, {20.0, 0.9, 1.0}, {30.0, 0.9, 1.0},
+        {12.0, 0.9, 0.5}, {45.0, 0.9, 1.5}};
+    for (const auto &at : demands) {
+        const double f = at.demand / at.weight;
+        double capacity = 0.0;
+        for (const auto &d : demands)
+            capacity += std::min(d.demand, d.weight * f);
+        expectWaterFillExact(demands, capacity, "breakpoint");
+        expectWaterFillExact(demands, std::nextafter(capacity, 0.0),
+                             "below breakpoint");
+        expectWaterFillExact(demands, std::nextafter(capacity, 1e9),
+                             "above breakpoint");
+    }
+}
+
+TEST(SocEquivalence, WaterFillBeyondInlineDemands)
+{
+    Rng rng(15);
+    for (int c = 0; c < 300; ++c) {
+        std::vector<BandwidthDemand> demands;
+        const std::size_t n = inlineDemands + 1 + rng.below(24);
+        for (std::size_t i = 0; i < n; ++i)
+            demands.push_back({rng.uniform(0.0, 40.0), 0.9,
+                               rng.chance(0.1) ? 0.0
+                                               : rng.uniform(0.1, 3.0)});
+        expectWaterFillExact(demands, rng.uniform(20.0, 200.0),
+                             "case " + std::to_string(c));
+    }
+}
+
+void
+expectCalibratorExact(const PuParams &pu, const MemoryParams &memory,
+                      GBps target)
+{
+    const ExecutionModel model(memory);
+    const double got = calib::makeCalibrator(model, pu, target).intensity;
+    const double want =
+        refCalibratorIntensity(SharedMemorySystem(memory), pu, target,
+                               calib::calibratorLocality);
+    EXPECT_TRUE(bitEqual(want, got))
+        << pu.name << " target " << target << ": " << want << " vs "
+        << got;
+}
+
+TEST(SocEquivalence, CalibratorFullOverlap)
+{
+    // Overlap 1: t_base = max(t_c, t_m), so demand is flat while
+    // t_c < t_m and only falls once the kernel turns compute-bound.
+    const SocConfig soc = xavierLike();
+    for (PuParams pu : soc.pus) {
+        pu.overlap = 1.0;
+        for (double frac = 0.01; frac < 1.3; frac += 0.01)
+            expectCalibratorExact(pu, soc.memory,
+                                  frac * pu.drawBandwidth());
+    }
+}
+
+TEST(SocEquivalence, CalibratorTargetsAtAndAboveDraw)
+{
+    for (const SocConfig &soc : {xavierLike(), snapdragonLike()}) {
+        const ExecutionModel model(soc.memory);
+        for (const PuParams &pu : soc.pus) {
+            const GBps draw = pu.drawBandwidth();
+            const GBps most = model.rateTerms(pu, calib::calibratorLocality)
+                                  .rate(1e-4, 0.0, 0.0) /
+                              bytesPerGB;
+            for (GBps target : {draw, 1.5 * draw, 1e6, most,
+                                std::nextafter(most, 0.0),
+                                std::nextafter(most, 1e9)})
+                expectCalibratorExact(pu, soc.memory, target);
+        }
+    }
+}
+
+TEST(SocEquivalence, CalibratorTinyTargets)
+{
+    // Targets below the demand of the most compute-bound calibrator:
+    // the bisection climbs to the top of its bracket.
+    for (const SocConfig &soc : {xavierLike(), snapdragonLike()})
+        for (const PuParams &pu : soc.pus)
+            for (GBps target : {1e-300, 1e-12, 1e-6, 1e-3, 0.05})
+                expectCalibratorExact(pu, soc.memory, target);
+}
+
+// The shared helper, driven with a known flip point F: upper(x) is
+// x >= F, so every branch can be forced and checked against the loop.
+
+template <Midpoint M>
+double
+refMid(double lo, double hi)
+{
+    return M == Midpoint::Arithmetic ? 0.5 * (lo + hi) : std::sqrt(lo * hi);
+}
+
+template <Midpoint M>
+double
+refBisection(double lo, double hi, int steps, double flip)
+{
+    for (int i = 0; i < steps; ++i) {
+        const double m = refMid<M>(lo, hi);
+        if (m >= flip)
+            hi = m;
+        else
+            lo = m;
+    }
+    return refMid<M>(lo, hi);
+}
+
+/** Random flip points over a bracket; counts the replayed solves. */
+template <Midpoint M>
+std::size_t
+checkSolves(double lo, double hi, int steps, int cases, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::size_t replayed = 0;
+    for (int c = 0; c < cases; ++c) {
+        // Log-uniform flip points, plus the bracket ends.
+        double flip = std::exp(rng.uniform(std::log(std::max(lo, 1e-12)),
+                                           std::log(hi)));
+        if (c % 50 == 0)
+            flip = hi;
+        if (c % 50 == 1)
+            flip = std::nextafter(lo, hi);
+        flip = std::clamp(flip, std::nextafter(lo, hi), hi);
+        // A seed thousands of ulps off on either side.
+        const double seed_at = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(flip) +
+            static_cast<std::uint64_t>(rng.below(6000)) - 3000);
+        BisectionTrace trace;
+        const double got = solveBisection<M>(
+            lo, hi, steps, seed_at, [flip](double x) { return x >= flip; },
+            &trace);
+        const double want = refBisection<M>(lo, hi, steps, flip);
+        EXPECT_TRUE(bitEqual(want, got))
+            << "lo " << lo << " hi " << hi << " steps " << steps
+            << " flip " << flip << ": " << want << " vs " << got;
+        if (trace.replayed)
+            ++replayed;
+    }
+    return replayed;
+}
+
+TEST(SocEquivalence, BisectionSolveDirectAndReplayBranches)
+{
+    // Arithmetic from 0 with the full 64 steps: direct where the top is
+    // within 256x the flip point, replayed beyond it.
+    const std::size_t arith = checkSolves<Midpoint::Arithmetic>(
+        0.0, 1e6, 64, 4000, 1);
+    EXPECT_GT(arith, 100u);
+    EXPECT_LT(arith, 4000u);
+    // A bracket not starting at 0, or too few steps: always replayed.
+    EXPECT_EQ(checkSolves<Midpoint::Arithmetic>(1.0, 1e3, 64, 500, 2),
+              500u);
+    EXPECT_EQ(checkSolves<Midpoint::Arithmetic>(0.0, 100.0, 40, 500, 3),
+              500u);
+    // Geometric over the calibrator's bracket: always direct with 80
+    // steps, replayed with 40 (which does not converge).
+    EXPECT_EQ(checkSolves<Midpoint::Geometric>(1e-4, 1e5, 80, 2000, 4),
+              0u);
+    EXPECT_EQ(checkSolves<Midpoint::Geometric>(1e-4, 1e5, 40, 500, 5),
+              500u);
+    // Past the geometric range guard: replayed.
+    EXPECT_EQ(checkSolves<Midpoint::Geometric>(0x1p-600, 1.0, 80, 500, 6),
+              500u);
+}
+
+TEST(SocEquivalence, FlipPointCostGrowsWithSeedError)
+{
+    const double flip = 37.25;
+    const auto upper = [flip](double x) { return x >= flip; };
+    unsigned near_calls = 0;
+    EXPECT_EQ(flipPoint(0.0, 1e3, flip, upper, &near_calls), flip);
+    EXPECT_LE(near_calls, 2u);
+    for (std::int64_t off : {-5000, -1, 1, 5000}) {
+        unsigned calls = 0;
+        const double seed = std::bit_cast<double>(
+            std::bit_cast<std::uint64_t>(flip) +
+            static_cast<std::uint64_t>(off));
+        EXPECT_EQ(flipPoint(0.0, 1e3, seed, upper, &calls), flip);
+        EXPECT_GE(calls, near_calls);
+        if (off == 5000 || off == -5000) {
+            EXPECT_GT(calls, 10u);
+        }
+    }
+    // Seeds outside the bracket, and no flip point inside it.
+    unsigned calls = 0;
+    EXPECT_EQ(flipPoint(0.0, 1e3, -1.0, upper, &calls), flip);
+    EXPECT_EQ(flipPoint(0.0, 1e3, 1e9, upper, &calls), flip);
+    EXPECT_EQ(flipPoint(0.0, 1e3, 5.0, [](double) { return false; }),
+              1e3);
+    EXPECT_EQ(flipPoint(0.0, 1e3, 5.0, [](double) { return true; }),
+              std::bit_cast<double>(std::uint64_t{1}));
 }
 
 } // namespace
