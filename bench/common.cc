@@ -15,12 +15,10 @@ consumeDramRunFlags(int argc, char **argv)
 {
     std::vector<std::string> leftover;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--dram-reference") == 0) {
-            dram::setDefaultDramRunMode(dram::DramRunMode::Reference);
-            dram::setDefaultMcRunMode(dram::McRunMode::Lockstep);
-        } else {
+        if (std::strcmp(argv[i], "--dram-reference") == 0)
+            dram::setDefaultRunMode(dram::RunMode::Reference);
+        else
             leftover.push_back(argv[i]);
-        }
     }
     return leftover;
 }

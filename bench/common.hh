@@ -31,10 +31,10 @@ void banner(const std::string &title, const std::string &paper_ref);
 
 /**
  * Handle the DRAM run-loop flags shared by the DRAM-driven benches:
- * `--dram-reference` selects the cycle-by-cycle reference core for
- * every DramSystem (and the lockstep loop for every MultiMcSystem)
- * the bench constructs. The default is the bit-exact event-driven
- * core. Unknown arguments are fatal.
+ * `--dram-reference` selects the cycle-by-cycle reference loop for
+ * every DramSystem the bench constructs, on one controller or many.
+ * The default is the bit-exact event-driven loop. Unknown arguments
+ * are fatal.
  */
 void applyDramRunFlags(int argc, char **argv);
 

@@ -14,7 +14,7 @@
 #include "bench/common.hh"
 #include "calib/calibrator.hh"
 #include "common/table.hh"
-#include "dram/multi_mc.hh"
+#include "dram/system.hh"
 
 using namespace pccs;
 using namespace pccs::dram;
@@ -45,8 +45,8 @@ study(unsigned num_mcs, McMapping mapping)
 {
     const unsigned channels = 4 / num_mcs;
     auto run = [&](bool with_aggressors) {
-        MultiMcSystem sys(perMcConfig(channels), num_mcs,
-                          "ATLAS", mapping);
+        DramSystem sys(perMcConfig(channels), num_mcs, "ATLAS",
+                       mapping);
         TrafficParams victim;
         victim.source = 0; // bottom address slice
         victim.demand = 30.0;
@@ -85,7 +85,7 @@ study(unsigned num_mcs, McMapping mapping)
 
 /** Wall-time of one multi-MC calibration sweep in a given run mode. */
 double
-sweepSeconds(McRunMode mode, calib::CalibrationMatrix &out)
+sweepSeconds(RunMode mode, calib::CalibrationMatrix &out)
 {
     calib::McSweepSpec spec;
     spec.perMcConfig = perMcConfig(1);
@@ -109,7 +109,7 @@ main(int argc, char **argv)
                   "co-location",
                   "Section 5 extension (multi-MC / address mapping)");
     std::printf("Multi-MC run mode: %s\n",
-                mcRunModeName(defaultMcRunMode()));
+                runModeName(defaultRunMode()));
 
     std::printf("One 30 GB/s victim vs three 25 GB/s aggressors; "
                 "same aggregate capacity (4 x DDR4-3200 channels, "
@@ -136,23 +136,24 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", t.str().c_str());
 
-    // The accelerated calibration sweep: identical matrices from
-    // both run modes (the equivalence tests enforce it bit-exactly),
-    // so the only thing that changes with the mode is the wall time.
+    // The accelerated calibration sweep (the "lockstep" row is the
+    // reference loop): identical matrices from both run modes (the
+    // equivalence tests enforce it bit-exactly), so the only thing
+    // that changes with the mode is the wall time.
     std::printf("Multi-MC calibration sweep (4 MC x 1 ch, "
                 "range-partitioned, ATLAS; 4 victims x 4+1 external "
                 "steps):\n\n");
     Table sweep_t({"run mode", "wall time (s)", "speedup vs lockstep",
                    "rela[last][last] (%)"});
     calib::CalibrationMatrix matrix;
-    const double lockstep_s = sweepSeconds(McRunMode::Lockstep, matrix);
+    const double reference_s = sweepSeconds(RunMode::Reference, matrix);
     const double last = matrix.rela.back().back();
-    sweep_t.addRow({"lockstep", fmtDouble(lockstep_s, 3), "1.0",
+    sweep_t.addRow({"lockstep", fmtDouble(reference_s, 3), "1.0",
                     fmtDouble(last, 1)});
-    const double event_s = sweepSeconds(McRunMode::EventDriven, matrix);
-    sweep_t.addRow({mcRunModeName(McRunMode::EventDriven),
+    const double event_s = sweepSeconds(RunMode::EventDriven, matrix);
+    sweep_t.addRow({runModeName(RunMode::EventDriven),
                     fmtDouble(event_s, 3),
-                    fmtDouble(lockstep_s / event_s, 1),
+                    fmtDouble(reference_s / event_s, 1),
                     fmtDouble(matrix.rela.back().back(), 1)});
     std::printf("%s\n", sweep_t.str().c_str());
 

@@ -40,7 +40,6 @@
 
 #include "calib/calibrator.hh"
 #include "common/rng.hh"
-#include "dram/multi_mc.hh"
 #include "dram/system.hh"
 #include "gables/gables.hh"
 #include "pccs/builder.hh"
@@ -418,26 +417,14 @@ struct EngineCounts
     std::uint64_t cmds = 0;
 };
 
-EngineCounts
-engineCounts(const dram::MemoryController &mc)
-{
-    return {mc.channelEvaluations(), mc.issuedCommands()};
-}
-
+/** Summed over the system's controllers. */
 EngineCounts
 engineCounts(const dram::DramSystem &sys)
 {
-    return engineCounts(sys.controller());
-}
-
-EngineCounts
-engineCounts(const dram::MultiMcSystem &sys)
-{
     EngineCounts sum;
     for (unsigned mc = 0; mc < sys.numControllers(); ++mc) {
-        const EngineCounts c = engineCounts(sys.controller(mc));
-        sum.evals += c.evals;
-        sum.cmds += c.cmds;
+        sum.evals += sys.controller(mc).channelEvaluations();
+        sum.cmds += sys.controller(mc).issuedCommands();
     }
     return sum;
 }
@@ -465,7 +452,7 @@ reportEvalsPerCommand(benchmark::State &state, const EngineCounts &before,
  * low-demand core, so the event core skips long quiet stretches.
  */
 void
-dramCyclesIdleSingle(benchmark::State &state, dram::DramRunMode mode)
+dramCyclesIdleSingle(benchmark::State &state, dram::RunMode mode)
 {
     dram::DramSystem sys(dram::table1Config(),
                          "FR-FCFS",
@@ -485,7 +472,7 @@ dramCyclesIdleSingle(benchmark::State &state, dram::DramRunMode mode)
 void
 BM_DramCyclesIdleSingleReference(benchmark::State &state)
 {
-    dramCyclesIdleSingle(state, dram::DramRunMode::Reference);
+    dramCyclesIdleSingle(state, dram::RunMode::Reference);
 }
 BENCHMARK(BM_DramCyclesIdleSingleReference)
     ->Arg(100000)
@@ -494,7 +481,7 @@ BENCHMARK(BM_DramCyclesIdleSingleReference)
 void
 BM_DramCyclesIdleSingleEventDriven(benchmark::State &state)
 {
-    dramCyclesIdleSingle(state, dram::DramRunMode::EventDriven);
+    dramCyclesIdleSingle(state, dram::RunMode::EventDriven);
 }
 BENCHMARK(BM_DramCyclesIdleSingleEventDriven)
     ->Arg(100000)
@@ -506,7 +493,7 @@ BENCHMARK(BM_DramCyclesIdleSingleEventDriven)
  * from the incremental controller bookkeeping, not from skipping.
  */
 void
-dramCyclesSaturated4(benchmark::State &state, dram::DramRunMode mode)
+dramCyclesSaturated4(benchmark::State &state, dram::RunMode mode)
 {
     dram::DramSystem sys(dram::table1Config(),
                          "FR-FCFS",
@@ -529,7 +516,7 @@ dramCyclesSaturated4(benchmark::State &state, dram::DramRunMode mode)
 void
 BM_DramCyclesSaturated4Reference(benchmark::State &state)
 {
-    dramCyclesSaturated4(state, dram::DramRunMode::Reference);
+    dramCyclesSaturated4(state, dram::RunMode::Reference);
 }
 BENCHMARK(BM_DramCyclesSaturated4Reference)
     ->Arg(20000)
@@ -538,7 +525,7 @@ BENCHMARK(BM_DramCyclesSaturated4Reference)
 void
 BM_DramCyclesSaturated4EventDriven(benchmark::State &state)
 {
-    dramCyclesSaturated4(state, dram::DramRunMode::EventDriven);
+    dramCyclesSaturated4(state, dram::RunMode::EventDriven);
 }
 BENCHMARK(BM_DramCyclesSaturated4EventDriven)
     ->Arg(20000)
@@ -552,7 +539,7 @@ BENCHMARK(BM_DramCyclesSaturated4EventDriven)
  * ticks all sixteen and retries every blocked enqueue each cycle.
  */
 void
-dramCyclesSaturated16(benchmark::State &state, dram::DramRunMode mode)
+dramCyclesSaturated16(benchmark::State &state, dram::RunMode mode)
 {
     dram::DramSystem sys(dram::table1Config(), "FR-FCFS",
                          dram::SchedulerParams{}, mode);
@@ -574,7 +561,7 @@ dramCyclesSaturated16(benchmark::State &state, dram::DramRunMode mode)
 void
 BM_DramCyclesSaturated16Reference(benchmark::State &state)
 {
-    dramCyclesSaturated16(state, dram::DramRunMode::Reference);
+    dramCyclesSaturated16(state, dram::RunMode::Reference);
 }
 BENCHMARK(BM_DramCyclesSaturated16Reference)
     ->Arg(20000)
@@ -583,7 +570,7 @@ BENCHMARK(BM_DramCyclesSaturated16Reference)
 void
 BM_DramCyclesSaturated16EventDriven(benchmark::State &state)
 {
-    dramCyclesSaturated16(state, dram::DramRunMode::EventDriven);
+    dramCyclesSaturated16(state, dram::RunMode::EventDriven);
 }
 BENCHMARK(BM_DramCyclesSaturated16EventDriven)
     ->Arg(20000)
@@ -603,7 +590,7 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
     constexpr Cycles kCycles = 20000;
     dram::DramSystem sys(dram::table1Config(), policy,
                          dram::SchedulerParams{},
-                         dram::DramRunMode::EventDriven);
+                         dram::RunMode::EventDriven);
     for (unsigned c = 0; c < 4; ++c) {
         dram::TrafficParams p;
         p.source = c;
@@ -624,20 +611,20 @@ dramCyclesSaturatedPolicy(benchmark::State &state,
  * Simulated-cycles-per-second of the two multi-MC run loops
  * (4 MCs x 1 channel, range-partitioned). Idle/mixed case: two
  * low-demand cores in two slices, so two controllers are completely
- * idle — the lockstep loop still ticks all four every cycle, and the
+ * idle — the reference loop still ticks all four every cycle, and the
  * event-driven loop jumps over the quiet stretches.
  */
 void
-multiMcCycles(benchmark::State &state, dram::McRunMode mode,
+multiMcCycles(benchmark::State &state, dram::RunMode mode,
               bool saturated, const std::string &policy = "FR-FCFS",
               Cycles cycles = 0) // 0: take the count from range(0)
 {
     dram::DramConfig cfg = dram::table1Config();
     cfg.channels = 1;
     cfg.requestBufferEntries = 64;
-    dram::MultiMcSystem sys(cfg, 4, policy,
-                            dram::McMapping::RangePartitioned,
-                            dram::SchedulerParams{}, mode);
+    dram::DramSystem sys(cfg, 4, policy,
+                         dram::McMapping::RangePartitioned,
+                         dram::SchedulerParams{}, mode);
     const unsigned sources = saturated ? 4 : 2;
     for (unsigned c = 0; c < sources; ++c) {
         dram::TrafficParams p;
@@ -664,7 +651,7 @@ multiMcCycles(benchmark::State &state, dram::McRunMode mode,
 void
 BM_MultiMcCyclesIdleLockstep(benchmark::State &state)
 {
-    multiMcCycles(state, dram::McRunMode::Lockstep, false);
+    multiMcCycles(state, dram::RunMode::Reference, false);
 }
 BENCHMARK(BM_MultiMcCyclesIdleLockstep)
     ->Arg(100000)
@@ -673,7 +660,7 @@ BENCHMARK(BM_MultiMcCyclesIdleLockstep)
 void
 BM_MultiMcCyclesIdleEventDriven(benchmark::State &state)
 {
-    multiMcCycles(state, dram::McRunMode::EventDriven, false);
+    multiMcCycles(state, dram::RunMode::EventDriven, false);
 }
 BENCHMARK(BM_MultiMcCyclesIdleEventDriven)
     ->Arg(100000)
@@ -688,7 +675,7 @@ BENCHMARK(BM_MultiMcCyclesIdleEventDriven)
 void
 BM_MultiMcCyclesSaturatedLockstep(benchmark::State &state)
 {
-    multiMcCycles(state, dram::McRunMode::Lockstep, true);
+    multiMcCycles(state, dram::RunMode::Reference, true);
 }
 BENCHMARK(BM_MultiMcCyclesSaturatedLockstep)
     ->Arg(20000)
@@ -697,7 +684,7 @@ BENCHMARK(BM_MultiMcCyclesSaturatedLockstep)
 void
 BM_MultiMcCyclesSaturatedEventDriven(benchmark::State &state)
 {
-    multiMcCycles(state, dram::McRunMode::EventDriven, true);
+    multiMcCycles(state, dram::RunMode::EventDriven, true);
 }
 BENCHMARK(BM_MultiMcCyclesSaturatedEventDriven)
     ->Arg(20000)
@@ -714,7 +701,7 @@ void
 multiMcCyclesSaturatedPolicy(benchmark::State &state,
                              const std::string &policy)
 {
-    multiMcCycles(state, dram::McRunMode::EventDriven, true, policy,
+    multiMcCycles(state, dram::RunMode::EventDriven, true, policy,
                   20000);
 }
 

@@ -155,9 +155,9 @@ GBps
 evalMcPoint(const McSweepSpec &spec, GBps victim_demand,
             GBps external_demand)
 {
-    dram::MultiMcSystem sys(spec.perMcConfig, spec.numMcs, spec.policy,
-                            spec.mapping, dram::SchedulerParams{},
-                            spec.runMode);
+    dram::DramSystem sys(spec.perMcConfig, spec.numMcs, spec.policy,
+                         spec.mapping, dram::SchedulerParams{},
+                         spec.runMode);
     dram::TrafficParams v;
     v.source = 0;
     v.demand = victim_demand;

@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "dram/multi_mc.hh"
+#include "dram/system.hh"
 #include "runner/sweep_engine.hh"
 #include "soc/simulator.hh"
 
@@ -96,23 +96,26 @@ CalibrationMatrix calibrate(const soc::SocSimulator &sim,
                             runner::SweepEngine *engine = nullptr);
 
 /**
- * Parameters of a multi-controller DRAM-substrate calibration sweep
- * (the Section 5 extension: calibrating against the cycle-accurate
- * multi-MC subsystem instead of the analytic SoC model, so the rela
- * matrix reflects the address mapping and per-MC scheduling).
+ * Parameters of a DRAM-substrate calibration sweep (the Section 5
+ * extension: calibrating against the cycle-accurate dram::DramSystem
+ * with `numMcs` controllers instead of the analytic SoC model, so the
+ * rela matrix reflects the address mapping and per-MC scheduling).
  */
 struct McSweepSpec
 {
     /** Per-controller DRAM configuration. */
     dram::DramConfig perMcConfig = dram::table1Config();
-    /** Number of memory controllers. */
+    /**
+     * Number of memory controllers. With one, the sources issue
+     * straight into it and the mapping changes nothing.
+     */
     unsigned numMcs = 2;
     /** Registered scheduler-policy name (one instance per MC). */
     std::string policy = "FR-FCFS";
     /** Address-to-MC mapping under calibration. */
     dram::McMapping mapping = dram::McMapping::LineInterleaved;
     /** Run loop for the per-point simulations. */
-    dram::McRunMode runMode = dram::defaultMcRunMode();
+    dram::RunMode runMode = dram::defaultRunMode();
     /** Number of victim-demand steps (rows). */
     unsigned numKernels = 4;
     /** Smallest victim demand as a fraction of one MC's peak. */

@@ -1,8 +1,8 @@
 /**
  * @file
- * The memory-port interface traffic generators issue through: either
- * a single MemoryController or a multi-controller router (multi_mc.hh)
- * sits behind it.
+ * The memory-port interface traffic generators issue through: a
+ * MemoryController when a DramSystem has one, else the DramSystem
+ * itself, which routes each address to its controller (system.hh).
  */
 
 #ifndef PCCS_DRAM_PORT_HH

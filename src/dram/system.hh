@@ -1,13 +1,26 @@
 /**
  * @file
- * Top-level DRAM simulation harness: a memory controller plus a set of
- * synthetic core traffic generators, with warmup/measure windows.
+ * Top-level DRAM simulation harness: one or more memory controllers
+ * behind an address router, synthetic core traffic generators and
+ * trace replays, with warmup/measure windows.
  *
  * This is the substrate for the paper's Section 2.3 validation: the
  * registered scheduling policies are run against a 16-core
  * configuration (Table 1) and per-group achieved relative speeds,
  * row-buffer hit rates, and effective bandwidths are extracted
- * (Figure 5, Table 3).
+ * (Figure 5, Table 3). With several controllers it is the Section 5
+ * extension: each controller has its own request buffer, banks, and
+ * scheduling-policy instance, and a McMapping decides which one
+ * serves an address.
+ *
+ * Two run loops advance the system (RunMode): the every-cycle
+ * reference oracle, and a cycle-skipping event-driven loop fusing
+ * every controller's and source's wake bound into one min-scan. The
+ * two are bit-exact against each other (tests/test_dram_equivalence.cc
+ * on one controller, tests/test_multimc_equivalence.cc on several). A
+ * system runs on the calling thread; parallelism lives one level up,
+ * where independent systems (sweep points) fan out over
+ * runner::SweepEngine.
  */
 
 #ifndef PCCS_DRAM_SYSTEM_HH
@@ -18,29 +31,70 @@
 #include <vector>
 
 #include "dram/controller.hh"
+#include "dram/multi_mc.hh"
 #include "dram/run_mode.hh"
 #include "dram/trace_replay.hh"
 #include "dram/traffic.hh"
 
 namespace pccs::dram {
 
-/** A complete DRAM subsystem simulation with synthetic cores. */
-class DramSystem
+/**
+ * A complete DRAM subsystem simulation with synthetic cores. As a
+ * MemoryPort it is the router: enqueue() hands a request to the
+ * controller route() picks, at its localAddress(). Sources issue
+ * through the router only when there is more than one controller; a
+ * lone controller is their port directly.
+ */
+class DramSystem : public MemoryPort
 {
   public:
-    /** @param policy registered scheduler-policy name or alias. */
+    /**
+     * One controller.
+     * @param policy registered scheduler-policy name or alias.
+     */
     DramSystem(const DramConfig &cfg, std::string_view policy,
                const SchedulerParams &sched_params = {},
-               DramRunMode mode = defaultDramRunMode());
+               RunMode mode = defaultRunMode());
 
-    /** Select the run-loop implementation (bit-exact either way). */
-    void setRunMode(DramRunMode mode)
+    /**
+     * @param per_mc_cfg configuration of each controller (so total
+     *        capacity = num_mcs x per_mc_cfg.peakBandwidth())
+     * @param num_mcs number of controllers, at least one
+     * @param policy registered scheduler-policy name (one instance
+     *        per MC — MCs do not share scheduler state, the
+     *        coordination question the paper raises)
+     */
+    DramSystem(const DramConfig &per_mc_cfg, unsigned num_mcs,
+               std::string_view policy, McMapping mapping,
+               const SchedulerParams &sched_params = {},
+               RunMode mode = defaultRunMode());
+
+    DramSystem(const DramSystem &) = delete;
+    DramSystem &operator=(const DramSystem &) = delete;
+
+    // MemoryPort
+    bool enqueue(unsigned source, Addr addr, bool is_write,
+                 Cycles now) override;
+    /** Routed like enqueue(): the owning MC's queue for `addr`. */
+    const RequestQueue &requestQueue(Addr addr) const override;
+    unsigned lineBytes() const override { return lineBytes_; }
+    double cycleSeconds() const override
     {
-        mode_ = mode;
-        controller_->setLazyChannelScan(mode ==
-                                        DramRunMode::EventDriven);
+        return mcs_[0]->cycleSeconds();
     }
-    DramRunMode runMode() const { return mode_; }
+    Addr addressSpan() const override
+    {
+        return perMcSpan_ * numControllers();
+    }
+
+    /**
+     * Select the run loop. Safe at any cycle boundary (between run()
+     * calls): both loops leave identical state behind. Also toggles
+     * the controllers' lazy channel scan (on for the event-driven
+     * loop, off for the reference specification).
+     */
+    void setRunMode(RunMode mode);
+    RunMode runMode() const { return mode_; }
 
     /** Add a synthetic core; returns its index. */
     std::size_t addGenerator(const TrafficParams &params);
@@ -54,10 +108,10 @@ class DramSystem
      *
      * In EventDriven mode quiet stretches — cycles provably free of
      * completions, command issue, refresh progress, scheduler tick
-     * events, and token-bucket issue crossings — are skipped in one
-     * jump; every simulated state transition, statistic, and RNG draw
-     * is bit-identical to Reference mode (see DESIGN.md and
-     * tests/test_dram_equivalence.cc). On the cycles it does step,
+     * events, and token-bucket issue crossings on every controller and
+     * source — are skipped in one jump; every simulated state
+     * transition, statistic, and RNG draw is bit-identical to
+     * Reference mode (see DESIGN.md). On the cycles it does step,
      * sources that provably cannot issue (idleAt()) are not ticked.
      */
     void run(Cycles cycles);
@@ -71,25 +125,67 @@ class DramSystem
     /** @return cycles elapsed since the last resetMeasurement(). */
     Cycles windowCycles() const { return now_ - windowStart_; }
 
-    MemoryController &controller() { return *controller_; }
-    const MemoryController &controller() const { return *controller_; }
+    unsigned numControllers() const
+    {
+        return static_cast<unsigned>(mcs_.size());
+    }
+    MemoryController &controller(unsigned mc = 0) { return *mcs_[mc]; }
+    const MemoryController &controller(unsigned mc = 0) const
+    {
+        return *mcs_[mc];
+    }
 
     CoreTrafficGenerator &generator(std::size_t i)
+    {
+        return *generators_[i];
+    }
+    const CoreTrafficGenerator &generator(std::size_t i) const
     {
         return *generators_[i];
     }
     std::size_t numGenerators() const { return generators_.size(); }
 
     TraceReplayGenerator &replay(std::size_t i) { return *replays_[i]; }
+    const TraceReplayGenerator &replay(std::size_t i) const
+    {
+        return *replays_[i];
+    }
     std::size_t numReplays() const { return replays_.size(); }
 
     /** Achieved bandwidth of generator i over the current window. */
     GBps achievedBandwidth(std::size_t i) const;
 
-    /** Effective bandwidth fraction of peak over the current window. */
+    /**
+     * Effective bandwidth fraction of peak over the current window,
+     * averaged over the controllers.
+     */
     double effectiveBandwidthFraction() const;
 
+    /** Row-buffer hit rate over the window, all controllers pooled. */
+    double rowBufferHitRate() const;
+
+    /** Bytes served by controller `mc` during the window. */
+    std::uint64_t bytesServed(unsigned mc) const
+    {
+        return mcs_[mc]->stats().bytesTransferred;
+    }
+
+    /** @return which MC serves `addr` under the configured mapping. */
+    unsigned route(Addr addr) const;
+
+    /** @return the MC-local address for a global address. */
+    Addr localAddress(Addr addr) const;
+
   private:
+    /** What sources issue into: the lone controller, else the router. */
+    MemoryPort &sourcePort()
+    {
+        if (mcs_.size() == 1)
+            return *mcs_[0];
+        return *this;
+    }
+    /** Assert that `source` is in range and not yet taken. */
+    void checkFreeSource(unsigned source) const;
     void runReference(Cycles end);
     void runEventDriven(Cycles end);
     /**
@@ -99,8 +195,11 @@ class DramSystem
      */
     bool stepCycle(bool skip_idle);
 
-    DramRunMode mode_;
-    std::unique_ptr<MemoryController> controller_;
+    McMapping mapping_;
+    RunMode mode_;
+    std::vector<std::unique_ptr<MemoryController>> mcs_;
+    unsigned lineBytes_;
+    Addr perMcSpan_;
     std::vector<std::unique_ptr<CoreTrafficGenerator>> generators_;
     std::vector<std::unique_ptr<TraceReplayGenerator>> replays_;
     /** Per-source completion routing (synthetic or replay). */
@@ -108,17 +207,6 @@ class DramSystem
     std::vector<TraceReplayGenerator *> replayBySource_;
     Cycles now_ = 0;
     Cycles windowStart_ = 0;
-};
-
-/**
- * Measure a kernel's standalone-vs-corun relative speed with a given
- * policy: convenience wrapper used by tests and benches.
- */
-struct RelativeSpeedResult
-{
-    double relativeSpeed = 0.0;  //!< corun speed / standalone speed, in %
-    GBps standaloneBandwidth = 0.0;
-    GBps corunBandwidth = 0.0;
 };
 
 } // namespace pccs::dram

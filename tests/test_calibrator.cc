@@ -180,15 +180,15 @@ TEST(CalibrateMultiMc, RunModesAgreeBitExactly)
     runner::SweepEngine serial(1);
     runner::SweepEngine pool(4);
     McSweepSpec spec = smallMcSpec();
-    spec.runMode = dram::McRunMode::Lockstep;
+    spec.runMode = dram::RunMode::Reference;
     const CalibrationMatrix ref = calibrateMultiMc(spec, &serial);
-    for (dram::McRunMode mode : {dram::McRunMode::Lockstep,
-                                 dram::McRunMode::EventDriven}) {
+    for (dram::RunMode mode :
+         {dram::RunMode::Reference, dram::RunMode::EventDriven}) {
         for (runner::SweepEngine *eng : {&serial, &pool}) {
-            if (mode == dram::McRunMode::Lockstep && eng == &serial)
+            if (mode == dram::RunMode::Reference && eng == &serial)
                 continue; // the reference itself
             SCOPED_TRACE(testing::Message()
-                         << dram::mcRunModeName(mode)
+                         << dram::runModeName(mode)
                          << " jobs=" << eng->jobs());
             spec.runMode = mode;
             const CalibrationMatrix got = calibrateMultiMc(spec, eng);

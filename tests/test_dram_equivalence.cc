@@ -25,43 +25,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.hh"
-#include "dram/run_mode.hh"
-#include "dram/system.hh"
+#include "dram_equivalence.hh"
 
 namespace pccs::dram {
 namespace {
-
-/**
- * Registered policy names, restricted by PCCS_POLICY_FILTER
- * (comma-separated names or aliases) when set.
- */
-std::vector<std::string>
-testPolicies()
-{
-    const char *env = std::getenv("PCCS_POLICY_FILTER");
-    if (!env || !*env)
-        return schedulerNames();
-    std::vector<std::string> out;
-    std::string list(env);
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string tok =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!tok.empty())
-            out.push_back(schedulerFromName(tok).name);
-        pos = comma == std::string::npos ? comma : comma + 1;
-    }
-    return out;
-}
 
 /**
  * FROZEN: this exact construction produced the golden numbers below
@@ -70,7 +42,7 @@ testPolicies()
  */
 std::unique_ptr<DramSystem>
 buildSystem(std::string_view policy, unsigned channels, double scale,
-            std::uint64_t seed, DramRunMode mode,
+            std::uint64_t seed, RunMode mode,
             const SchedulerParams &sched_params = {})
 {
     DramConfig cfg = table1Config();
@@ -124,68 +96,6 @@ runWindow(DramSystem &sys)
     sys.run(kWarmup);
     sys.resetMeasurement();
     sys.run(kWindow);
-}
-
-/** Compare every observable of two runs of the same configuration. */
-void
-expectIdentical(DramSystem &a, DramSystem &b)
-{
-    const ControllerStats &sa = a.controller().stats();
-    const ControllerStats &sb = b.controller().stats();
-    EXPECT_EQ(sa.reads, sb.reads);
-    EXPECT_EQ(sa.writes, sb.writes);
-    EXPECT_EQ(sa.rowHits, sb.rowHits);
-    EXPECT_EQ(sa.rowMisses, sb.rowMisses);
-    EXPECT_EQ(sa.refreshes, sb.refreshes);
-    EXPECT_EQ(sa.bytesTransferred, sb.bytesTransferred);
-    EXPECT_EQ(sa.completed, sb.completed);
-    EXPECT_EQ(sa.totalLatency, sb.totalLatency);
-    for (unsigned s = 0; s < Scheduler::maxSources; ++s) {
-        EXPECT_EQ(sa.bytesPerSource[s], sb.bytesPerSource[s])
-            << "source " << s;
-        EXPECT_EQ(sa.completedPerSource[s], sb.completedPerSource[s])
-            << "source " << s;
-    }
-    EXPECT_EQ(a.now(), b.now());
-    EXPECT_EQ(a.controller().pendingRequests(),
-              b.controller().pendingRequests());
-    ASSERT_EQ(a.numGenerators(), b.numGenerators());
-    for (std::size_t i = 0; i < a.numGenerators(); ++i) {
-        EXPECT_EQ(a.generator(i).issuedLines(),
-                  b.generator(i).issuedLines());
-        EXPECT_EQ(a.generator(i).completedLines(),
-                  b.generator(i).completedLines());
-        EXPECT_EQ(a.generator(i).outstanding(),
-                  b.generator(i).outstanding());
-        // Bandwidth is a float derived from identical integers over an
-        // identical window: exact double equality is required.
-        EXPECT_EQ(a.achievedBandwidth(i), b.achievedBandwidth(i));
-    }
-    ASSERT_EQ(a.numReplays(), b.numReplays());
-    for (std::size_t i = 0; i < a.numReplays(); ++i) {
-        EXPECT_EQ(a.replay(i).issuedLines(), b.replay(i).issuedLines());
-        EXPECT_EQ(a.replay(i).completedLines(),
-                  b.replay(i).completedLines());
-        EXPECT_EQ(a.replay(i).outstanding(), b.replay(i).outstanding());
-    }
-    EXPECT_EQ(a.effectiveBandwidthFraction(),
-              b.effectiveBandwidthFraction());
-    // The queued requests themselves, ids included: ids are assigned
-    // on acceptance, so a rejected retry (made every cycle by the
-    // reference loop, skipped by the event-driven one) must not shift
-    // them.
-    ASSERT_EQ(a.controller().config().channels,
-              b.controller().config().channels);
-    for (unsigned ch = 0; ch < a.controller().config().channels; ++ch) {
-        const std::vector<Request> qa = a.controller().queueSnapshot(ch);
-        const std::vector<Request> qb = b.controller().queueSnapshot(ch);
-        ASSERT_EQ(qa.size(), qb.size()) << "channel " << ch;
-        for (std::size_t k = 0; k < qa.size(); ++k) {
-            EXPECT_EQ(qa[k].id, qb[k].id) << "channel " << ch;
-            EXPECT_EQ(qa[k].arrival, qb[k].arrival) << "channel " << ch;
-            EXPECT_EQ(qa[k].addr, qb[k].addr) << "channel " << ch;
-        }
-    }
 }
 
 /**
@@ -269,7 +179,7 @@ const GoldenRow kGolden[] = {
  */
 struct GoldenMode
 {
-    DramRunMode mode;
+    RunMode mode;
     const char *name;
 };
 
@@ -309,8 +219,8 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
 INSTANTIATE_TEST_SUITE_P(
     AllModes, GoldenPinning,
     ::testing::Values(
-        GoldenMode{DramRunMode::Reference, "Reference"},
-        GoldenMode{DramRunMode::EventDriven, "EventDrivenFastPath"}),
+        GoldenMode{RunMode::Reference, "Reference"},
+        GoldenMode{RunMode::EventDriven, "EventDrivenFastPath"}),
     [](const auto &pinfo) { return std::string(pinfo.param.name); });
 
 TEST(DramEquivalence, CrossModeMatrix)
@@ -325,10 +235,10 @@ TEST(DramEquivalence, CrossModeMatrix)
                                  << " seed=" << seed);
                     auto ref = buildSystem(policy, channels, scale,
                                            seed,
-                                           DramRunMode::Reference);
+                                           RunMode::Reference);
                     auto evt = buildSystem(policy, channels, scale,
                                            seed,
-                                           DramRunMode::EventDriven);
+                                           RunMode::EventDriven);
                     runWindow(*ref);
                     runWindow(*evt);
                     expectIdentical(*ref, *evt);
@@ -355,9 +265,9 @@ TEST(DramEquivalence, SchedulerTickEventsUnderQuietTraffic)
             SCOPED_TRACE(testing::Message()
                          << policy << " scale " << scale);
             auto ref = buildSystem(policy, 4, scale, 3,
-                                   DramRunMode::Reference, sp);
+                                   RunMode::Reference, sp);
             auto evt = buildSystem(policy, 4, scale, 3,
-                                   DramRunMode::EventDriven, sp);
+                                   RunMode::EventDriven, sp);
             runWindow(*ref);
             runWindow(*evt);
             expectIdentical(*ref, *evt);
@@ -374,7 +284,7 @@ TEST(DramEquivalence, SchedulerTickEventsUnderQuietTraffic)
  */
 std::unique_ptr<DramSystem>
 buildBackpressured(std::string_view policy, unsigned per_channel,
-                   std::uint64_t seed, DramRunMode mode)
+                   std::uint64_t seed, RunMode mode)
 {
     DramConfig cfg = table1Config();
     cfg.requestBufferEntries = per_channel * cfg.channels;
@@ -410,9 +320,9 @@ TEST(DramEquivalence, TinyRequestBuffersMatrix)
             SCOPED_TRACE(testing::Message()
                          << policy << " entries/ch=" << per_channel);
             auto ref = buildBackpressured(policy, per_channel, 1,
-                                          DramRunMode::Reference);
+                                          RunMode::Reference);
             auto evt = buildBackpressured(policy, per_channel, 1,
-                                          DramRunMode::EventDriven);
+                                          RunMode::EventDriven);
             runWindow(*ref);
             runWindow(*evt);
             expectIdentical(*ref, *evt);
@@ -427,7 +337,7 @@ TEST(DramEquivalence, SaturatedRetriesOnlyInReference)
     // a rejected request only once its buffer has room, so each
     // rejection is followed by that request's acceptance; the
     // reference loop retries every cycle.
-    auto build = [](DramRunMode mode) {
+    auto build = [](RunMode mode) {
         auto sys = std::make_unique<DramSystem>(
             table1Config(), "FR-FCFS", SchedulerParams{}, mode);
         for (unsigned c = 0; c < 16; ++c) {
@@ -439,8 +349,8 @@ TEST(DramEquivalence, SaturatedRetriesOnlyInReference)
         }
         return sys;
     };
-    auto ref = build(DramRunMode::Reference);
-    auto evt = build(DramRunMode::EventDriven);
+    auto ref = build(RunMode::Reference);
+    auto evt = build(RunMode::EventDriven);
     runWindow(*ref);
     runWindow(*evt);
     expectIdentical(*ref, *evt);
@@ -462,14 +372,14 @@ TEST(DramEquivalence, ModeSwitchMidRun)
     // across the switch (open rows, tokens, inflight, refresh phase)
     // must line up bit-for-bit with a single-mode run.
     auto ref = buildSystem("FR-FCFS", 4, 1.0, 5,
-                           DramRunMode::Reference);
+                           RunMode::Reference);
     auto mixed = buildSystem("FR-FCFS", 4, 1.0, 5,
-                             DramRunMode::EventDriven);
+                             RunMode::EventDriven);
     ref->run(9000);
     mixed->run(4000);
-    mixed->setRunMode(DramRunMode::Reference);
+    mixed->setRunMode(RunMode::Reference);
     mixed->run(2500);
-    mixed->setRunMode(DramRunMode::EventDriven);
+    mixed->setRunMode(RunMode::EventDriven);
     mixed->run(2500);
     expectIdentical(*ref, *mixed);
 }

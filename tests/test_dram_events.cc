@@ -19,7 +19,7 @@ namespace {
 /** A small system whose refreshes are dense enough to collide with
  *  completions and token crossings many times per window. */
 std::unique_ptr<DramSystem>
-buildDense(std::string_view policy, double demand, DramRunMode mode)
+buildDense(std::string_view policy, double demand, RunMode mode)
 {
     DramConfig cfg = table1Config();
     cfg.channels = 2;
@@ -71,9 +71,9 @@ TEST(DramEvents, CoincidingEventsResolveInCycleOrder)
             SCOPED_TRACE(testing::Message()
                          << policy << " demand " << demand);
             auto ref =
-                buildDense(policy, demand, DramRunMode::Reference);
+                buildDense(policy, demand, RunMode::Reference);
             auto evt =
-                buildDense(policy, demand, DramRunMode::EventDriven);
+                buildDense(policy, demand, RunMode::EventDriven);
             ref->run(15000);
             evt->run(15000);
             expectSameStats(*ref, *evt);
@@ -88,11 +88,11 @@ TEST(DramEvents, RunChunkingIsUnobservable)
     // core called 15000 times with run(1), ~2143 times with run(7),
     // and once with run(15000) must agree bit-for-bit.
     auto whole =
-        buildDense("FR-FCFS", 2.0, DramRunMode::EventDriven);
+        buildDense("FR-FCFS", 2.0, RunMode::EventDriven);
     auto by7 =
-        buildDense("FR-FCFS", 2.0, DramRunMode::EventDriven);
+        buildDense("FR-FCFS", 2.0, RunMode::EventDriven);
     auto by1 =
-        buildDense("FR-FCFS", 2.0, DramRunMode::EventDriven);
+        buildDense("FR-FCFS", 2.0, RunMode::EventDriven);
     whole->run(15000);
     for (int i = 0; i < 15000 / 7; ++i)
         by7->run(7);
@@ -156,7 +156,7 @@ TEST(DramEvents, LowDemandTokenAccrualMatchesReference)
     for (double demand : {0.35, 1.0, 3.3}) {
         SCOPED_TRACE(testing::Message() << "demand " << demand);
         DramConfig cfg = table1Config();
-        auto make = [&](DramRunMode mode) {
+        auto make = [&](RunMode mode) {
             auto sys = std::make_unique<DramSystem>(
                 cfg, "FR-FCFS", SchedulerParams{}, mode);
             TrafficParams p;
@@ -168,8 +168,8 @@ TEST(DramEvents, LowDemandTokenAccrualMatchesReference)
             sys->addGenerator(p);
             return sys;
         };
-        auto ref = make(DramRunMode::Reference);
-        auto evt = make(DramRunMode::EventDriven);
+        auto ref = make(RunMode::Reference);
+        auto evt = make(RunMode::EventDriven);
         ref->run(100000);
         evt->run(100000);
         expectSameStats(*ref, *evt);

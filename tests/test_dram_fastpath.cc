@@ -59,7 +59,7 @@ enum class TrafficSkew
  */
 std::unique_ptr<DramSystem>
 buildFuzzSystem(std::string_view policy, std::uint64_t seed,
-                DramRunMode mode, TrafficSkew skew,
+                RunMode mode, TrafficSkew skew,
                 Cycles starvation_threshold, unsigned depth)
 {
     Rng rng(seed * 0x9E3779B97F4A7C15ull + 1);
@@ -184,10 +184,10 @@ twoWayCheck(const std::string &policy, std::uint64_t seed,
     SCOPED_TRACE("seed " + std::to_string(seed) + ", depth " +
                  std::to_string(depth));
 
-    auto ref = buildFuzzSystem(policy, seed, DramRunMode::Reference,
+    auto ref = buildFuzzSystem(policy, seed, RunMode::Reference,
                                skew, starvation_threshold, depth);
     runSegmented(*ref);
-    auto fast = buildFuzzSystem(policy, seed, DramRunMode::EventDriven,
+    auto fast = buildFuzzSystem(policy, seed, RunMode::EventDriven,
                                 skew, starvation_threshold, depth);
     runSegmented(*fast);
 

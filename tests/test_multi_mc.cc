@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dram/multi_mc.hh"
+#include "dram/system.hh"
 
 namespace pccs::dram {
 namespace {
@@ -24,8 +24,8 @@ halfConfig()
 
 TEST(MultiMcRouting, InterleavedRotatesLines)
 {
-    MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                      McMapping::LineInterleaved);
+    DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                   McMapping::LineInterleaved);
     const unsigned line = halfConfig().lineBytes;
     for (unsigned i = 0; i < 8; ++i)
         EXPECT_EQ(sys.route(Addr{i} * line), i % 2);
@@ -33,8 +33,8 @@ TEST(MultiMcRouting, InterleavedRotatesLines)
 
 TEST(MultiMcRouting, PartitionedSplitsRanges)
 {
-    MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                      McMapping::RangePartitioned);
+    DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                   McMapping::RangePartitioned);
     const Addr half = sys.addressSpan() / 2;
     EXPECT_EQ(sys.route(0), 0u);
     EXPECT_EQ(sys.route(half - 64), 0u);
@@ -46,8 +46,8 @@ TEST(MultiMcRouting, LocalAddressesStayInLocalSpan)
 {
     for (auto mapping : {McMapping::LineInterleaved,
                          McMapping::RangePartitioned}) {
-        MultiMcSystem sys(halfConfig(), 4, "FR-FCFS",
-                          mapping);
+        DramSystem sys(halfConfig(), 4, "FR-FCFS",
+                       mapping);
         const Addr local_span = sys.addressSpan() / 4;
         for (Addr a = 0; a < sys.addressSpan();
              a += sys.addressSpan() / 97) {
@@ -59,8 +59,8 @@ TEST(MultiMcRouting, LocalAddressesStayInLocalSpan)
 
 TEST(MultiMcRouting, InterleavedTranslationIsInjective)
 {
-    MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                      McMapping::LineInterleaved);
+    DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                   McMapping::LineInterleaved);
     // Distinct global lines must map to distinct (mc, local) pairs.
     const unsigned line = halfConfig().lineBytes;
     std::set<std::pair<unsigned, Addr>> seen;
@@ -74,8 +74,8 @@ TEST(MultiMcRouting, InterleavedTranslationIsInjective)
 
 TEST(MultiMc, AggregateSpanAndNames)
 {
-    MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                      McMapping::LineInterleaved);
+    DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                   McMapping::LineInterleaved);
     EXPECT_EQ(sys.numControllers(), 2u);
     EXPECT_EQ(sys.addressSpan(),
               2 * sys.controller(0).mapper().addressSpan());
@@ -89,8 +89,8 @@ TEST(MultiMc, InterleavedAggregatesBandwidth)
 {
     // One streaming core should draw from both controllers and exceed
     // a single controller's capacity (2 channels = 51.2 GB/s).
-    MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                      McMapping::LineInterleaved);
+    DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                   McMapping::LineInterleaved);
     TrafficParams p;
     p.source = 0;
     p.demand = 80.0;
@@ -111,8 +111,8 @@ TEST(MultiMc, PartitionedConfinesASource)
     // A source whose private region lies in MC0's range must never
     // touch MC1. (Source regions are address-space slices; source 0's
     // slice is at the bottom.)
-    MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                      McMapping::RangePartitioned);
+    DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                   McMapping::RangePartitioned);
     TrafficParams p;
     p.source = 0;
     p.demand = 40.0;
@@ -132,8 +132,8 @@ TEST(MultiMc, PartitionedIsolatesInterference)
         // Source 0 -> bottom partition; source 40 -> top partition
         // (64 source slices, so slice 40 is in the upper half).
         auto solo = [&](bool with_aggressor) {
-            MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                              mapping);
+            DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                           mapping);
             TrafficParams v;
             v.source = 0;
             v.demand = 40.0;
@@ -171,14 +171,14 @@ TEST(MultiMc, PartitionedDisjointSlicesZeroMutualSlowdown)
     // exactly zero, not merely small. Every per-source observable
     // must be bit-identical between the solo and co-run simulations,
     // in both run modes.
-    for (McRunMode mode : {McRunMode::Lockstep, McRunMode::EventDriven}) {
-        SCOPED_TRACE(mcRunModeName(mode));
+    for (RunMode mode : {RunMode::Reference, RunMode::EventDriven}) {
+        SCOPED_TRACE(runModeName(mode));
         auto run = [&](bool with_other, unsigned keep_source,
                        std::uint64_t &issued, std::uint64_t &completed,
                        GBps &bw) {
-            MultiMcSystem sys(halfConfig(), 2, "FR-FCFS",
-                              McMapping::RangePartitioned,
-                              SchedulerParams{}, mode);
+            DramSystem sys(halfConfig(), 2, "FR-FCFS",
+                           McMapping::RangePartitioned,
+                           SchedulerParams{}, mode);
             TrafficParams v;
             v.source = 0;
             v.demand = 40.0;
@@ -228,8 +228,8 @@ TEST(MultiMc, InterleavedAggregateBandwidthScalesWithMcs)
     // saturating cores on 4 MCs (102.4 GB/s nominal) must clear twice
     // a single 2-channel controller's 51.2 GB/s ceiling, and the load
     // must spread near-evenly across the controllers.
-    MultiMcSystem sys(halfConfig(), 4, "FR-FCFS",
-                      McMapping::LineInterleaved);
+    DramSystem sys(halfConfig(), 4, "FR-FCFS",
+                   McMapping::LineInterleaved);
     for (unsigned s = 0; s < 4; ++s) {
         TrafficParams p;
         p.source = s * 16;
@@ -258,8 +258,8 @@ TEST(MultiMc, InterleavedAggregateBandwidthScalesWithMcs)
 
 TEST(MultiMc, SingleControllerDegeneratesToPlainSystem)
 {
-    MultiMcSystem sys(table1Config(), 1, "FR-FCFS",
-                      McMapping::LineInterleaved);
+    DramSystem sys(table1Config(), 1, "FR-FCFS",
+                   McMapping::LineInterleaved);
     TrafficParams p;
     p.source = 0;
     p.demand = 30.0;
@@ -273,8 +273,8 @@ TEST(MultiMc, SingleControllerDegeneratesToPlainSystem)
 
 TEST(MultiMcDeath, ZeroControllersPanics)
 {
-    EXPECT_DEATH(MultiMcSystem(halfConfig(), 0, "FR-FCFS",
-                               McMapping::LineInterleaved),
+    EXPECT_DEATH(DramSystem(halfConfig(), 0, "FR-FCFS",
+                            McMapping::LineInterleaved),
                  "at least one");
 }
 

@@ -242,7 +242,7 @@ TEST(SchedulerRegistry, ExternalPolicyRunsBothLoopsIdentically)
     // cycle) and the event-driven loop (fastPick() on woken channels)
     // run through it and must agree bit for bit.
     ensureTestRr();
-    auto build = [](DramRunMode mode) {
+    auto build = [](RunMode mode) {
         auto sys = std::make_unique<DramSystem>(
             table1Config(), "test-rr", SchedulerParams{}, mode);
         for (unsigned src = 0; src < 6; ++src) {
@@ -255,8 +255,8 @@ TEST(SchedulerRegistry, ExternalPolicyRunsBothLoopsIdentically)
         }
         return sys;
     };
-    auto ref = build(DramRunMode::Reference);
-    auto evt = build(DramRunMode::EventDriven);
+    auto ref = build(RunMode::Reference);
+    auto evt = build(RunMode::EventDriven);
     ref->run(6000);
     evt->run(6000);
     const ControllerStats &a = ref->controller().stats();

@@ -46,8 +46,8 @@
  * `pccs --version` prints the tool version. Global options:
  * --jobs N caps the sweep engine's worker threads, which run DRAM
  * calibration points (equivalent to setting PCCS_JOBS=N);
- * --dram-reference selects the per-cycle reference DRAM loops
- * (single-MC reference core + multi-MC lockstep).
+ * --dram-reference selects the per-cycle reference DRAM loop, on one
+ * memory controller or many.
  */
 
 #include <algorithm>
@@ -628,7 +628,7 @@ cmdMultimc(const ArgMap &args)
                 spec.numMcs, spec.perMcConfig.channels,
                 spec.policy.c_str(),
                 dram::mcMappingName(spec.mapping),
-                dram::mcRunModeName(spec.runMode));
+                dram::runModeName(spec.runMode));
     const calib::CalibrationMatrix m = calib::calibrateMultiMc(spec);
 
     std::vector<std::string> header{"standalone (GB/s)"};
@@ -916,10 +916,9 @@ usage(std::FILE *to)
         "global options:\n"
         "  --jobs N           cap the sweep engine's worker threads "
         "(PCCS_JOBS)\n"
-        "  --dram-reference   per-cycle reference DRAM loops "
-        "(PCCS_DRAM_REFERENCE=1):\n"
-        "                     the single-MC reference core and the "
-        "multi-MC lockstep loop\n");
+        "  --dram-reference   per-cycle reference DRAM loop "
+        "(PCCS_DRAM_REFERENCE=1),\n"
+        "                     on one memory controller or many\n");
 }
 
 } // namespace
@@ -931,12 +930,10 @@ main(int argc, char **argv)
     // (which pairs every --option with a value).
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--dram-reference") == 0) {
-            dram::setDefaultDramRunMode(dram::DramRunMode::Reference);
-            dram::setDefaultMcRunMode(dram::McRunMode::Lockstep);
-        } else {
+        if (std::strcmp(argv[i], "--dram-reference") == 0)
+            dram::setDefaultRunMode(dram::RunMode::Reference);
+        else
             argv[kept++] = argv[i];
-        }
     }
     argc = kept;
     if (argc < 2) {
