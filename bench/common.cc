@@ -37,6 +37,23 @@ applyDramRunFlags(int argc, char **argv)
     }
 }
 
+calib::DramPoint
+groupsPoint(const std::string &policy, GBps low_total, GBps high_total,
+            Cycles warmup, Cycles window)
+{
+    calib::DramPoint p{
+        {.policy = policy, .warmup = warmup, .window = window}, {}};
+    for (unsigned c = low_total > 0.0 ? 0 : groupCores;
+         c < 2 * groupCores; ++c) {
+        const bool high = c >= groupCores;
+        p.generators.push_back(
+            {.source = c,
+             .demand = (high ? high_total : low_total) / groupCores,
+             .seed = (high ? 2000u : 1000u) + c % groupCores});
+    }
+    return p;
+}
+
 void
 banner(const std::string &title, const std::string &paper_ref)
 {
@@ -46,15 +63,6 @@ banner(const std::string &title, const std::string &paper_ref)
     std::printf("Reproduces: %s\n", paper_ref.c_str());
     std::printf("================================================"
                 "====================\n\n");
-}
-
-std::vector<GBps>
-externalLadder(GBps max_external, unsigned steps)
-{
-    std::vector<GBps> ladder;
-    for (unsigned j = 1; j <= steps; ++j)
-        ladder.push_back(max_external * j / steps);
-    return ladder;
 }
 
 double

@@ -7,9 +7,9 @@
  * (`<experiment>.json` / `<experiment>.csv`, in $PCCS_ARTIFACT_DIR or
  * the working directory) with the same data.
  *
- * All simulator evaluations route through the process-wide
- * `runner::SweepEngine`, which runs SoC sweep points inline on the
- * calling thread.
+ * SoC sweep points run inline on the calling thread; the DRAM benches
+ * submit their simulations as one batch to `calib::runDramPoints`,
+ * which fans them out over the `runner::SweepEngine` pool.
  */
 
 #ifndef PCCS_BENCH_COMMON_HH
@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "calib/calibrator.hh"
 #include "common/table.hh"
 #include "pccs/predictor.hh"
 #include "runner/run_spec.hh"
@@ -45,8 +46,18 @@ void applyDramRunFlags(int argc, char **argv);
  */
 std::vector<std::string> consumeDramRunFlags(int argc, char **argv);
 
-/** The external-pressure ladder the paper sweeps (10%..100% of max). */
-std::vector<GBps> externalLadder(GBps max_external, unsigned steps = 10);
+/** Cores per group in the two-group Table 1 DRAM experiments. */
+inline constexpr unsigned groupCores = 8;
+
+/**
+ * A two-group Table 1 DRAM point (Fig. 5, Table 3): `low_total` GB/s
+ * over sources 0..7 (absent when 0), `high_total` over 8..15.
+ */
+calib::DramPoint groupsPoint(const std::string &policy, GBps low_total,
+                             GBps high_total, Cycles warmup,
+                             Cycles window);
+
+using calib::externalLadder;
 
 /** One predicted-vs-actual sweep result for a single kernel. */
 struct SweepResult

@@ -10,6 +10,9 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/common.hh"
 #include "calib/calibrator.hh"
@@ -33,54 +36,25 @@ perMcConfig(unsigned channels)
     return cfg;
 }
 
-struct Result
+/** A 30 GB/s victim alone or against three 25 GB/s aggressors. */
+calib::DramPoint
+studyPoint(unsigned num_mcs, McMapping mapping, bool with_aggressors)
 {
-    double victimRelativeSpeed; // %
-    double aggregateBandwidth;  // GB/s
-    double rowHitRate;          // %
-};
-
-Result
-study(unsigned num_mcs, McMapping mapping)
-{
-    const unsigned channels = 4 / num_mcs;
-    auto run = [&](bool with_aggressors) {
-        DramSystem sys(perMcConfig(channels), num_mcs, "ATLAS",
-                       mapping);
-        TrafficParams victim;
-        victim.source = 0; // bottom address slice
-        victim.demand = 30.0;
-        victim.seed = 11;
-        sys.addGenerator(victim);
-        if (with_aggressors) {
-            // Aggressors spread across the upper address slices.
-            for (unsigned i = 0; i < 3; ++i) {
-                TrafficParams p;
-                p.source = 20 + 16 * i; // slices 20, 36, 52 of 64
-                p.demand = 25.0;
-                p.seed = 100 + i;
-                sys.addGenerator(p);
-            }
-        }
-        sys.run(warmup);
-        sys.resetMeasurement();
-        sys.run(window);
-        Result r;
-        r.victimRelativeSpeed =
-            static_cast<double>(sys.generator(0).completedLines());
-        double bytes = 0.0;
-        for (unsigned m = 0; m < sys.numControllers(); ++m)
-            bytes += static_cast<double>(sys.bytesServed(m));
-        r.aggregateBandwidth = toGBps(
-            bytes, static_cast<double>(window) * sys.cycleSeconds());
-        r.rowHitRate = 100.0 * sys.rowBufferHitRate();
-        return r;
-    };
-    const Result solo = run(false);
-    Result corun = run(true);
-    corun.victimRelativeSpeed =
-        100.0 * corun.victimRelativeSpeed / solo.victimRelativeSpeed;
-    return corun;
+    calib::DramPoint p{{.perMcConfig = perMcConfig(4 / num_mcs),
+                        .numMcs = num_mcs,
+                        .policy = "ATLAS",
+                        .mapping = mapping,
+                        .warmup = warmup,
+                        .window = window},
+                       {}};
+    // The victim in the bottom address slice; aggressors in slices
+    // 20, 36 and 52 of 64.
+    p.generators.push_back({.source = 0, .demand = 30.0, .seed = 11});
+    for (unsigned i = 0; with_aggressors && i < 3; ++i) {
+        p.generators.push_back(
+            {.source = 20 + 16 * i, .demand = 25.0, .seed = 100 + i});
+    }
+    return p;
 }
 
 /** Wall-time of one multi-MC calibration sweep in a given run mode. */
@@ -115,40 +89,60 @@ main(int argc, char **argv)
                 "same aggregate capacity (4 x DDR4-3200 channels, "
                 "ATLAS scheduling) in every row.\n\n");
 
+    // A solo and a co-run point per organization, all in one batch
+    // (with one MC the mapping changes nothing).
+    const std::pair<unsigned, McMapping> orgs[] = {
+        {1, McMapping::LineInterleaved},  {2, McMapping::LineInterleaved},
+        {2, McMapping::RangePartitioned}, {4, McMapping::LineInterleaved},
+        {4, McMapping::RangePartitioned}};
+    std::vector<calib::DramPoint> points;
+    for (const auto &[num_mcs, mapping] : orgs) {
+        points.push_back(studyPoint(num_mcs, mapping, false));
+        points.push_back(studyPoint(num_mcs, mapping, true));
+    }
+    std::vector<double> lines(points.size()), bw(points.size()),
+        rbh(points.size());
+    calib::runDramPoints(
+        points, nullptr, [&](std::size_t idx, const DramSystem &sys) {
+            double bytes = 0.0;
+            for (unsigned m = 0; m < sys.numControllers(); ++m)
+                bytes += static_cast<double>(sys.bytesServed(m));
+            lines[idx] =
+                static_cast<double>(sys.generator(0).completedLines());
+            bw[idx] = toGBps(
+                bytes, static_cast<double>(window) * sys.cycleSeconds());
+            rbh[idx] = 100.0 * sys.rowBufferHitRate();
+        });
+
     Table t({"organization", "mapping", "victim RS (%)",
              "aggregate BW (GB/s)", "RBH (%)"});
-    for (unsigned num_mcs : {1u, 2u, 4u}) {
-        for (auto mapping : {McMapping::LineInterleaved,
-                             McMapping::RangePartitioned}) {
-            if (num_mcs == 1 &&
-                mapping == McMapping::RangePartitioned) {
-                continue; // identical to interleaved with one MC
-            }
-            const Result r = study(num_mcs, mapping);
-            char org[32];
-            std::snprintf(org, sizeof(org), "%u MC x %u ch", num_mcs,
-                          4 / num_mcs);
-            t.addRow({org, mcMappingName(mapping),
-                      fmtDouble(r.victimRelativeSpeed, 1),
-                      fmtDouble(r.aggregateBandwidth, 1),
-                      fmtDouble(r.rowHitRate, 1)});
-        }
+    for (std::size_t solo = 0; const auto &[num_mcs, mapping] : orgs) {
+        const std::size_t corun = solo + 1;
+        char org[32];
+        std::snprintf(org, sizeof(org), "%u MC x %u ch", num_mcs,
+                      4 / num_mcs);
+        t.addRow({org, mcMappingName(mapping),
+                  fmtDouble(100.0 * lines[corun] / lines[solo], 1),
+                  fmtDouble(bw[corun], 1), fmtDouble(rbh[corun], 1)});
+        solo += 2;
     }
     std::printf("%s\n", t.str().c_str());
 
-    // The accelerated calibration sweep (the "lockstep" row is the
-    // reference loop): identical matrices from both run modes (the
-    // equivalence tests enforce it bit-exactly), so the only thing
-    // that changes with the mode is the wall time.
+    // The accelerated calibration sweep against the reference loop:
+    // identical matrices from both run modes (the equivalence tests
+    // enforce it bit-exactly), so the only thing that changes with the
+    // mode is the wall time.
     std::printf("Multi-MC calibration sweep (4 MC x 1 ch, "
                 "range-partitioned, ATLAS; 4 victims x 4+1 external "
                 "steps):\n\n");
-    Table sweep_t({"run mode", "wall time (s)", "speedup vs lockstep",
+    const char *reference = runModeName(RunMode::Reference);
+    Table sweep_t({"run mode", "wall time (s)",
+                   std::string("speedup vs ") + reference,
                    "rela[last][last] (%)"});
     calib::CalibrationMatrix matrix;
     const double reference_s = sweepSeconds(RunMode::Reference, matrix);
     const double last = matrix.rela.back().back();
-    sweep_t.addRow({"lockstep", fmtDouble(reference_s, 3), "1.0",
+    sweep_t.addRow({reference, fmtDouble(reference_s, 3), "1.0",
                     fmtDouble(last, 1)});
     const double event_s = sweepSeconds(RunMode::EventDriven, matrix);
     sweep_t.addRow({runModeName(RunMode::EventDriven),

@@ -27,6 +27,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -41,54 +42,6 @@ using namespace pccs;
 using namespace pccs::dram;
 
 namespace {
-
-constexpr unsigned groupCores = 8;
-
-Cycles warmup = 15000;
-Cycles window = 60000;
-
-/** Total completed lines of cores [begin, end). */
-std::uint64_t
-groupCompleted(DramSystem &sys, unsigned begin, unsigned end)
-{
-    std::uint64_t lines = 0;
-    for (unsigned i = begin; i < end; ++i)
-        lines += sys.generator(i).completedLines();
-    return lines;
-}
-
-/**
- * Measure the high group's achieved speed (lines completed in the
- * window) with `high_total` GB/s spread over the high group and
- * `low_total` GB/s over the low group (0 = group absent).
- */
-std::uint64_t
-measure(const std::string &policy, GBps high_total, GBps low_total)
-{
-    DramSystem sys(table1Config(), policy);
-    unsigned source = 0;
-    for (unsigned c = 0; c < groupCores; ++c, ++source) {
-        TrafficParams p;
-        p.source = source;
-        p.demand = low_total > 0.0 ? low_total / groupCores : 0.0;
-        p.seed = 1000 + source;
-        if (low_total > 0.0)
-            sys.addGenerator(p);
-    }
-    unsigned high_begin = low_total > 0.0 ? groupCores : 0;
-    for (unsigned c = 0; c < groupCores; ++c) {
-        TrafficParams p;
-        p.source = groupCores + c;
-        p.demand = high_total / groupCores;
-        p.seed = 2000 + c;
-        sys.addGenerator(p);
-    }
-    sys.run(warmup);
-    sys.resetMeasurement();
-    sys.run(window);
-    return groupCompleted(sys, high_begin ? groupCores : 0,
-                          (high_begin ? groupCores : 0) + groupCores);
-}
 
 /** Per-policy three-region characterization derived from its grid. */
 struct Characterization
@@ -157,17 +110,10 @@ main(int argc, char **argv)
             quick = true;
         } else if (leftover[i] == "--policies" &&
                    i + 1 < leftover.size()) {
-            std::string list = leftover[++i];
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                const std::size_t comma = list.find(',', pos);
-                const std::string tok =
-                    list.substr(pos, comma == std::string::npos
-                                         ? std::string::npos
-                                         : comma - pos);
+            std::istringstream list(leftover[++i]);
+            for (std::string tok; std::getline(list, tok, ',');) {
                 if (!tok.empty())
                     policies.push_back(schedulerFromName(tok).name);
-                pos = comma == std::string::npos ? comma : comma + 1;
             }
         } else {
             fatal("usage: %s [--dram-reference] "
@@ -186,11 +132,11 @@ main(int argc, char **argv)
 
     std::vector<GBps> high_demands{18.0, 36.0, 54.0, 72.0, 90.0};
     std::vector<GBps> low_demands{10.0, 20.0, 30.0, 40.0, 50.0, 60.0};
+    const Cycles warmup = quick ? 6000 : 15000;
+    const Cycles window = quick ? 20000 : 60000;
     if (quick) {
         high_demands = {18.0, 54.0, 90.0};
         low_demands = {20.0, 40.0, 60.0};
-        warmup = 6000;
-        window = 20000;
     }
 
     runner::RunResult artifact = bench::makeArtifact(
@@ -200,6 +146,31 @@ main(int argc, char **argv)
         "Figure 5, Tables 1 & 2", "table1-ddr4", "high group",
         low_demands);
 
+    // Every policy's grid is one batch of independent points: per
+    // high-group demand, the solo run (no low group), then one co-run
+    // per external demand. A point's result is the high group's
+    // completed lines in the window (its achieved speed).
+    std::vector<calib::DramPoint> points;
+    for (const std::string &policy : policies) {
+        for (GBps high : high_demands) {
+            for (std::size_t j = 0; j <= low_demands.size(); ++j) {
+                const GBps low = j == 0 ? 0.0 : low_demands[j - 1];
+                points.push_back(bench::groupsPoint(policy, low, high,
+                                                    warmup, window));
+            }
+        }
+    }
+    std::vector<double> lines(points.size(), 0.0);
+    calib::runDramPoints(
+        points, nullptr, [&](std::size_t idx, const DramSystem &sys) {
+            std::uint64_t high_lines = 0;
+            for (std::size_t i = sys.numGenerators() - bench::groupCores;
+                 i < sys.numGenerators(); ++i)
+                high_lines += sys.generator(i).completedLines();
+            lines[idx] = static_cast<double>(high_lines);
+        });
+
+    std::size_t next = 0;
     std::vector<Characterization> chars;
     for (const std::string &policy : policies) {
         std::printf("--- %s ---\n", policy.c_str());
@@ -210,14 +181,10 @@ main(int argc, char **argv)
 
         std::vector<std::vector<double>> rela;
         for (GBps high : high_demands) {
-            const double solo = static_cast<double>(
-                measure(policy, high, 0.0));
+            const double solo = lines[next++];
             std::vector<double> row;
-            for (GBps low : low_demands) {
-                const double corun = static_cast<double>(
-                    measure(policy, high, low));
-                row.push_back(100.0 * corun / solo);
-            }
+            for (std::size_t j = 0; j < low_demands.size(); ++j)
+                row.push_back(100.0 * lines[next++] / solo);
             t.addRow(fmtDouble(high, 0) + " GB/s", row, 1);
             rela.push_back(std::move(row));
         }

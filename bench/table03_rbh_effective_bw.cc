@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench/common.hh"
 #include "common/table.hh"
@@ -29,7 +30,6 @@ main(int argc, char **argv)
     // 16 cores: low group totals 60 GB/s, high group totals 90 GB/s;
     // 150 GB/s of demand on a 102.4 GB/s system (>= peak, as Table 3
     // prescribes).
-    constexpr unsigned group = 8;
     constexpr GBps low_total = 60.0;
     constexpr GBps high_total = 90.0;
     constexpr Cycles warmup = 15000;
@@ -56,31 +56,22 @@ main(int argc, char **argv)
         return nullptr;
     };
 
+    std::vector<calib::DramPoint> points;
     for (const std::string &policy : schedulerNames()) {
-        DramSystem sys(table1Config(), policy);
-        for (unsigned c = 0; c < group; ++c) {
-            TrafficParams p;
-            p.source = c;
-            p.demand = low_total / group;
-            p.seed = 1000 + c;
-            sys.addGenerator(p);
-        }
-        for (unsigned c = 0; c < group; ++c) {
-            TrafficParams p;
-            p.source = group + c;
-            p.demand = high_total / group;
-            p.seed = 2000 + c;
-            sys.addGenerator(p);
-        }
-        sys.run(warmup);
-        sys.resetMeasurement();
-        sys.run(window);
+        points.push_back(bench::groupsPoint(policy, low_total, high_total,
+                                            warmup, window));
+    }
+    std::vector<double> rbh(points.size()), eff(points.size());
+    calib::runDramPoints(
+        points, nullptr, [&](std::size_t idx, const DramSystem &sys) {
+            rbh[idx] = 100.0 * sys.rowBufferHitRate();
+            eff[idx] = 100.0 * sys.effectiveBandwidthFraction();
+        });
 
-        const double rbh =
-            100.0 * sys.controller().stats().rowBufferHitRate();
-        const double eff = 100.0 * sys.effectiveBandwidthFraction();
-        const PaperRow *row = paperRow(policy);
-        t.addRow({policy, fmtDouble(rbh, 1), fmtDouble(eff, 1),
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const PaperRow *row = paperRow(points[i].policy);
+        t.addRow({points[i].policy, fmtDouble(rbh[i], 1),
+                  fmtDouble(eff[i], 1),
                   row ? fmtDouble(row->rbh, 1) : "-",
                   row ? fmtDouble(row->eff, 1) : "-"});
     }

@@ -81,6 +81,15 @@ makeCalibrator(const soc::ExecutionModel &model, const soc::PuParams &pu,
     return kernel;
 }
 
+std::vector<GBps>
+externalLadder(GBps max_external, unsigned steps)
+{
+    std::vector<GBps> ladder;
+    for (unsigned j = 1; j <= steps; ++j)
+        ladder.push_back(max_external * j / steps);
+    return ladder;
+}
+
 CalibrationMatrix
 calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
           const SweepSpec &spec, runner::SweepEngine *engine)
@@ -118,14 +127,8 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
         m.standaloneBw.push_back(achieved);
     }
 
-    // External ladder: the paper steps external pressure in equal
-    // strides starting at the first stride (not zero; rela at zero is
-    // 100% by definition).
-    for (unsigned j = 1; j <= spec.numExternal; ++j) {
-        m.externalBw.push_back(spec.maxExternalFraction * peak *
-                               static_cast<double>(j) /
-                               static_cast<double>(spec.numExternal));
-    }
+    m.externalBw =
+        externalLadder(spec.maxExternalFraction * peak, spec.numExternal);
 
     // The rela matrix is a batch of independent points.
     std::vector<runner::EvalPoint> points;
@@ -143,46 +146,24 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
     return m;
 }
 
-namespace {
-
-/**
- * One (victim demand, external demand) sweep point on the multi-MC
- * subsystem: the victim's achieved bandwidth over the window. The
- * aggressor sources are spread across the 64 source slices so the
- * external pressure lands on every partition.
- */
-GBps
-evalMcPoint(const McSweepSpec &spec, GBps victim_demand,
-            GBps external_demand)
+void
+runDramPoints(const std::vector<DramPoint> &points,
+              runner::SweepEngine *engine, const DramPointReader &read)
 {
-    dram::DramSystem sys(spec.perMcConfig, spec.numMcs, spec.policy,
-                         spec.mapping, dram::SchedulerParams{},
-                         spec.runMode);
-    dram::TrafficParams v;
-    v.source = 0;
-    v.demand = victim_demand;
-    v.seed = spec.seed * 131;
-    const std::size_t victim = sys.addGenerator(v);
-    if (external_demand > 0.0) {
-        const unsigned stride =
-            dram::Scheduler::maxSources / (spec.numAggressors + 1);
-        for (unsigned a = 0; a < spec.numAggressors; ++a) {
-            dram::TrafficParams p;
-            p.source = (a + 1) * stride;
-            p.demand = external_demand /
-                       static_cast<double>(spec.numAggressors);
-            p.rowLocality = 0.85;
-            p.seed = spec.seed * 131 + p.source;
-            sys.addGenerator(p);
-        }
-    }
-    sys.run(spec.warmup);
-    sys.resetMeasurement();
-    sys.run(spec.window);
-    return sys.achievedBandwidth(victim);
+    runner::SweepEngine &eng =
+        engine ? *engine : runner::SweepEngine::global();
+    eng.parallelFor(points.size(), [&](std::size_t idx) {
+        const DramPoint &p = points[idx];
+        dram::DramSystem sys(p.perMcConfig, p.numMcs, p.policy,
+                             p.mapping, {}, p.runMode);
+        for (const dram::TrafficParams &gen : p.generators)
+            sys.addGenerator(gen);
+        sys.run(p.warmup);
+        sys.resetMeasurement();
+        sys.run(p.window);
+        read(idx, sys);
+    });
 }
-
-} // namespace
 
 CalibrationMatrix
 calibrateMultiMc(const McSweepSpec &spec, runner::SweepEngine *engine)
@@ -194,8 +175,6 @@ calibrateMultiMc(const McSweepSpec &spec, runner::SweepEngine *engine)
                     spec.numAggressors < dram::Scheduler::maxSources,
                 "bad aggressor count %u", spec.numAggressors);
 
-    runner::SweepEngine &eng =
-        engine ? *engine : runner::SweepEngine::global();
     const GBps per_mc_peak = spec.perMcConfig.peakBandwidth();
     const GBps peak = per_mc_peak * spec.numMcs;
 
@@ -208,24 +187,40 @@ calibrateMultiMc(const McSweepSpec &spec, runner::SweepEngine *engine)
                 static_cast<double>(spec.numKernels - 1);
         m.standaloneBw.push_back(frac * per_mc_peak);
     }
-    for (unsigned j = 1; j <= spec.numExternal; ++j) {
-        m.externalBw.push_back(spec.maxExternalFraction * peak *
-                               static_cast<double>(j) /
-                               static_cast<double>(spec.numExternal));
-    }
+    m.externalBw =
+        externalLadder(spec.maxExternalFraction * peak, spec.numExternal);
 
-    // Column 0 of each row is the standalone run (the rela
-    // denominator); the rest are the co-runs. All points are
-    // independent simulations, fanned out over the engine.
+    // Row i holds the standalone run (column 0, the rela denominator)
+    // and then the co-runs. The victim is generator 0; the aggressor
+    // sources are spread across the 64 source slices so the external
+    // pressure lands on every partition.
     const std::size_t cols = m.numExternal() + 1;
-    std::vector<GBps> bw(m.numKernels() * cols, 0.0);
-    auto point = [&](std::size_t idx) {
-        const std::size_t i = idx / cols;
-        const std::size_t j = idx % cols;
-        bw[idx] = evalMcPoint(spec, m.standaloneBw[i],
-                              j == 0 ? 0.0 : m.externalBw[j - 1]);
-    };
-    eng.parallelFor(bw.size(), point);
+    const unsigned stride =
+        dram::Scheduler::maxSources / (spec.numAggressors + 1);
+    std::vector<DramPoint> points;
+    for (std::size_t i = 0; i < m.numKernels(); ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+            DramPoint &p = points.emplace_back(DramPoint{spec, {}});
+            p.generators.push_back({.source = 0,
+                                    .demand = m.standaloneBw[i],
+                                    .seed = spec.seed * 131});
+            const GBps external = j == 0 ? 0.0 : m.externalBw[j - 1];
+            for (unsigned a = 1; external > 0.0 && a <= spec.numAggressors;
+                 ++a) {
+                p.generators.push_back(
+                    {.source = a * stride,
+                     .demand = external /
+                               static_cast<double>(spec.numAggressors),
+                     .rowLocality = 0.85,
+                     .seed = spec.seed * 131 + a * stride});
+            }
+        }
+    }
+    std::vector<GBps> bw(points.size(), 0.0);
+    runDramPoints(points, engine,
+                  [&](std::size_t idx, const dram::DramSystem &sys) {
+                      bw[idx] = sys.achievedBandwidth(0);
+                  });
 
     m.rela.assign(m.numKernels(),
                   std::vector<double>(m.numExternal(), 0.0));

@@ -15,6 +15,7 @@
 #ifndef PCCS_CALIB_CALIBRATOR_HH
 #define PCCS_CALIB_CALIBRATOR_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,12 @@ inline constexpr double calibratorLocality = 0.97;
 soc::KernelProfile makeCalibrator(const soc::ExecutionModel &model,
                                   const soc::PuParams &pu, GBps target_bw,
                                   double locality = calibratorLocality);
+
+/**
+ * The external-pressure ladder the paper sweeps: `steps` equal strides
+ * up to `max_external`, from the first stride (rela at 0 is 100%).
+ */
+std::vector<GBps> externalLadder(GBps max_external, unsigned steps = 10);
 
 /**
  * The rela[n][m] matrix of Section 3.2 plus its axes.
@@ -95,27 +102,57 @@ CalibrationMatrix calibrate(const soc::SocSimulator &sim,
                             const SweepSpec &spec = {},
                             runner::SweepEngine *engine = nullptr);
 
+/** A DRAM system and its windows, for DramPoint and McSweepSpec. */
+struct DramSetup
+{
+    /** Per-controller DRAM configuration. */
+    dram::DramConfig perMcConfig = dram::table1Config();
+    /** Memory controllers; with one, the mapping changes nothing. */
+    unsigned numMcs = 1;
+    /** Registered scheduler-policy name (one instance per MC). */
+    std::string policy = "FR-FCFS";
+    /** Address-to-MC mapping. */
+    dram::McMapping mapping = dram::McMapping::LineInterleaved;
+    /** Run loop of the simulations. */
+    dram::RunMode runMode = dram::defaultRunMode();
+    /** Cycles run before each measurement window. */
+    Cycles warmup = 0;
+    /** Measurement window in bus cycles. */
+    Cycles window = 0;
+};
+
+/** One independent DRAM measurement: a setup and its cores. */
+struct DramPoint : DramSetup
+{
+    /** Synthetic cores, added in order (generator i = entry i). */
+    std::vector<dram::TrafficParams> generators;
+};
+
+/** Reads one finished point: its input index and its system. */
+using DramPointReader =
+    std::function<void(std::size_t, const dram::DramSystem &)>;
+
+/**
+ * Run each point (warmup, fresh window) on `engine`'s pool, global when
+ * null, and call `read` with its input index and finished system. `read`
+ * runs on a pool thread and must write only that index's result slot,
+ * so results are bit-identical at any pool size.
+ */
+void runDramPoints(const std::vector<DramPoint> &points,
+                   runner::SweepEngine *engine,
+                   const DramPointReader &read);
+
 /**
  * Parameters of a DRAM-substrate calibration sweep (the Section 5
  * extension: calibrating against the cycle-accurate dram::DramSystem
  * with `numMcs` controllers instead of the analytic SoC model, so the
  * rela matrix reflects the address mapping and per-MC scheduling).
  */
-struct McSweepSpec
+struct McSweepSpec : DramSetup
 {
-    /** Per-controller DRAM configuration. */
-    dram::DramConfig perMcConfig = dram::table1Config();
-    /**
-     * Number of memory controllers. With one, the sources issue
-     * straight into it and the mapping changes nothing.
-     */
-    unsigned numMcs = 2;
-    /** Registered scheduler-policy name (one instance per MC). */
-    std::string policy = "FR-FCFS";
-    /** Address-to-MC mapping under calibration. */
-    dram::McMapping mapping = dram::McMapping::LineInterleaved;
-    /** Run loop for the per-point simulations. */
-    dram::RunMode runMode = dram::defaultRunMode();
+    McSweepSpec()
+        : DramSetup{.numMcs = 2, .warmup = 6000, .window = 30000} {}
+
     /** Number of victim-demand steps (rows). */
     unsigned numKernels = 4;
     /** Smallest victim demand as a fraction of one MC's peak. */
@@ -128,10 +165,6 @@ struct McSweepSpec
     double maxExternalFraction = 0.6;
     /** Aggressor cores supplying the external demand. */
     unsigned numAggressors = 3;
-    /** Warmup cycles before each measurement window. */
-    Cycles warmup = 6000;
-    /** Measurement window in bus cycles. */
-    Cycles window = 30000;
     /** Base RNG seed for the synthetic address streams. */
     std::uint64_t seed = 1;
 };

@@ -12,8 +12,9 @@
  * no memo (distinct designs almost never repeat a point) and no pool
  * hand-off (waking workers costs more than the batch).
  *
- * The pool serves work whose points are whole, independent DRAM
- * simulations (`calib::calibrateMultiMc`). Its results are
+ * The pool runs whole, independent DRAM simulations through
+ * `calib::runDramPoints`, for the fig05, table03 and ext_multimc benches
+ * and `calib::calibrateMultiMc`. Its results are
  * bit-identical to serial execution: point ordering is deterministic
  * and each point writes only its own result slot. Pool sizing:
  * `std::thread::hardware_concurrency()` by default, overridable with
@@ -123,8 +124,7 @@ class ThreadPool
 /**
  * Evaluation of sweep points, plus the pool for DRAM fan-out. One
  * engine (usually the process-wide `global()` instance) is shared by
- * calibration, benches, the explorers and the DRAM calibration
- * ladders.
+ * calibration, benches, the explorers and the DRAM point runner.
  */
 class SweepEngine
 {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "calib/calibrator.hh"
 #include "runner/sweep_engine.hh"
 
@@ -199,6 +202,113 @@ TEST(CalibrateMultiMc, RunModesAgreeBitExactly)
                 for (std::size_t j = 0; j < ref.numExternal(); ++j)
                     EXPECT_EQ(got.rela[i][j], ref.rela[i][j]);
             }
+        }
+    }
+}
+
+/** What a reader sees of one finished DRAM point. */
+struct PointReading
+{
+    unsigned calls = 0;
+    std::vector<std::uint64_t> lines;
+    std::vector<GBps> bandwidth;
+    double rowHitRate = 0.0;
+    double effective = 0.0;
+};
+
+void
+record(const dram::DramSystem &sys, PointReading &r)
+{
+    ++r.calls;
+    for (std::size_t g = 0; g < sys.numGenerators(); ++g) {
+        r.lines.push_back(sys.generator(g).completedLines());
+        r.bandwidth.push_back(sys.achievedBandwidth(g));
+    }
+    r.rowHitRate = sys.rowBufferHitRate();
+    r.effective = sys.effectiveBandwidthFraction();
+}
+
+/**
+ * A mixed batch: two-group single-MC points shaped like Fig. 5's (the
+ * high group alone and under a low group), then a 4-MC
+ * range-partitioned point.
+ */
+std::vector<DramPoint>
+mixedPoints()
+{
+    std::vector<DramPoint> points;
+    for (const char *policy : {"FR-FCFS", "ATLAS", "SMS"}) {
+        for (GBps low : {0.0, 40.0}) {
+            DramPoint &p = points.emplace_back();
+            p.policy = policy;
+            p.warmup = 2000;
+            p.window = 8000;
+            for (unsigned c = 0; low > 0.0 && c < 8; ++c) {
+                dram::TrafficParams &g = p.generators.emplace_back();
+                g.source = c;
+                g.demand = low / 8;
+                g.seed = 1000 + c;
+            }
+            for (unsigned c = 0; c < 8; ++c) {
+                dram::TrafficParams &g = p.generators.emplace_back();
+                g.source = 8 + c;
+                g.demand = 54.0 / 8;
+                g.seed = 2000 + c;
+            }
+        }
+    }
+    DramPoint &p = points.emplace_back();
+    p.perMcConfig.channels = 1;
+    p.perMcConfig.requestBufferEntries = 64;
+    p.numMcs = 4;
+    p.policy = "ATLAS";
+    p.mapping = dram::McMapping::RangePartitioned;
+    p.warmup = 2000;
+    p.window = 8000;
+    for (unsigned s : {0u, 20u, 36u, 52u}) {
+        dram::TrafficParams &g = p.generators.emplace_back();
+        g.source = s;
+        g.demand = s == 0 ? 8.0 : 6.0;
+        g.seed = 11 + s;
+    }
+    return points;
+}
+
+TEST(RunDramPoints, ReadsEachPointOnceInInputOrderAtAnyPoolSize)
+{
+    // Oracle: each point built and measured by hand, serially.
+    const std::vector<DramPoint> points = mixedPoints();
+    std::vector<PointReading> want(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const DramPoint &p = points[i];
+        dram::DramSystem sys(p.perMcConfig, p.numMcs, p.policy,
+                             p.mapping, {}, p.runMode);
+        for (const dram::TrafficParams &gen : p.generators)
+            sys.addGenerator(gen);
+        sys.run(p.warmup);
+        sys.resetMeasurement();
+        sys.run(p.window);
+        record(sys, want[i]);
+        EXPECT_GT(want[i].lines.back(), 0u) << "point " << i;
+    }
+
+    runner::SweepEngine serial(1);
+    runner::SweepEngine pool(4);
+    for (runner::SweepEngine *eng : {&serial, &pool}) {
+        SCOPED_TRACE(testing::Message() << "jobs=" << eng->jobs());
+        std::vector<PointReading> got(points.size());
+        runDramPoints(points, eng,
+                      [&](std::size_t idx, const dram::DramSystem &sys) {
+                          record(sys, got[idx]);
+                      });
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            SCOPED_TRACE(testing::Message() << "point " << i);
+            EXPECT_EQ(got[i].calls, 1u);
+            ASSERT_EQ(got[i].lines.size(), points[i].generators.size());
+            EXPECT_EQ(got[i].lines, want[i].lines);
+            EXPECT_EQ(got[i].bandwidth, want[i].bandwidth);
+            EXPECT_EQ(got[i].rowHitRate, want[i].rowHitRate);
+            EXPECT_EQ(got[i].effective, want[i].effective);
         }
     }
 }

@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -182,6 +183,13 @@ struct GoldenMode
     RunMode mode;
     const char *name;
 };
+
+/** gtest prints the name into the test id instead of raw bytes. */
+void
+PrintTo(const GoldenMode &gm, std::ostream *os)
+{
+    *os << gm.name;
+}
 
 class GoldenPinning : public ::testing::TestWithParam<GoldenMode>
 {

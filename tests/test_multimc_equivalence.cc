@@ -32,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -192,20 +193,22 @@ const GoldenRow kGolden[] = {
 };
 // clang-format on
 
-/**
- * GoldenPinning's parameter. gtest prints an enum parameter's raw
- * bytes into the test id, and these ids were fixed when the
- * multi-controller reference loop had an enumerator of value 2 in an
- * enum of its own; the explicit values keep them.
- */
-enum class GoldenLoop
+/** GoldenPinning's parameter: a run loop and its test-id name. */
+struct GoldenLoop
 {
-    EventDriven = 0,
-    Reference = 2,
+    RunMode mode;
+    const char *name;
 };
 
-const GoldenLoop kLoops[] = {GoldenLoop::Reference,
-                             GoldenLoop::EventDriven};
+/** gtest prints the name into the test id instead of raw bytes. */
+void
+PrintTo(const GoldenLoop &loop, std::ostream *os)
+{
+    *os << loop.name;
+}
+
+const GoldenLoop kLoops[] = {{RunMode::Reference, "Lockstep"},
+                             {RunMode::EventDriven, "EventDriven"}};
 
 class GoldenPinning : public ::testing::TestWithParam<GoldenLoop>
 {
@@ -223,10 +226,7 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
         if (!selected(row.policy))
             continue;
         auto sys = buildSystem(row.policy, 4, row.mapping, row.scale,
-                               1,
-                               GetParam() == GoldenLoop::Reference
-                                   ? RunMode::Reference
-                                   : RunMode::EventDriven);
+                               1, GetParam().mode);
         runWindow(*sys);
         std::uint64_t reads = 0, writes = 0, hits = 0, misses = 0,
                       refreshes = 0, bytes = 0, completed = 0,
@@ -260,9 +260,7 @@ TEST_P(GoldenPinning, MatchesPreRefactorStats)
 INSTANTIATE_TEST_SUITE_P(AllModes, GoldenPinning,
                          ::testing::ValuesIn(kLoops),
                          [](const auto &pinfo) {
-                             return pinfo.param == GoldenLoop::Reference
-                                        ? "Lockstep"
-                                        : "EventDriven";
+                             return std::string(pinfo.param.name);
                          });
 
 TEST(MultiMcEquivalence, CrossModeMatrix)
