@@ -27,7 +27,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -110,11 +109,11 @@ main(int argc, char **argv)
             quick = true;
         } else if (leftover[i] == "--policies" &&
                    i + 1 < leftover.size()) {
-            std::istringstream list(leftover[++i]);
-            for (std::string tok; std::getline(list, tok, ',');) {
-                if (!tok.empty())
-                    policies.push_back(schedulerFromName(tok).name);
-            }
+            PolicyList parsed = parsePolicyList(leftover[++i]);
+            if (!parsed.ok())
+                fatal("%s", parsed.error.c_str());
+            policies.insert(policies.end(), parsed.names.begin(),
+                            parsed.names.end());
         } else {
             fatal("usage: %s [--dram-reference] "
                   "[--quick] [--policies A,B,...]\n"

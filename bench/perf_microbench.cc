@@ -649,11 +649,11 @@ multiMcCycles(benchmark::State &state, dram::RunMode mode,
 }
 
 void
-BM_MultiMcCyclesIdleLockstep(benchmark::State &state)
+BM_MultiMcCyclesIdleReference(benchmark::State &state)
 {
     multiMcCycles(state, dram::RunMode::Reference, false);
 }
-BENCHMARK(BM_MultiMcCyclesIdleLockstep)
+BENCHMARK(BM_MultiMcCyclesIdleReference)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);
 
@@ -673,11 +673,11 @@ BENCHMARK(BM_MultiMcCyclesIdleEventDriven)
  * engine (lazy channel scans, mask-based picks).
  */
 void
-BM_MultiMcCyclesSaturatedLockstep(benchmark::State &state)
+BM_MultiMcCyclesSaturatedReference(benchmark::State &state)
 {
     multiMcCycles(state, dram::RunMode::Reference, true);
 }
-BENCHMARK(BM_MultiMcCyclesSaturatedLockstep)
+BENCHMARK(BM_MultiMcCyclesSaturatedReference)
     ->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
@@ -833,8 +833,8 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
      * row that ran, single- and multi-MC: the 4- and 16-source
      * headline rows, the multi-MC row, and each per-policy row (CI
      * perf smoke; `--policies` narrows the per-policy set along with
-     * the run set). The per-cycle Reference and Lockstep rows are
-     * specifications, not fast paths, and are never floored.
+     * the run set). The per-cycle Reference rows are specifications,
+     * not fast paths, and are never floored.
      * @return true when at least one such row ran and all met the
      *         floor.
      */
@@ -848,8 +848,7 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
                 row.name.rfind("BM_DramCyclesSaturated", 0) == 0 ||
                 row.name.rfind("BM_MultiMcCyclesSaturated", 0) == 0;
             const bool per_cycle =
-                row.name.find("Reference") != std::string::npos ||
-                row.name.find("Lockstep") != std::string::npos;
+                row.name.find("Reference") != std::string::npos;
             if (!saturated || per_cycle)
                 continue;
             found = true;
@@ -914,41 +913,6 @@ class JsonSnapshotReporter : public benchmark::ConsoleReporter
     std::vector<Row> rows_;
 };
 
-/**
- * Parse a comma-separated policy list into canonical registry names.
- * Unknown names are a fatal error (a typo in a CI floor should fail
- * loudly, not silently benchmark nothing).
- * @return false on an unknown policy name.
- */
-bool
-parsePolicyFilter(const std::string &list,
-                  std::vector<std::string> &filter)
-{
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string token = list.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (!token.empty()) {
-            const dram::PolicyInfo *info =
-                dram::findSchedulerPolicy(token);
-            if (!info) {
-                std::fprintf(stderr,
-                             "unknown policy '%s' (valid: %s)\n",
-                             token.c_str(),
-                             dram::schedulerNameList().c_str());
-                return false;
-            }
-            filter.push_back(info->name);
-        }
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -981,14 +945,19 @@ main(int argc, char **argv)
             args.push_back(argv[i]);
         }
     }
-    std::vector<std::string> policy_filter;
-    if (!parsePolicyFilter(policy_list, policy_filter))
+    // An unknown name fails loudly: a typo in a CI floor must not
+    // silently benchmark nothing.
+    const dram::PolicyList policy_filter =
+        dram::parsePolicyList(policy_list);
+    if (!policy_filter.ok()) {
+        std::fprintf(stderr, "%s\n", policy_filter.error.c_str());
         return 1;
+    }
     int bench_argc = static_cast<int>(args.size());
     benchmark::Initialize(&bench_argc, args.data());
     if (benchmark::ReportUnrecognizedArguments(bench_argc, args.data()))
         return 1;
-    registerPerPolicyBenchmarks(policy_filter);
+    registerPerPolicyBenchmarks(policy_filter.names);
     JsonSnapshotReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
     if (!json_path.empty())

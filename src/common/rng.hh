@@ -41,8 +41,58 @@ class Rng
     bool chance(double p);
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
+
+// The draws run once or more per generated request, from other
+// translation units; defined here so those callers can inline them.
+
+inline std::uint64_t
+Rng::next()
+{
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
+}
+
+inline double
+Rng::uniform(double lo, double hi)
+{
+    return lo + (hi - lo) * uniform();
+}
+
+inline std::uint64_t
+Rng::below(std::uint64_t bound)
+{
+    return bound ? next() % bound : 0;
+}
+
+inline bool
+Rng::chance(double p)
+{
+    if (p <= 0.0)
+        return false;
+    if (p >= 1.0)
+        return true;
+    return uniform() < p;
+}
 
 } // namespace pccs
 

@@ -28,24 +28,6 @@ AddressMapper::AddressMapper(const DramConfig &cfg)
 {
 }
 
-DecodedAddr
-AddressMapper::decode(Addr addr) const
-{
-    Addr v = addr >> lineShift_;
-    DecodedAddr loc;
-    loc.channel = static_cast<unsigned>(v & ((1u << channelBits_) - 1));
-    v >>= channelBits_;
-    loc.column = static_cast<unsigned>(v & ((1u << columnBits_) - 1));
-    v >>= columnBits_;
-    unsigned bank = static_cast<unsigned>(v & ((1u << bankBits_) - 1));
-    v >>= bankBits_;
-    loc.row = static_cast<std::uint32_t>(v & ((1ull << rowBits_) - 1));
-    if (xorHash_)
-        bank ^= loc.row & ((1u << bankBits_) - 1);
-    loc.bank = bank;
-    return loc;
-}
-
 Addr
 AddressMapper::encode(const DecodedAddr &loc) const
 {

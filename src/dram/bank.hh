@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "dram/timing.hh"
 
 namespace pccs::dram {
@@ -185,6 +186,82 @@ class ChannelTiming
     Cycles readAllowedAt_ = 0; // tWTR after the last write burst
     Cycles lastCmd_ = 0; // stores now+1 of the cycle the slot was used
 };
+
+// The command mutators run on every issued command, from the
+// per-policy controllers in other translation units, so they are
+// defined here where those callers can inline them.
+
+inline void
+Bank::activate(Cycles now, std::uint32_t row, const DramTimingParams &t)
+{
+    PCCS_ASSERT(canActivate(now), "illegal ACT at cycle %llu",
+                static_cast<unsigned long long>(now));
+    openRow_ = static_cast<std::int64_t>(row);
+    nextCas_ = now + t.tRCD;
+    nextPre_ = now + t.tRAS;
+}
+
+inline void
+Bank::precharge(Cycles now, const DramTimingParams &t)
+{
+    PCCS_ASSERT(canPrecharge(now), "illegal PRE at cycle %llu",
+                static_cast<unsigned long long>(now));
+    openRow_ = noRow;
+    nextAct_ = now + t.tRP;
+}
+
+inline Cycles
+Bank::access(Cycles now, bool is_write, const DramTimingParams &t)
+{
+    PCCS_ASSERT(openRow_ != noRow && now >= nextCas_,
+                "illegal CAS at cycle %llu",
+                static_cast<unsigned long long>(now));
+    nextCas_ = now + t.tCCD;
+    const Cycles done = now + t.tCL + t.tBURST;
+    // A read must respect tRTP before precharge; a write must respect
+    // write recovery from the end of the data burst.
+    const Cycles pre_after = is_write ? done + t.tWR : now + t.tRTP;
+    nextPre_ = std::max(nextPre_, pre_after);
+    return done;
+}
+
+inline void
+ChannelTiming::activateBank(unsigned b, Cycles now, std::uint32_t row)
+{
+    banks_[b].activate(now, row, timing_);
+    openRowMask_ |= std::uint64_t{1} << b;
+}
+
+inline void
+ChannelTiming::prechargeBank(unsigned b, Cycles now)
+{
+    banks_[b].precharge(now, timing_);
+    openRowMask_ &= ~(std::uint64_t{1} << b);
+}
+
+inline Cycles
+ChannelTiming::accessBank(unsigned b, Cycles now, bool is_write)
+{
+    return banks_[b].access(now, is_write, timing_);
+}
+
+inline void
+ChannelTiming::recordActivate(Cycles now)
+{
+    nextActRank_ = now + timing_.tRRD;
+    actWindow_[actOldest_] = now;
+    actOldest_ = (actOldest_ + 1) % 4;
+    if (actCount_ < 4)
+        ++actCount_;
+}
+
+inline void
+ChannelTiming::reserveBus(Cycles now, bool is_write)
+{
+    busFreeAt_ = now + timing_.tCL + timing_.tBURST;
+    if (is_write)
+        readAllowedAt_ = busFreeAt_ + timing_.tWTR;
+}
 
 } // namespace pccs::dram
 

@@ -139,14 +139,42 @@ schedulerNameList()
     return list;
 }
 
+namespace {
+
+std::string
+unknownPolicyMessage(std::string_view name)
+{
+    return "unknown scheduler name '" + std::string(name) +
+           "' (valid policies: " + schedulerNameList() + ")";
+}
+
+} // namespace
+
 const PolicyInfo &
 schedulerFromName(std::string_view name)
 {
     if (const PolicyInfo *p = findSchedulerPolicy(name))
         return *p;
-    fatal("unknown scheduler name '%.*s' (valid policies: %s)",
-          static_cast<int>(name.size()), name.data(),
-          schedulerNameList().c_str());
+    fatal("%s", unknownPolicyMessage(name).c_str());
+}
+
+PolicyList
+parsePolicyList(std::string_view list)
+{
+    PolicyList out;
+    while (!list.empty()) {
+        const std::size_t comma = list.find(',');
+        const std::string_view token = list.substr(0, comma);
+        list = comma == std::string_view::npos ? std::string_view{}
+                                               : list.substr(comma + 1);
+        if (token.empty())
+            continue;
+        const PolicyInfo *info = findSchedulerPolicy(token);
+        if (!info)
+            return {{}, unknownPolicyMessage(token)};
+        out.names.push_back(info->name);
+    }
+    return out;
 }
 
 std::unique_ptr<Scheduler>

@@ -632,6 +632,26 @@ const PolicyInfo &schedulerFromName(std::string_view name);
 /** Comma-separated canonical policy names (for error messages). */
 std::string schedulerNameList();
 
+/** A parsed policy list: canonical names, or why parsing stopped. */
+struct PolicyList
+{
+    /** Canonical names in list order (empty when error is set). */
+    std::vector<std::string> names;
+    /** Empty on success; else names the unknown token and valid list. */
+    std::string error;
+
+    bool ok() const { return error.empty(); }
+};
+
+/**
+ * Parse a comma-separated list of policy names or aliases
+ * (case-insensitive) into canonical registry names. Empty tokens are
+ * skipped, so "" and "," parse to no names. An unknown name is
+ * returned as an error value; the caller decides whether to print it
+ * or end the process.
+ */
+PolicyList parsePolicyList(std::string_view list);
+
 /** Create a scheduler by policy name (fatal on unknown names). */
 std::unique_ptr<Scheduler> makeScheduler(std::string_view name,
                                          const SchedulerParams &params = {});

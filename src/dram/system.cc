@@ -1,6 +1,7 @@
 #include "system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -49,6 +50,11 @@ DramSystem::DramSystem(const DramConfig &per_mc_cfg, unsigned num_mcs,
         mcs_.back()->setCompletionCallback(deliver);
     }
     perMcSpan_ = mcs_[0]->addressSpan();
+    // The controllers' AddressMapper asserted both are powers of two.
+    lineShift_ = static_cast<unsigned>(std::countr_zero(lineBytes_));
+    spanShift_ = static_cast<unsigned>(std::countr_zero(perMcSpan_));
+    mcShift_ = std::has_single_bit(num_mcs) ? std::countr_zero(num_mcs)
+                                            : -1;
     setRunMode(mode);
 }
 
@@ -60,32 +66,27 @@ DramSystem::setRunMode(RunMode mode)
         mc->setLazyChannelScan(mode == RunMode::EventDriven);
 }
 
-unsigned
-DramSystem::route(Addr addr) const
-{
-    const unsigned n = numControllers();
-    switch (mapping_) {
-      case McMapping::LineInterleaved:
-        return static_cast<unsigned>((addr / lineBytes_) % n);
-      case McMapping::RangePartitioned:
-        return static_cast<unsigned>(
-            std::min<Addr>(addr / perMcSpan_, n - 1));
-    }
-    panic("unknown McMapping %d", static_cast<int>(mapping_));
-}
-
-Addr
-DramSystem::localAddress(Addr addr) const
+DramSystem::Routed
+DramSystem::split(Addr addr) const
 {
     const unsigned n = numControllers();
     switch (mapping_) {
       case McMapping::LineInterleaved: {
-        const Addr line = addr / lineBytes_;
-        const Addr offset = addr % lineBytes_;
-        return (line / n) * lineBytes_ + offset;
+        // line % n picks the MC; line / n is the line's index there.
+        const Addr line = addr >> lineShift_;
+        const Addr offset = addr & (lineBytes_ - 1);
+        if (mcShift_ >= 0) {
+            return {static_cast<unsigned>(line & (n - 1)),
+                    ((line >> mcShift_) << lineShift_) | offset};
+        }
+        return {static_cast<unsigned>(line % n),
+                ((line / n) << lineShift_) | offset};
       }
       case McMapping::RangePartitioned:
-        return addr % perMcSpan_;
+        // Addresses past the last MC's range land on the last MC.
+        return {static_cast<unsigned>(
+                    std::min<Addr>(addr >> spanShift_, n - 1)),
+                addr & (perMcSpan_ - 1)};
     }
     panic("unknown McMapping %d", static_cast<int>(mapping_));
 }
@@ -94,14 +95,15 @@ bool
 DramSystem::enqueue(unsigned source, Addr addr, bool is_write,
                     Cycles now)
 {
-    return mcs_[route(addr)]->enqueue(source, localAddress(addr),
-                                      is_write, now);
+    const Routed r = split(addr);
+    return mcs_[r.mc]->enqueue(source, r.local, is_write, now);
 }
 
 const RequestQueue &
 DramSystem::requestQueue(Addr addr) const
 {
-    return mcs_[route(addr)]->requestQueue(localAddress(addr));
+    const Routed r = split(addr);
+    return mcs_[r.mc]->requestQueue(r.local);
 }
 
 void
@@ -121,6 +123,7 @@ DramSystem::addGenerator(const TrafficParams &params)
     generators_.push_back(
         std::make_unique<CoreTrafficGenerator>(params, sourcePort()));
     bySource_[params.source] = generators_.back().get();
+    syncRotation();
     return generators_.size() - 1;
 }
 
@@ -132,6 +135,7 @@ DramSystem::addReplay(const ReplayParams &params,
     replays_.push_back(std::make_unique<TraceReplayGenerator>(
         params, std::move(trace), sourcePort()));
     replayBySource_[params.source] = replays_.back().get();
+    syncRotation();
     return replays_.size() - 1;
 }
 
@@ -145,6 +149,26 @@ DramSystem::run(Cycles cycles)
         runEventDriven(end);
 }
 
+void
+DramSystem::syncRotation()
+{
+    const auto turn = [this](std::size_t n) {
+        return n ? static_cast<std::size_t>(now_ % n) : 0;
+    };
+    generatorTurn_ = turn(generators_.size());
+    replayTurn_ = turn(replays_.size());
+}
+
+void
+DramSystem::stepForward()
+{
+    ++now_;
+    if (++generatorTurn_ >= generators_.size())
+        generatorTurn_ = 0;
+    if (++replayTurn_ >= replays_.size())
+        replayTurn_ = 0;
+}
+
 bool
 DramSystem::stepCycle(bool skip_idle)
 {
@@ -154,8 +178,8 @@ DramSystem::stepCycle(bool skip_idle)
     bool active = false;
     for (auto &mc : mcs_)
         active |= mc->tick(now_);
-    active |= tickRotated(generators_, now_, skip_idle);
-    active |= tickRotated(replays_, now_, skip_idle);
+    active |= tickRotated(generators_, generatorTurn_, now_, skip_idle);
+    active |= tickRotated(replays_, replayTurn_, now_, skip_idle);
     return active;
 }
 
@@ -168,7 +192,7 @@ DramSystem::runReference(Cycles end)
     // every cycle.
     while (now_ < end) {
         stepCycle(false);
-        ++now_;
+        stepForward();
     }
 }
 
@@ -180,7 +204,7 @@ DramSystem::runEventDriven(Cycles end)
             // Something happened: the very next cycle may react to it
             // (a freed queue slot, a drained row hit, a legal command),
             // so no skipping is safe.
-            ++now_;
+            stepForward();
             continue;
         }
         // Quiet cycle: jump to the earliest lower bound over every
@@ -196,6 +220,7 @@ DramSystem::runEventDriven(Cycles end)
         for (const auto &rep : replays_)
             wake = std::min(wake, rep->nextIssueEvent(now_));
         now_ = std::min(end, std::max(wake, now_ + 1));
+        syncRotation();
     }
 }
 

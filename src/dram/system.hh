@@ -41,7 +41,8 @@ namespace pccs::dram {
 /**
  * A complete DRAM subsystem simulation with synthetic cores. As a
  * MemoryPort it is the router: enqueue() hands a request to the
- * controller route() picks, at its localAddress(). Sources issue
+ * controller route() picks, at its localAddress() (one split of the
+ * address computes both). Sources issue
  * through the router only when there is more than one controller; a
  * lone controller is their port directly.
  */
@@ -171,12 +172,29 @@ class DramSystem : public MemoryPort
     }
 
     /** @return which MC serves `addr` under the configured mapping. */
-    unsigned route(Addr addr) const;
+    unsigned route(Addr addr) const { return split(addr).mc; }
 
     /** @return the MC-local address for a global address. */
-    Addr localAddress(Addr addr) const;
+    Addr localAddress(Addr addr) const { return split(addr).local; }
 
   private:
+    /** A global address as the MC that serves it and its local address. */
+    struct Routed
+    {
+        unsigned mc;
+        Addr local;
+    };
+    /**
+     * The one routing computation behind route(), localAddress(),
+     * enqueue() and requestQueue(). Line size and per-MC span are
+     * powers of two, so it shifts and masks; the MC count is divided
+     * by only when it is not a power of two.
+     */
+    Routed split(Addr addr) const;
+    /** Recompute the rotation starts from now_ (after a jump). */
+    void syncRotation();
+    /** Advance one cycle, carrying the rotation starts. */
+    void stepForward();
     /** What sources issue into: the lone controller, else the router. */
     MemoryPort &sourcePort()
     {
@@ -200,6 +218,11 @@ class DramSystem : public MemoryPort
     std::vector<std::unique_ptr<MemoryController>> mcs_;
     unsigned lineBytes_;
     Addr perMcSpan_;
+    /** log2 of lineBytes_ and of perMcSpan_. */
+    unsigned lineShift_;
+    unsigned spanShift_;
+    /** log2 of the MC count when it is a power of two, else -1. */
+    int mcShift_;
     std::vector<std::unique_ptr<CoreTrafficGenerator>> generators_;
     std::vector<std::unique_ptr<TraceReplayGenerator>> replays_;
     /** Per-source completion routing (synthetic or replay). */
@@ -207,6 +230,13 @@ class DramSystem : public MemoryPort
     std::vector<TraceReplayGenerator *> replayBySource_;
     Cycles now_ = 0;
     Cycles windowStart_ = 0;
+    /**
+     * Where tickRotated() starts in generators_ and replays_ at now_:
+     * now_ % size (0 with none), advanced by one per stepped cycle and
+     * recomputed after a skip or when a source is added.
+     */
+    std::size_t generatorTurn_ = 0;
+    std::size_t replayTurn_ = 0;
 };
 
 } // namespace pccs::dram

@@ -25,53 +25,6 @@ CoreTrafficGenerator::CoreTrafficGenerator(const TrafficParams &params,
     cursor_ = rng_.below(regionLines_);
 }
 
-Addr
-CoreTrafficGenerator::nextAddress()
-{
-    if (!rng_.chance(params_.rowLocality)) {
-        // Random jump within the private region (a new row almost
-        // surely, modeling poor-locality strides).
-        cursor_ = rng_.below(regionLines_);
-    }
-    const Addr addr = regionBase_ + cursor_ * port_.lineBytes();
-    // Wrap on increment: the cursor stays in [0, regionLines_) instead
-    // of growing without bound and being reduced at every use.
-    if (++cursor_ >= regionLines_)
-        cursor_ = 0;
-    return addr;
-}
-
-bool
-CoreTrafficGenerator::tick(Cycles now)
-{
-    bucket_.accrueThrough(now);
-    bool issued = false;
-    while (bucket_.holdsLine() && outstanding_ < params_.mlp) {
-        if (!blockedOn_) {
-            pendingAddr_ = nextAddress();
-            pendingWrite_ = rng_.chance(params_.writeFraction);
-        }
-        if (!port_.enqueue(params_.source, pendingAddr_, pendingWrite_,
-                           now)) {
-            // Request buffer full: hold the tokens *and the address*
-            // and retry once the buffer has room. Advancing the stream
-            // on failed attempts would shred its row locality under
-            // backpressure.
-            if (!blockedOn_) // same address, same queue as last time
-                blockedOn_ = &port_.requestQueue(pendingAddr_);
-            ++rejectedEnqueues_;
-            break;
-        }
-        blockedOn_ = nullptr;
-        bucket_.spendLine();
-        ++outstanding_;
-        ++issuedLines_;
-        issued = true;
-    }
-    bucket_.settle();
-    return issued;
-}
-
 Cycles
 CoreTrafficGenerator::nextIssueEvent(Cycles now) const
 {
@@ -84,17 +37,6 @@ CoreTrafficGenerator::nextIssueEvent(Cycles now) const
     if (outstanding_ >= params_.mlp || blockedOn_)
         return kNoEvent;
     return std::max(bucket_.lineReadyAt(), now + 1);
-}
-
-void
-CoreTrafficGenerator::onComplete(const Request &req)
-{
-    PCCS_ASSERT(req.source == params_.source,
-                "completion for source %u routed to source %u",
-                req.source, params_.source);
-    PCCS_ASSERT(outstanding_ > 0, "completion with no outstanding request");
-    --outstanding_;
-    ++completedLines_;
 }
 
 void

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/units.hh"
 #include "dram/port.hh"
@@ -147,27 +148,89 @@ class CoreTrafficGenerator
     const RequestQueue *blockedOn_ = nullptr;
 };
 
+// The per-request path (tick, its address draw, the completion) runs
+// from DramSystem in another translation unit; defined here so it can
+// inline them.
+
+inline Addr
+CoreTrafficGenerator::nextAddress()
+{
+    if (!rng_.chance(params_.rowLocality)) {
+        // Random jump within the private region (a new row almost
+        // surely, modeling poor-locality strides).
+        cursor_ = rng_.below(regionLines_);
+    }
+    const Addr addr = regionBase_ + cursor_ * port_.lineBytes();
+    // Wrap on increment: the cursor stays in [0, regionLines_) instead
+    // of growing without bound and being reduced at every use.
+    if (++cursor_ >= regionLines_)
+        cursor_ = 0;
+    return addr;
+}
+
+inline bool
+CoreTrafficGenerator::tick(Cycles now)
+{
+    bucket_.accrueThrough(now);
+    bool issued = false;
+    while (bucket_.holdsLine() && outstanding_ < params_.mlp) {
+        if (!blockedOn_) {
+            pendingAddr_ = nextAddress();
+            pendingWrite_ = rng_.chance(params_.writeFraction);
+        }
+        if (!port_.enqueue(params_.source, pendingAddr_, pendingWrite_,
+                           now)) {
+            // Request buffer full: hold the tokens *and the address*
+            // and retry once the buffer has room. Advancing the stream
+            // on failed attempts would shred its row locality under
+            // backpressure.
+            if (!blockedOn_) // same address, same queue as last time
+                blockedOn_ = &port_.requestQueue(pendingAddr_);
+            ++rejectedEnqueues_;
+            break;
+        }
+        blockedOn_ = nullptr;
+        bucket_.spendLine();
+        ++outstanding_;
+        ++issuedLines_;
+        issued = true;
+    }
+    bucket_.settle();
+    return issued;
+}
+
+inline void
+CoreTrafficGenerator::onComplete(const Request &req)
+{
+    PCCS_ASSERT(req.source == params_.source,
+                "completion for source %u routed to source %u",
+                req.source, params_.source);
+    PCCS_ASSERT(outstanding_ > 0, "completion with no outstanding request");
+    --outstanding_;
+    ++completedLines_;
+}
+
 /**
  * Tick every source in `sources` (synthetic or trace replay) for cycle
- * `now`, starting at index now % size and wrapping. The rotation keeps
- * a full request buffer from handing every freed slot to the
- * lowest-indexed source (an arbitration bias no real interconnect
- * has); its offset is a pure function of `now`, so skipping quiet
- * cycles cannot perturb it. With `skip_idle`, sources whose idleAt()
- * holds at their turn are not ticked (the event-driven loops); the
- * reference loops tick every source every cycle.
+ * `now`, starting at index `first` and wrapping. The caller passes
+ * first == now % size, carried from cycle to cycle rather than divided
+ * (DramSystem). The rotation keeps a full request buffer from handing
+ * every freed slot to the lowest-indexed source (an arbitration bias
+ * no real interconnect has); its offset is a pure function of `now`,
+ * so skipping quiet cycles cannot perturb it. With `skip_idle`,
+ * sources whose idleAt() holds at their turn are not ticked (the
+ * event-driven loops); the reference loops tick every source every
+ * cycle.
  * @return true when any source issued a line.
  */
 template <class Source>
 bool
 tickRotated(const std::vector<std::unique_ptr<Source>> &sources,
-            Cycles now, bool skip_idle)
+            std::size_t first, Cycles now, bool skip_idle)
 {
     const std::size_t n = sources.size();
-    if (n == 0)
-        return false;
     bool issued = false;
-    std::size_t k = static_cast<std::size_t>(now % n);
+    std::size_t k = first;
     for (std::size_t i = 0; i < n; ++i) {
         Source &src = *sources[k];
         if (++k == n)

@@ -12,8 +12,10 @@
 
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "dram/system.hh"
 
 namespace pccs::dram {
@@ -29,20 +31,10 @@ testPolicies()
     const char *env = std::getenv("PCCS_POLICY_FILTER");
     if (!env || !*env)
         return schedulerNames();
-    std::vector<std::string> out;
-    std::string list(env);
-    std::size_t pos = 0;
-    while (pos != std::string::npos) {
-        const std::size_t comma = list.find(',', pos);
-        const std::string tok =
-            list.substr(pos, comma == std::string::npos
-                                 ? std::string::npos
-                                 : comma - pos);
-        if (!tok.empty())
-            out.push_back(schedulerFromName(tok).name);
-        pos = comma == std::string::npos ? comma : comma + 1;
-    }
-    return out;
+    PolicyList parsed = parsePolicyList(env);
+    if (!parsed.ok())
+        fatal("PCCS_POLICY_FILTER: %s", parsed.error.c_str());
+    return std::move(parsed.names);
 }
 
 /** Compare every observable of two runs of the same configuration. */

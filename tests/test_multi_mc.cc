@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hh"
 #include "dram/system.hh"
 
 namespace pccs::dram {
@@ -69,6 +72,46 @@ TEST(MultiMcRouting, InterleavedTranslationIsInjective)
         const auto key =
             std::make_pair(sys.route(a), sys.localAddress(a));
         EXPECT_TRUE(seen.insert(key).second) << "line " << i;
+    }
+}
+
+TEST(MultiMcRouting, SplitMatchesDivisionFormulas)
+{
+    // The router shifts and masks where the divisors are powers of two
+    // and divides only by a non-power-of-two MC count; it must agree
+    // with the plain formulas everywhere, including past the last MC's
+    // range under range partitioning.
+    Rng rng(2024);
+    for (unsigned n : {1u, 2u, 3u, 4u, 8u}) {
+        for (auto mapping : {McMapping::LineInterleaved,
+                             McMapping::RangePartitioned}) {
+            SCOPED_TRACE(testing::Message()
+                         << n << " MCs, " << mcMappingName(mapping));
+            DramSystem sys(halfConfig(), n, "FR-FCFS", mapping);
+            const Addr line = halfConfig().lineBytes;
+            const Addr span = sys.controller().addressSpan();
+            for (int i = 0; i < 2000; ++i) {
+                // Up to twice the system's span, and unaligned.
+                const Addr addr = rng.below(2 * n * span);
+                unsigned want_mc = 0;
+                Addr want_local = 0;
+                if (mapping == McMapping::LineInterleaved) {
+                    want_mc = static_cast<unsigned>((addr / line) % n);
+                    want_local =
+                        ((addr / line) / n) * line + addr % line;
+                } else {
+                    want_mc = static_cast<unsigned>(
+                        std::min<Addr>(addr / span, n - 1));
+                    want_local = addr % span;
+                }
+                ASSERT_EQ(sys.route(addr), want_mc) << addr;
+                ASSERT_EQ(sys.localAddress(addr), want_local) << addr;
+                ASSERT_EQ(&sys.requestQueue(addr),
+                          &sys.controller(want_mc).requestQueue(
+                              want_local))
+                    << addr;
+            }
+        }
     }
 }
 

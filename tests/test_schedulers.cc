@@ -175,6 +175,37 @@ TEST(SchedulerRegistry, ParseAliasesAndCase)
     EXPECT_EQ(findSchedulerPolicy("not-a-policy"), nullptr);
 }
 
+TEST(PolicyList, ResolvesAliasesToCanonicalNames)
+{
+    const PolicyList parsed = parsePolicyList("frfcfs,Atlas,par-bs,FCFS");
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    const std::vector<std::string> expect{"FR-FCFS", "ATLAS", "PARBS",
+                                          "FCFS"};
+    EXPECT_EQ(parsed.names, expect);
+}
+
+TEST(PolicyList, SkipsEmptyTokens)
+{
+    EXPECT_TRUE(parsePolicyList("").ok());
+    EXPECT_TRUE(parsePolicyList("").names.empty());
+    EXPECT_TRUE(parsePolicyList(",,").names.empty());
+    const std::vector<std::string> expect{"BLISS", "MEDUSA"};
+    EXPECT_EQ(parsePolicyList(",bliss,,medusa,").names, expect);
+}
+
+TEST(PolicyList, UnknownNameIsAnErrorValue)
+{
+    // Returned, not fatal: the caller chooses to print or exit. The
+    // message names the bad token and the valid names.
+    const PolicyList parsed = parsePolicyList("ATLAS,lru,TCM");
+    EXPECT_FALSE(parsed.ok());
+    EXPECT_TRUE(parsed.names.empty());
+    EXPECT_NE(parsed.error.find("'lru'"), std::string::npos)
+        << parsed.error;
+    for (const std::string &name : schedulerNames())
+        EXPECT_NE(parsed.error.find(name), std::string::npos) << name;
+}
+
 TEST(SchedulerRegistryDeath, UnknownNameIsFatal)
 {
     // The error must enumerate the valid names so a CLI user can
