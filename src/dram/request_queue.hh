@@ -46,7 +46,14 @@
  *    backing one read-hit and one write-hit bank mask per source.
  *    Intersecting a source's masks with the FastIssueView legality
  *    masks answers "does source s have an issuable hit / non-hit?" in
- *    a few uint64 ops, which is all a rank tier pass needs.
+ *    a few uint64 ops, which the per-source tier walks need;
+ *  - the same three masks transposed per bank (BankLists::sources and
+ *    hitSources: the sources with a queued request, a pending read
+ *    hit, or a pending write hit in the bank), flipped together with
+ *    the per-source bits whenever a count passes through zero. An OR
+ *    of them over the legality masks' banks is the set of sources
+ *    with any issuable entry — one pass over the issuable banks
+ *    instead of one test per active source.
  *
  * All three layers are maintained on the same four events (enqueue,
  * CAS dequeue, PRE, ACT); nothing is derived by scanning the queue.
@@ -146,8 +153,10 @@ class RequestQueue
             srcOf_[s] = static_cast<std::uint8_t>(src);
             srcLink(sources_[src], s);
             activeSourceMask_ |= std::uint64_t{1} << src;
-            if (srcBankCount_[src * numBanks_ + b]++ == 0)
+            if (srcBankCount_[src * numBanks_ + b]++ == 0) {
                 srcOccupied_[src] |= std::uint64_t{1} << b;
+                bl.sources |= std::uint64_t{1} << src;
+            }
         }
 
         if (row_hit)
@@ -190,8 +199,10 @@ class RequestQueue
             srcUnlink(sl, s);
             if (sl.count == 0)
                 activeSourceMask_ &= ~(std::uint64_t{1} << src);
-            if (--srcBankCount_[src * numBanks_ + b] == 0)
+            if (--srcBankCount_[src * numBanks_ + b] == 0) {
                 srcOccupied_[src] &= ~(std::uint64_t{1} << b);
+                bl.sources &= ~(std::uint64_t{1} << src);
+            }
         }
     }
 
@@ -270,11 +281,6 @@ class RequestQueue
 
     /** Oldest queued request of source `src` (-1 when none). */
     int sourceHead(unsigned src) const { return sources_[src].head; }
-    /** Queued requests of source `src`. */
-    unsigned sourceCount(unsigned src) const
-    {
-        return sources_[src].count;
-    }
     /** Next slot of the same source in arrival order, or -1. */
     int sourceNext(int s) const { return srcNext_[s]; }
 
@@ -291,6 +297,24 @@ class RequestQueue
     std::uint64_t sourceHitWriteMask(unsigned src) const
     {
         return srcHitWrite_[src];
+    }
+
+    /**
+     * The same three masks transposed, one bit per source: sources
+     * with a queued request in bank `b`, and sources with a pending
+     * open-row read / write hit there.
+     */
+    std::uint64_t bankSourceMask(unsigned b) const
+    {
+        return banks_[b].sources;
+    }
+    std::uint64_t bankHitReadSourceMask(unsigned b) const
+    {
+        return banks_[b].hitSources[0];
+    }
+    std::uint64_t bankHitWriteSourceMask(unsigned b) const
+    {
+        return banks_[b].hitSources[1];
     }
 
     /** Oldest pending read / write hit of bank `b` (-1 when none). */
@@ -340,7 +364,10 @@ class RequestQueue
     const_iterator end() const { return {this, -1}; }
 
   private:
-    /** Intrusive list anchors of one bank ([0] = reads, [1] = writes). */
+    /**
+     * Intrusive list anchors of one bank ([0] = reads, [1] = writes),
+     * plus its source-tier masks (one bit per source).
+     */
     struct BankLists
     {
         int head = -1;
@@ -349,6 +376,10 @@ class RequestQueue
         int hitHead[2] = {-1, -1};
         int hitTail[2] = {-1, -1};
         unsigned hitCount[2] = {0, 0};
+        /** Sources with a queued request in this bank. */
+        std::uint64_t sources = 0;
+        /** Sources with a pending read / write hit in this bank. */
+        std::uint64_t hitSources[2] = {0, 0};
     };
 
     /** Intrusive arrival-order list anchors of one source. */
@@ -462,6 +493,7 @@ class RequestQueue
         if (srcHitCount_[(src * numBanks_ + b) * 2 + rw]++ == 0) {
             (rw ? srcHitWrite_ : srcHitRead_)[src] |=
                 std::uint64_t{1} << b;
+            banks_[b].hitSources[rw] |= std::uint64_t{1} << src;
         }
     }
 
@@ -474,6 +506,7 @@ class RequestQueue
         if (--srcHitCount_[(src * numBanks_ + b) * 2 + rw] == 0) {
             (rw ? srcHitWrite_ : srcHitRead_)[src] &=
                 ~(std::uint64_t{1} << b);
+            banks_[b].hitSources[rw] &= ~(std::uint64_t{1} << src);
         }
     }
 
@@ -503,7 +536,10 @@ class RequestQueue
     std::vector<std::uint16_t> srcBankCount_;
     /** Pending hits per (source, bank, rw), rw fastest-varying. */
     std::vector<std::uint16_t> srcHitCount_;
-    /** Per-source bank masks derived from the counts above. */
+    /**
+     * Per-source bank masks derived from the counts above (their
+     * per-bank transposes live in BankLists).
+     */
     std::array<std::uint64_t, kMaxQueueSources> srcOccupied_{};
     std::array<std::uint64_t, kMaxQueueSources> srcHitRead_{};
     std::array<std::uint64_t, kMaxQueueSources> srcHitWrite_{};

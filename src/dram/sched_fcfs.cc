@@ -1,5 +1,7 @@
 #include "sched_fcfs.hh"
 
+#include <bit>
+
 #include "dram/policy_controller.hh"
 
 // Event-driven audit (FCFS and FR-FCFS): no RNG, no decision-time
@@ -16,12 +18,17 @@
 // stepping cycle by cycle.
 //
 // Fast-pick audit: the queue walk is id order and arrival is
-// non-decreasing in id, so FCFS's window is the first `window` slots
-// of the arrival list and the winner is the first issuable among
-// them. FR-FCFS's key (row hit first, then arrival with first-in-walk
-// tie-break) is precisely the shared oldest-hit-else-oldest helper
-// over the bank masks (min arrival serial == min id == first in walk
-// order).
+// non-decreasing in id, so FCFS's window is the ids below
+// windowEnd_ and the winner is the issuable entry with the smallest
+// id (serial) below it. Each bank's oldest issuable entry is a list
+// head: the read- and write-hit heads when their CAS is legal, the
+// FIFO head of a closed bank whose ACT is legal, and, when an open
+// bank's PRE is legal, its first non-hit (FCFS does not preserve row
+// hits, so older hits may sit ahead of it in the bank FIFO). The
+// minimum over those heads is the winner. FR-FCFS's key (row hit
+// first, then arrival with first-in-walk tie-break) is precisely the
+// shared oldest-hit-else-oldest helper over the bank masks (min
+// arrival serial == min id == first in walk order).
 namespace pccs::dram {
 
 void
@@ -62,17 +69,37 @@ int
 FcfsScheduler::fastPick(const FastIssueView &view, unsigned channel,
                         Cycles now) const
 {
-    (void)channel;
     (void)now;
-    // The first issuable slot among the `window` oldest (the arrival
-    // list is walked in id order == age order).
-    int n = 0;
-    for (int s = view.queue->head(); s >= 0 && n < window;
-         s = view.queue->next(s), ++n) {
-        if (view.slotIssuable(s))
-            return s;
+    const RequestQueue &q = *view.queue;
+    // The oldest issuable class head below the window bound.
+    int best = -1;
+    std::uint64_t bound = channel < windowEnd_.size()
+                              ? windowEnd_[channel]
+                              : ~std::uint64_t{0};
+    auto consider = [&](int s) {
+        if (q.serial(s) < bound) {
+            best = s;
+            bound = q.serial(s);
+        }
+    };
+    for (std::uint64_t m = view.hitReadMask; m; m &= m - 1)
+        consider(q.hitHeadRead(static_cast<unsigned>(std::countr_zero(m))));
+    for (std::uint64_t m = view.hitWriteMask; m; m &= m - 1)
+        consider(q.hitHeadWrite(static_cast<unsigned>(std::countr_zero(m))));
+    for (std::uint64_t m = view.actMask; m; m &= m - 1)
+        consider(q.bankHead(static_cast<unsigned>(std::countr_zero(m))));
+    for (std::uint64_t m = view.preMask; m; m &= m - 1) {
+        // A PRE bank holds at least one non-hit; the bank FIFO is in
+        // serial order, so the walk stops at the bound.
+        for (int s = q.bankHead(static_cast<unsigned>(std::countr_zero(m)));
+             s >= 0 && q.serial(s) < bound; s = q.bankNext(s)) {
+            if (!q.isHit(s)) {
+                consider(s);
+                break;
+            }
+        }
     }
-    return -1;
+    return best;
 }
 
 std::optional<std::tuple<bool, Cycles>>

@@ -23,12 +23,13 @@
 // its id bound (see sched_parbs.hh), so the key's marked tier reduces
 // to: among the sources with outstanding marked requests, the
 // minimum-rank one whose bounded prefix holds an issuable entry
-// (ranks are a permutation, so that source is unique — the first such
-// source of the batch's rank-ordered member list; within it the key
-// is row hit then age, i.e. the first issuable hit else the first
-// issuable slot of the prefix walk). When no marked entry is
-// issuable, every issuable entry is unmarked and the key degenerates
-// to FR-FCFS — the shared bank-level helper.
+// (ranks are a permutation, so that source is unique; only sources
+// with some issuable entry — the queue's per-bank source masks OR-ed
+// over the issuable banks — can qualify, and they are tried in rank
+// order; within one the key is row hit then age, i.e. the first
+// issuable hit else the first issuable slot of the prefix walk).
+// When no marked entry is issuable, every issuable entry is unmarked
+// and the key degenerates to FR-FCFS — the shared bank-level helper.
 namespace pccs::dram {
 
 ParbsScheduler::ParbsScheduler(const SchedulerParams &params)
@@ -121,8 +122,6 @@ ParbsScheduler::prepare(unsigned channel, const RequestQueue &q,
               });
     for (unsigned r = 0; r < maxSources; ++r)
         st.rank[order[r]] = r;
-    st.byRank = order;
-    st.members = static_cast<unsigned>(std::popcount(st.markedSources));
 }
 
 bool
@@ -153,16 +152,21 @@ ParbsScheduler::fastPick(const FastIssueView &view, unsigned channel,
     const ChannelState &st = state(channel);
     const RequestQueue &q = *view.queue;
 
-    // Marked tier: the first source in rank order with an issuable
+    // Marked tier: the minimum-rank marked source with an issuable
     // marked entry; within it, the oldest issuable hit of the marked
     // prefix, else its oldest issuable entry (the prefix walk is
     // arrival order, so first found == oldest).
-    for (unsigned r = 0; r < st.members; ++r) {
-        const unsigned src = st.byRank[r];
-        if (!((st.markedSources >> src) & 1) ||
-            !view.sourceHasIssuable(src)) {
-            continue;
+    std::uint64_t tier =
+        st.markedSources ? st.markedSources & view.issuableSourceMask() : 0;
+    while (tier) {
+        unsigned src = static_cast<unsigned>(std::countr_zero(tier));
+        for (std::uint64_t m = tier & (tier - 1); m; m &= m - 1) {
+            const unsigned other =
+                static_cast<unsigned>(std::countr_zero(m));
+            if (st.rank[other] < st.rank[src])
+                src = other;
         }
+        tier &= ~(std::uint64_t{1} << src);
         const std::uint64_t bound = st.markedBelow[src];
         int first = -1;
         for (int s = q.sourceHead(src);

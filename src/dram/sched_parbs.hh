@@ -77,10 +77,6 @@ class ParbsScheduler final : public KeyedScheduler<ParbsScheduler>
         std::array<unsigned, maxSources> markedLeft{};
         /** Source rank for the current batch (lower = higher priority). */
         std::array<unsigned, maxSources> rank{};
-        /** The batch's sources in rank order (the first `members`). */
-        std::array<unsigned, maxSources> byRank{};
-        /** Sources in the current batch. */
-        unsigned members = 0;
         /** Sources with markedLeft > 0, one bit per source. */
         std::uint64_t markedSources = 0;
         /** Outstanding marked requests on the whole channel. */

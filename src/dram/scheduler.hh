@@ -155,23 +155,25 @@ struct FastIssueView
         return queue->sourceOccupiedMask(src) & (preMask | actMask);
     }
 
-    /** True when source `src` has any issuable entry. */
-    bool sourceHasIssuable(unsigned src) const
-    {
-        return (sourceIssuableHitBanks(src) |
-                sourceIssuableOtherBanks(src)) != 0;
-    }
-
-    /** Sources with at least one issuable entry, one bit per source. */
+    /**
+     * Sources with at least one issuable entry, one bit per source:
+     * the OR of the queue's per-bank source masks over the issuable
+     * banks of each class.
+     */
     std::uint64_t issuableSourceMask() const
     {
         std::uint64_t out = 0;
-        for (std::uint64_t m = queue->activeSourceMask(); m;
-             m &= m - 1) {
-            const unsigned src =
-                static_cast<unsigned>(std::countr_zero(m));
-            if (sourceHasIssuable(src))
-                out |= std::uint64_t{1} << src;
+        for (std::uint64_t m = hitReadMask; m; m &= m - 1) {
+            out |= queue->bankHitReadSourceMask(
+                static_cast<unsigned>(std::countr_zero(m)));
+        }
+        for (std::uint64_t m = hitWriteMask; m; m &= m - 1) {
+            out |= queue->bankHitWriteSourceMask(
+                static_cast<unsigned>(std::countr_zero(m)));
+        }
+        for (std::uint64_t m = otherBanks(); m; m &= m - 1) {
+            out |= queue->bankSourceMask(
+                static_cast<unsigned>(std::countr_zero(m)));
         }
         return out;
     }

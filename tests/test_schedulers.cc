@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "dram/policy_controller.hh"
 #include "dram/sched_atlas.hh"
 #include "dram/sched_bliss.hh"
@@ -928,6 +931,351 @@ TEST(Medusa, PerChannelTurnMasksAreIndependent)
     s.onService(r0, 10, 64);
     EXPECT_EQ(s.turnMask(0), 0x2u);
     EXPECT_EQ(s.turnMask(1), 0x3u) << "other channel keeps full mask";
+}
+
+
+/**
+ * The reference decision over a mask view: every queued slot becomes
+ * an entry in arrival order, issuable exactly when the view says so
+ * (FastIssueView::slotIssuable) and a row hit when it is on its
+ * bank's hit list. pick() runs over them, after the caller's
+ * prepare().
+ * @return the chosen slot, or -1.
+ */
+int
+referencePickSlot(const Scheduler &s, const FastIssueView &view,
+                  unsigned channel, Cycles now)
+{
+    const RequestQueue &q = *view.queue;
+    std::vector<QueueEntryView> entries;
+    std::vector<int> slots;
+    for (int slot = q.head(); slot >= 0; slot = q.next(slot)) {
+        entries.push_back(
+            {&q.slot(slot), view.slotIssuable(slot), q.isHit(slot)});
+        slots.push_back(slot);
+    }
+    const int idx = s.pick(channel, entries, now);
+    return idx < 0 ? -1 : slots[static_cast<std::size_t>(idx)];
+}
+
+/** Source-by-source oracle for FastIssueView::issuableSourceMask(). */
+std::uint64_t
+issuableSourcesOneByOne(const FastIssueView &v)
+{
+    const RequestQueue &q = *v.queue;
+    std::uint64_t out = 0;
+    for (std::uint64_t m = q.activeSourceMask(); m; m &= m - 1) {
+        const unsigned src = static_cast<unsigned>(std::countr_zero(m));
+        if ((q.sourceHitReadMask(src) & v.hitReadMask) |
+            (q.sourceHitWriteMask(src) & v.hitWriteMask) |
+            (q.sourceOccupiedMask(src) & v.otherBanks())) {
+            out |= std::uint64_t{1} << src;
+        }
+    }
+    return out;
+}
+
+/**
+ * A source-tier queue under seeded random traffic that keeps each
+ * bank's open row the way the controller does: a request pushed to an
+ * open bank's row is a hit, clearHits() closes a bank, rebuildHits()
+ * opens one. Source ids are spread over the whole 64-bit mask.
+ */
+class RandomQueue
+{
+  public:
+    static constexpr unsigned kBanks = 8;
+    static constexpr std::int64_t kClosed = -1;
+
+    explicit RandomQueue(std::uint64_t seed) : rng(seed)
+    {
+        open.fill(kClosed);
+    }
+
+    /**
+     * Enqueue one random request arriving at `arrival` (queue must
+     * not be full).
+     */
+    const Request &push(Cycles arrival = 0)
+    {
+        static constexpr unsigned kSources[] = {0, 1, 2, 7, 31, 63};
+        Request r;
+        r.id = ++lastId;
+        r.arrival = arrival;
+        r.source = kSources[rng.below(std::size(kSources))];
+        r.loc.bank = static_cast<std::uint32_t>(rng.below(kBanks));
+        r.loc.row = static_cast<std::uint32_t>(rng.below(3));
+        r.isWrite = rng.chance(0.3);
+        const int s = q.push_back(
+            r, open[r.loc.bank] == static_cast<std::int64_t>(r.loc.row));
+        return q.slot(s);
+    }
+
+    /** A uniformly chosen queued slot (queue must not be empty). */
+    int anySlot()
+    {
+        int s = q.head();
+        for (std::uint64_t n = rng.below(q.size()); n; --n)
+            s = q.next(s);
+        return s;
+    }
+
+    void close(unsigned b)
+    {
+        q.clearHits(b);
+        open[b] = kClosed;
+    }
+
+    void activate(unsigned b, std::uint32_t row)
+    {
+        q.rebuildHits(b, row);
+        open[b] = row;
+    }
+
+    /**
+     * Random legality masks the controller could build over this
+     * queue: each occupied bank's candidate classes are legal or not
+     * at random, and under a row-hit-preserving policy a bank with
+     * pending hits never offers its conflict PRE.
+     */
+    FastIssueView view(bool preserves_row_hits)
+    {
+        FastIssueView v;
+        v.queue = &q;
+        for (unsigned b = 0; b < kBanks; ++b) {
+            const std::uint64_t bit = std::uint64_t{1} << b;
+            if (open[b] != kClosed)
+                v.openRowMask |= bit;
+            if (!q.bankCount(b))
+                continue;
+            if (open[b] == kClosed) {
+                if (rng.chance(0.6))
+                    v.actMask |= bit;
+                continue;
+            }
+            const unsigned hits = q.hitCount(b);
+            if (q.hitCountRead(b) && rng.chance(0.6))
+                v.hitReadMask |= bit;
+            if (q.hitCountWrite(b) && rng.chance(0.6))
+                v.hitWriteMask |= bit;
+            if (q.bankCount(b) > hits &&
+                !(preserves_row_hits && hits) && rng.chance(0.6))
+                v.preMask |= bit;
+        }
+        return v;
+    }
+
+    Rng rng;
+    RequestQueue q{24, kBanks};
+    std::array<std::int64_t, kBanks> open{};
+    std::uint64_t lastId = 0;
+};
+
+TEST(RequestQueueSourceTier, BankSourceMasksTransposeSourceMasks)
+{
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        RandomQueue rq(seed);
+        RequestQueue &q = rq.q;
+        for (int step = 0; step < 2000; ++step) {
+            const unsigned b =
+                static_cast<unsigned>(rq.rng.below(RandomQueue::kBanks));
+            const double u = rq.rng.uniform();
+            if (u < 0.45 && !q.full())
+                rq.push();
+            else if (u < 0.8 && !q.empty())
+                q.erase(rq.anySlot());
+            else if (u < 0.9)
+                rq.close(b);
+            else
+                rq.activate(b, static_cast<std::uint32_t>(rq.rng.below(3)));
+
+            for (unsigned bank = 0; bank < RandomQueue::kBanks; ++bank) {
+                std::uint64_t occupied = 0;
+                std::uint64_t hit_rd = 0;
+                std::uint64_t hit_wr = 0;
+                for (unsigned src = 0; src < kMaxQueueSources; ++src) {
+                    const std::uint64_t s_bit = std::uint64_t{1} << src;
+                    if ((q.sourceOccupiedMask(src) >> bank) & 1)
+                        occupied |= s_bit;
+                    if ((q.sourceHitReadMask(src) >> bank) & 1)
+                        hit_rd |= s_bit;
+                    if ((q.sourceHitWriteMask(src) >> bank) & 1)
+                        hit_wr |= s_bit;
+                }
+                ASSERT_EQ(q.bankSourceMask(bank), occupied)
+                    << "seed " << seed << " step " << step << " bank "
+                    << bank;
+                ASSERT_EQ(q.bankHitReadSourceMask(bank), hit_rd)
+                    << "seed " << seed << " step " << step << " bank "
+                    << bank;
+                ASSERT_EQ(q.bankHitWriteSourceMask(bank), hit_wr)
+                    << "seed " << seed << " step " << step << " bank "
+                    << bank;
+            }
+            for (int draw = 0; draw < 4; ++draw) {
+                // Any bank subsets, consistent with the queue or not.
+                const std::uint64_t all =
+                    (std::uint64_t{1} << RandomQueue::kBanks) - 1;
+                FastIssueView v;
+                v.queue = &q;
+                v.hitReadMask = rq.rng.next() & all;
+                v.hitWriteMask = rq.rng.next() & all;
+                v.preMask = rq.rng.next() & all;
+                v.actMask = rq.rng.next() & all;
+                ASSERT_EQ(v.issuableSourceMask(), issuableSourcesOneByOne(v))
+                    << "seed " << seed << " step " << step;
+            }
+        }
+    }
+}
+
+TEST(FastPick, MatchesReferencePickOnRandomQueues)
+{
+    // Every policy decides over random queues and random legal masks;
+    // the chosen command is applied the way the controller applies it
+    // (CAS dequeues and services, PRE closes, ACT opens), so the
+    // queue and the policy state stay reachable.
+    for (const PolicyInfo &info : schedulerPolicies()) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SchedulerParams p;
+            p.quantum = 300;
+            p.tcmShuffleInterval = 70;
+            p.blissClearInterval = 90;
+            p.blissBlacklistThreshold = 2;
+            p.smsBatchCap = 4;
+            p.parbsBatchCap = 3;
+            p.seed = seed;
+            std::unique_ptr<Scheduler> s = info.factory(p);
+            RandomQueue rq(seed * 7919 + 1);
+            RequestQueue &q = rq.q;
+            unsigned chosen_count = 0;
+            for (Cycles now = 1; now <= 1500; ++now) {
+                for (std::uint64_t n = rq.rng.below(3); n && !q.full(); --n)
+                    s->onEnqueue(rq.push(now));
+                if (rq.rng.chance(0.02)) // a refresh drain closes a bank
+                    rq.close(static_cast<unsigned>(
+                        rq.rng.below(RandomQueue::kBanks)));
+                s->tick(now);
+                if (q.empty())
+                    continue;
+                const FastIssueView v = rq.view(info.preservesRowHits);
+                const bool any = (v.hitBanks() | v.otherBanks()) != 0;
+                s->prepare(0, q, now);
+                const int ref = referencePickSlot(*s, v, 0, now);
+                const int fast = s->fastPick(v, 0, now);
+                ASSERT_EQ(fast, ref) << info.name << " seed " << seed
+                                     << " cycle " << now;
+                s->commit(0, ref >= 0 ? &q.slot(ref) : nullptr, any);
+                if (ref < 0)
+                    continue;
+                ++chosen_count;
+                const unsigned b = q.bank(ref);
+                if (q.isHit(ref)) {
+                    s->onService(q.slot(ref), now, 64);
+                    q.erase(ref);
+                } else if (rq.open[b] != RandomQueue::kClosed) {
+                    rq.close(b);
+                } else {
+                    rq.activate(b, q.row(ref));
+                }
+            }
+            EXPECT_GT(chosen_count, 500u) << info.name << " seed " << seed;
+        }
+    }
+}
+
+/** A lone FCFS channel over a queue the test lays out by hand. */
+class FcfsFastPickTest : public ::testing::Test
+{
+  protected:
+    /** Enqueue request `id` (arrival == id) for `bank` and `row`. */
+    int push(std::uint64_t id, unsigned bank, std::uint32_t row = 0,
+             bool write = false)
+    {
+        Request r = makeReq(id, 0, id, row, bank);
+        r.isWrite = write;
+        return q.push_back(r, false);
+    }
+
+    /** prepare(), then both picks; they must agree. */
+    int decide(const FastIssueView &v)
+    {
+        s.prepare(0, q, 100);
+        const int fast = s.fastPick(v, 0, 100);
+        EXPECT_EQ(fast, referencePickSlot(s, v, 0, 100));
+        return fast;
+    }
+
+    FastIssueView view() const
+    {
+        FastIssueView v;
+        v.queue = &q;
+        return v;
+    }
+
+    FcfsScheduler s;
+    RequestQueue q{32, 8};
+};
+
+TEST_F(FcfsFastPickTest, PreBankServesFirstNonHitBehindOlderHit)
+{
+    // Bank 0 has row 5 open: its older request hits, its younger one
+    // conflicts. Only the PRE is legal, so the hit at the bank's FIFO
+    // head cannot issue and the younger conflict wins.
+    push(1, 0, /*row=*/5);
+    const int conflict = push(2, 0, /*row=*/7);
+    push(3, 0, /*row=*/5);
+    q.rebuildHits(0, 5);
+    FastIssueView v = view();
+    v.openRowMask = 0b1;
+    v.preMask = 0b1;
+    EXPECT_EQ(decide(v), conflict);
+}
+
+TEST_F(FcfsFastPickTest, WindowEndsAfterSixteenOldest)
+{
+    // Arrival positions 0..15 are in the window. The oldest issuable
+    // entry (bank 1's only request, the rest sit in blocked bank 0)
+    // is picked at position 15 and declined at position 16.
+    static_assert(FcfsScheduler::window == 16);
+    for (std::uint64_t id = 1; id <= 15; ++id)
+        push(id, 0);
+    const int at15 = push(16, /*bank=*/1);
+    for (std::uint64_t id = 17; id <= 20; ++id)
+        push(id, 0);
+    FastIssueView v = view();
+    v.actMask = 0b10;
+    EXPECT_EQ(decide(v), at15);
+
+    q.erase(at15);
+    const int late = push(21, /*bank=*/1); // arrival position 19
+    push(22, 0);
+    EXPECT_EQ(decide(v), -1);
+
+    // Drop positions 0..2 of bank 0: the bank-1 entry slides to 16.
+    for (int n = 0; n < 3; ++n)
+        q.erase(q.head());
+    EXPECT_EQ(decide(v), -1);
+    q.erase(q.head());
+    EXPECT_EQ(decide(v), late) << "position 15 again";
+}
+
+TEST_F(FcfsFastPickTest, OlderOfTheReadAndWriteHitHeadsWins)
+{
+    // Bank 2 has row 3 open with both a read and a write hit whose
+    // CAS is legal; the older head issues first, whichever
+    // direction it is.
+    const int wr = push(1, 2, /*row=*/3, /*write=*/true);
+    const int rd = push(2, 2, /*row=*/3);
+    push(3, 2, /*row=*/3, /*write=*/true);
+    q.rebuildHits(2, 3);
+    FastIssueView v = view();
+    v.openRowMask = 0b100;
+    v.hitReadMask = 0b100;
+    v.hitWriteMask = 0b100;
+    EXPECT_EQ(decide(v), wr);
+    q.erase(wr);
+    EXPECT_EQ(decide(v), rd);
 }
 
 } // namespace
