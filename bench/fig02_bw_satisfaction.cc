@@ -38,13 +38,10 @@ main()
             calib::makeCalibrator(sim.model(), cfg.pus[p], 999.0);
         const GBps requested = sim.profile(p, k).bandwidthDemand;
 
-        std::vector<double> met;
-        for (GBps y : ladder) {
-            // Achieved bandwidth = relative speed x requested demand.
-            const double rs =
-                sim.relativeSpeedUnderPressure(p, k, y);
-            met.push_back(rs); // % of requested BW that is met
-        }
+        // Achieved bandwidth = relative speed x requested demand, so
+        // the relative speed is the % of requested BW that is met.
+        std::vector<double> met(ladder.size());
+        sim.relativeSpeedGrid(p, {&k, 1}, ladder, met);
         t.addRow(cfg.pus[p].name + " (" + fmtDouble(requested, 0) + ")",
                  met, 1);
     }

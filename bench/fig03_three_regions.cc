@@ -20,21 +20,25 @@ namespace {
 
 void
 panel(const soc::SocSimulator &sim, std::size_t gpu, const char *title,
-      const std::vector<GBps> &targets, runner::RunResult &artifact)
+      const std::vector<GBps> &targets, const std::vector<GBps> &ladder,
+      runner::RunResult &artifact)
 {
     std::printf("--- %s ---\n", title);
     std::vector<std::string> headers{"kernel"};
-    for (GBps y = 0.0; y <= 100.0; y += 10.0)
+    for (GBps y : ladder)
         headers.push_back("y=" + fmtDouble(y, 0));
     Table t(std::move(headers));
-    for (GBps target : targets) {
-        const soc::KernelProfile k = calib::makeCalibrator(
-            sim.model(), sim.config().pus[gpu], target);
-        const GBps x = sim.profile(gpu, k).bandwidthDemand;
-        std::vector<double> row;
-        for (GBps y = 0.0; y <= 100.0; y += 10.0)
-            row.push_back(sim.relativeSpeedUnderPressure(gpu, k, y));
-        t.addRow("x=" + fmtDouble(x, 0) + " GB/s", row, 1);
+    std::vector<soc::KernelProfile> kernels;
+    for (GBps target : targets)
+        kernels.push_back(calib::makeCalibrator(
+            sim.model(), sim.config().pus[gpu], target));
+    std::vector<double> speeds(kernels.size() * ladder.size());
+    sim.relativeSpeedGrid(gpu, kernels, ladder, speeds);
+    for (std::size_t i = 0; i < kernels.size(); ++i) {
+        const GBps x = sim.profile(gpu, kernels[i]).bandwidthDemand;
+        const auto row = speeds.begin() + i * ladder.size();
+        t.addRow("x=" + fmtDouble(x, 0) + " GB/s",
+                 std::vector<double>(row, row + ladder.size()), 1);
     }
     std::printf("%s\n", t.str().c_str());
     artifact.addTable(title, t);
@@ -63,11 +67,11 @@ main()
         sim.config().pus[gpu].name, ladder);
 
     panel(sim, gpu, "(a) low demand: 10-30 GB/s", {10.0, 20.0, 30.0},
-          artifact);
+          ladder, artifact);
     panel(sim, gpu, "(b) medium demand: 40-80 GB/s",
-          {40.0, 50.0, 60.0, 70.0, 80.0}, artifact);
+          {40.0, 50.0, 60.0, 70.0, 80.0}, ladder, artifact);
     panel(sim, gpu, "(c) high demand: 80-100+ GB/s",
-          {85.0, 95.0, 110.0, 125.0}, artifact);
+          {85.0, 95.0, 110.0, 125.0}, ladder, artifact);
 
     bench::writeArtifact(std::move(artifact));
 

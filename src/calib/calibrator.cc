@@ -92,15 +92,13 @@ externalLadder(GBps max_external, unsigned steps)
 
 CalibrationMatrix
 calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
-          const SweepSpec &spec, runner::SweepEngine *engine)
+          const SweepSpec &spec, runner::SweepEngine * /*engine*/)
 {
     PCCS_ASSERT(pu_index < sim.config().pus.size(),
                 "bad PU index %zu", pu_index);
     PCCS_ASSERT(spec.numKernels >= 2 && spec.numExternal >= 2,
                 "sweep needs at least 2x2 points");
 
-    runner::SweepEngine &eng =
-        engine ? *engine : runner::SweepEngine::global();
     const soc::PuParams &pu = sim.config().pus[pu_index];
     const GBps draw = pu.drawBandwidth();
     const GBps peak = sim.config().memory.peakBandwidth;
@@ -112,6 +110,7 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
     // they share one PU and locality, so the rate terms are hoisted.
     const soc::RateTerms terms = sim.model().rateTerms(pu, spec.locality);
     std::vector<soc::KernelProfile> kernels;
+    kernels.reserve(spec.numKernels);
     for (unsigned i = 0; i < spec.numKernels; ++i) {
         const double frac =
             spec.minDemandFraction +
@@ -119,30 +118,23 @@ calibrate(const soc::SocSimulator &sim, std::size_t pu_index,
                 static_cast<double>(i) /
                 static_cast<double>(spec.numKernels - 1);
         const GBps target = frac * draw;
-        soc::KernelProfile k = calibratorKernel(
-            solveIntensity(terms, target), spec.locality);
-        const GBps achieved =
-            sim.model().standalone(pu, k).bandwidthDemand;
-        kernels.push_back(std::move(k));
-        m.standaloneBw.push_back(achieved);
+        kernels.push_back(calibratorKernel(solveIntensity(terms, target),
+                                           spec.locality));
+        // The standalone demand, as ExecutionModel::standalone.
+        m.standaloneBw.push_back(
+            terms.rate(kernels.back().intensity, 0.0, 0.0) / bytesPerGB);
     }
 
     m.externalBw =
         externalLadder(spec.maxExternalFraction * peak, spec.numExternal);
 
-    // The rela matrix is a batch of independent points.
-    std::vector<runner::EvalPoint> points;
-    points.reserve(m.numKernels() * m.numExternal());
-    for (std::size_t i = 0; i < m.numKernels(); ++i)
-        for (std::size_t j = 0; j < m.numExternal(); ++j)
-            points.push_back({pu_index, kernels[i], m.externalBw[j]});
-    const std::vector<double> rela = eng.evaluateBatch(sim, points);
-
-    m.rela.assign(m.numKernels(),
-                  std::vector<double>(m.numExternal(), 0.0));
-    for (std::size_t i = 0; i < m.numKernels(); ++i)
-        for (std::size_t j = 0; j < m.numExternal(); ++j)
-            m.rela[i][j] = rela[i * m.numExternal() + j];
+    // The rela matrix is one kernel x pressure grid.
+    std::vector<double> rela(m.numKernels() * m.numExternal());
+    sim.relativeSpeedGrid(pu_index, kernels, m.externalBw, rela);
+    m.rela.reserve(m.numKernels());
+    for (auto row = rela.begin(); row != rela.end();
+         row += m.numExternal())
+        m.rela.emplace_back(row, row + m.numExternal());
     return m;
 }
 

@@ -94,8 +94,9 @@ struct SweepSpec
 /**
  * Run the processor-centric calibration of one PU: no application
  * co-run measurements, only calibrators against calibrators. The
- * sweep's (kernel, external) points are evaluated through `engine`
- * (the process-wide engine when null) on the calling thread.
+ * rela matrix is one `SocSimulator::relativeSpeedGrid` call on the
+ * calling thread (calibrators as rows, the external ladder as
+ * columns). `engine` is unused; it stays for source compatibility.
  */
 CalibrationMatrix calibrate(const soc::SocSimulator &sim,
                             std::size_t pu_index,

@@ -1,6 +1,7 @@
 #include "design.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -34,13 +35,12 @@ DesignExplorer::configured(std::size_t pu_index, MHz frequency,
 }
 
 double
-DesignExplorer::performance(const soc::SocConfig &cfg,
-                            std::size_t pu_index,
+DesignExplorer::performance(soc::SocConfig cfg, std::size_t pu_index,
                             const soc::KernelProfile &kernel,
                             GBps external,
                             const SlowdownPredictor *predictor) const
 {
-    const soc::SocSimulator sim(cfg);
+    const soc::SocSimulator sim(std::move(cfg));
     const soc::StandaloneProfile solo =
         engine_->profile(sim, pu_index, kernel);
     double rs;

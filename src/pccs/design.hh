@@ -128,7 +128,7 @@ class DesignExplorer
     soc::SocConfig configured(std::size_t pu_index, MHz frequency,
                               double core_scale) const;
 
-    double performance(const soc::SocConfig &cfg, std::size_t pu_index,
+    double performance(soc::SocConfig cfg, std::size_t pu_index,
                        const soc::KernelProfile &kernel, GBps external,
                        const SlowdownPredictor *predictor) const;
 

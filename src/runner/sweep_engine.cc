@@ -1,6 +1,7 @@
 #include "sweep_engine.hh"
 
 #include <cstdlib>
+#include <span>
 #include <string>
 
 #include "common/logging.hh"
@@ -115,15 +116,71 @@ SweepEngine::evaluate(const soc::SocSimulator &sim, std::size_t pu_index,
     return sim.relativeSpeedUnderPressure(pu_index, kernel, external);
 }
 
+namespace {
+
+/** Same PU and the kernel fields the evaluation reads. */
+bool
+sameRow(const EvalPoint &a, const EvalPoint &b)
+{
+    return a.puIndex == b.puIndex &&
+           a.kernel.intensity == b.kernel.intensity &&
+           a.kernel.locality == b.kernel.locality;
+}
+
+/** Length of the maximal run of same-row points from `begin`. */
+std::size_t
+runLength(const std::vector<EvalPoint> &points, std::size_t begin)
+{
+    std::size_t end = begin + 1;
+    while (end < points.size() && sameRow(points[end], points[begin]))
+        ++end;
+    return end - begin;
+}
+
+/** Whether the `len` pressures from `a` equal those from `b`. */
+bool
+samePressures(const std::vector<EvalPoint> &points, std::size_t a,
+              std::size_t b, std::size_t len)
+{
+    for (std::size_t j = 0; j < len; ++j)
+        if (points[a + j].externalBw != points[b + j].externalBw)
+            return false;
+    return true;
+}
+
+} // namespace
+
 std::vector<double>
 SweepEngine::evaluateBatch(const soc::SocSimulator &sim,
                            const std::vector<EvalPoint> &points) const
 {
-    std::vector<double> results;
-    results.reserve(points.size());
-    for (const EvalPoint &p : points) {
-        results.push_back(sim.relativeSpeedUnderPressure(
-            p.puIndex, p.kernel, p.externalBw));
+    std::vector<double> results(points.size());
+    std::vector<soc::KernelProfile> kernels;
+    std::vector<GBps> externals;
+    for (std::size_t begin = 0; begin < points.size();) {
+        // A block: consecutive same-PU runs of one length and one
+        // pressure sequence, evaluated as one kernel x pressure grid.
+        const std::size_t len = runLength(points, begin);
+        std::size_t end = begin + len;
+        while (end < points.size() &&
+               points[end].puIndex == points[begin].puIndex &&
+               runLength(points, end) == len &&
+               samePressures(points, begin, end, len))
+            end += len;
+
+        kernels.clear();
+        for (std::size_t r = begin; r < end; r += len) {
+            soc::KernelProfile &k = kernels.emplace_back();
+            k.intensity = points[r].kernel.intensity;
+            k.locality = points[r].kernel.locality;
+        }
+        externals.clear();
+        for (std::size_t j = begin; j < begin + len; ++j)
+            externals.push_back(points[j].externalBw);
+        sim.relativeSpeedGrid(
+            points[begin].puIndex, kernels, externals,
+            std::span(results).subspan(begin, end - begin));
+        begin = end;
     }
     return results;
 }

@@ -4,13 +4,14 @@
  * consumers of the SoC simulator, plus a worker pool for DRAM point
  * fan-out.
  *
- * Calibration (`calib::calibrate`), the predicted-vs-actual benches
- * (`bench::sweepKernel`), the design explorer and the QoS controller
- * evaluate (SoC, PU, kernel, external-BW) points through the engine.
- * Each such point is a closed-form `SocSimulator` call of about a
+ * The predicted-vs-actual benches (`bench::sweepKernel`), the design
+ * explorer and the QoS controller evaluate (SoC, PU, kernel,
+ * external-BW) points through the engine. Each such point is a
+ * closed-form `SocSimulator` evaluation of about a tenth of a
  * microsecond, so the engine runs them inline on the calling thread:
  * no memo (distinct designs almost never repeat a point) and no pool
- * hand-off (waking workers costs more than the batch).
+ * hand-off (waking workers costs more than the batch). Batches are
+ * cut into kernel x pressure grids (`evaluateBatch`).
  *
  * The pool runs whole, independent DRAM simulations through
  * `calib::runDramPoints`, for the fig05, table03 and ext_multimc benches
@@ -149,7 +150,13 @@ class SweepEngine
 
     /**
      * Evaluate all points on `sim`, in order, on the calling thread;
-     * result[i] is point i's relative speed.
+     * result[i] is point i's relative speed, bit-equal to evaluate().
+     * A run is consecutive points on one PU whose kernels have equal
+     * intensity and locality (the fields the evaluation reads); each
+     * maximal block of consecutive runs with one PU and equal pressure
+     * sequences is one `SocSimulator::relativeSpeedGrid` call. So a
+     * kernels x ladder sweep is one grid, and any other order falls
+     * back to smaller grids.
      */
     std::vector<double>
     evaluateBatch(const soc::SocSimulator &sim,

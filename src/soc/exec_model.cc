@@ -90,22 +90,24 @@ ExecutionModel::relativeSpeed(
     DemandBuffer buf(external.size() + 1);
     const std::span<BandwidthDemand> demands = buf.span();
     std::copy(external.begin(), external.end(), demands.begin() + 1);
-    return relativeSpeedInPlace(pu, kernel, demands);
+    InlineBuffer<GBps, inlineDemands> grants(demands.size());
+    const RateTerms terms = rateTerms(pu, kernel.locality);
+    return relativeSpeedInPlace(pu, kernel, terms,
+                                terms.rate(kernel.intensity, 0.0, 0.0),
+                                demands, grants.span());
 }
 
 double
-ExecutionModel::relativeSpeedInPlace(
-    const PuParams &pu, const KernelProfile &kernel,
-    std::span<BandwidthDemand> demands) const
+ExecutionModel::relativeSpeedInPlace(const PuParams &pu,
+                                     const KernelProfile &kernel,
+                                     const RateTerms &terms,
+                                     double solo_rate,
+                                     std::span<BandwidthDemand> demands,
+                                     std::span<GBps> grants) const
 {
     PCCS_ASSERT(!demands.empty(), "relativeSpeedInPlace needs slot 0");
-    const RateTerms terms = rateTerms(pu, kernel.locality);
-    const double solo_rate = terms.rate(kernel.intensity, 0.0, 0.0);
     demands[0] = {solo_rate / bytesPerGB, kernel.locality,
                   pu.fairShareWeight};
-
-    InlineBuffer<GBps, inlineDemands> grant_buf(demands.size());
-    const std::span<GBps> grants = grant_buf.span();
     const GBps eff = mem_.allocateInto(demands, grants);
     double served = 0.0;
     for (GBps g : grants)

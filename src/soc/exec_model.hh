@@ -146,14 +146,18 @@ class ExecutionModel
                          std::span<const BandwidthDemand> external) const;
 
     /**
-     * relativeSpeed() over a caller-built demand list: demands[1..]
-     * are the external sources, and demands[0] is overwritten with
-     * the kernel's own standalone demand. Allocation-free for up to
-     * inlineDemands sources.
+     * The per-cell part of relativeSpeed(), over a caller-built demand
+     * list: `terms` are rateTerms(pu, kernel.locality) and `solo_rate`
+     * is their rate at the kernel's intensity with no contention.
+     * demands[1..] are the external sources, and demands[0] is
+     * overwritten with the kernel's own standalone demand. `grants`
+     * is scratch of demands.size() entries. Allocates nothing.
      */
     double relativeSpeedInPlace(const PuParams &pu,
                                 const KernelProfile &kernel,
-                                std::span<BandwidthDemand> demands) const;
+                                const RateTerms &terms, double solo_rate,
+                                std::span<BandwidthDemand> demands,
+                                std::span<GBps> grants) const;
 
     /** The intensity-independent rate terms of `pu` at `locality`. */
     RateTerms rateTerms(const PuParams &pu, double locality) const;

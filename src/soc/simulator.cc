@@ -37,16 +37,58 @@ SocSimulator::relativeSpeedUnderPressure(std::size_t pu_index,
                                          const KernelProfile &kernel,
                                          GBps external) const
 {
+    double speed;
+    relativeSpeedGrid(pu_index, {&kernel, 1}, {&external, 1},
+                      {&speed, 1});
+    return speed;
+}
+
+void
+SocSimulator::relativeSpeedGrid(std::size_t pu_index,
+                                std::span<const KernelProfile> kernels,
+                                std::span<const GBps> externals,
+                                std::span<double> out) const
+{
     PCCS_ASSERT(pu_index < config_.pus.size(), "bad PU index %zu",
                 pu_index);
-    // Slot 0 is the kernel's own demand; the other PUs' synthetic
-    // demands are written behind it.
-    DemandBuffer buf(config_.pus.size());
-    const std::span<BandwidthDemand> demands = buf.span();
-    const std::size_t n =
-        externalDemands(config_, pu_index, external, demands.subspan(1));
-    return model_.relativeSpeedInPlace(config_.pus[pu_index], kernel,
-                                       demands.first(n + 1));
+    PCCS_ASSERT(out.size() == kernels.size() * externals.size(),
+                "grid of %zu x %zu into %zu results", kernels.size(),
+                externals.size(), out.size());
+    const PuParams &pu = config_.pus[pu_index];
+    const std::size_t cols = externals.size();
+
+    // Column j's demand list is [j * width, j * width + sizes[j]):
+    // slot 0 takes the row kernel's own demand in each cell, and the
+    // other PUs' synthetic demands sit behind it.
+    const std::size_t width = config_.pus.size();
+    DemandBuffer demand_buf(cols * width);
+    InlineBuffer<std::size_t, inlineDemands> size_buf(cols);
+    InlineBuffer<GBps, inlineDemands> grant_buf(width);
+    const std::span<BandwidthDemand> demands = demand_buf.span();
+    const std::span<std::size_t> sizes = size_buf.span();
+    const std::span<GBps> grants = grant_buf.span();
+    for (std::size_t j = 0; j < cols; ++j) {
+        sizes[j] = 1 + externalDemands(
+                           config_, pu_index, externals[j],
+                           demands.subspan(j * width + 1, width - 1));
+    }
+
+    // The rate terms depend on the kernel only through its locality,
+    // so each run of rows with one locality shares them.
+    for (std::size_t i = 0; i < kernels.size();) {
+        const RateTerms terms = model_.rateTerms(pu, kernels[i].locality);
+        do {
+            const KernelProfile &k = kernels[i];
+            const double solo_rate = terms.rate(k.intensity, 0.0, 0.0);
+            for (std::size_t j = 0; j < cols; ++j) {
+                out[i * cols + j] = model_.relativeSpeedInPlace(
+                    pu, k, terms, solo_rate,
+                    demands.subspan(j * width, sizes[j]),
+                    grants.first(sizes[j]));
+            }
+        } while (++i < kernels.size() &&
+                 kernels[i].locality == kernels[i - 1].locality);
+    }
 }
 
 CorunOutcome

@@ -13,6 +13,7 @@
 #ifndef PCCS_SOC_SIMULATOR_HH
 #define PCCS_SOC_SIMULATOR_HH
 
+#include <span>
 #include <vector>
 
 #include "soc/exec_model.hh"
@@ -83,11 +84,29 @@ class SocSimulator
     /**
      * Sweep helper: achieved relative speed (%) of `kernel` on PU
      * `pu_index` under `external` GB/s of synthetic demand from the
-     * other PUs.
+     * other PUs. The 1x1 case of relativeSpeedGrid().
      */
     double relativeSpeedUnderPressure(std::size_t pu_index,
                                       const KernelProfile &kernel,
                                       GBps external) const;
+
+    /**
+     * A kernel x pressure sweep on PU `pu_index`:
+     * out[i * externals.size() + j] is the relative speed (%) of
+     * kernels[i] under externals[j] GB/s of synthetic demand, bit-equal
+     * to relativeSpeedUnderPressure(pu_index, kernels[i], externals[j]).
+     * The rate terms and solo rate are computed once per kernel (the
+     * terms only when the locality changes from the previous row), the
+     * external demand list once per pressure. Only the kernels'
+     * intensity and locality are read. Scratch (a demand entry per PU
+     * per pressure, a size per pressure, a grant per PU) stays on the
+     * stack while each list fits inlineDemands entries; a longer list
+     * takes one heap block per call.
+     */
+    void relativeSpeedGrid(std::size_t pu_index,
+                           std::span<const KernelProfile> kernels,
+                           std::span<const GBps> externals,
+                           std::span<double> out) const;
 
   private:
     SocConfig config_;

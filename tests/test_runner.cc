@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -32,6 +33,39 @@ gpuSweepPoints(const soc::SocSimulator &sim, std::size_t gpu)
             points.push_back({gpu, k, 15.0 * j});
     }
     return points;
+}
+
+/**
+ * Batches that are not one kernels x ladder grid: interleaved PUs, a
+ * kernel recurring non-consecutively, runs of length 1, a different
+ * ladder per kernel, and an empty batch.
+ */
+std::vector<std::vector<runner::EvalPoint>>
+irregularBatches(const soc::SocSimulator &sim)
+{
+    const std::size_t num_pus = sim.config().pus.size();
+    std::vector<soc::KernelProfile> kernels;
+    for (std::size_t pu = 0; pu < num_pus; ++pu)
+        for (unsigned i = 0; i < 2; ++i)
+            kernels.push_back(calib::makeCalibrator(
+                sim.model(), sim.config().pus[pu], 10.0 + 20.0 * i,
+                0.6 + 0.15 * i));
+    const auto on = [&](std::size_t k) { return k / 2; };
+
+    std::vector<std::vector<runner::EvalPoint>> batches(5);
+    for (unsigned j = 1; j <= 4; ++j)
+        for (std::size_t k = 0; k < kernels.size(); k += 2)
+            batches[0].push_back({on(k), kernels[k], 20.0 * j});
+    for (const std::size_t k : {0, 1, 0, 2, 2, 0})
+        for (unsigned j = 0; j <= 3; ++j)
+            batches[1].push_back({on(k), kernels[k], 25.0 * j});
+    for (std::size_t k = 0; k < kernels.size(); ++k)
+        batches[2].push_back({on(k), kernels[k], 7.5 * k});
+    for (std::size_t k = 0; k < kernels.size(); ++k)
+        for (unsigned j = 1; j <= 2 + k % 3; ++j)
+            batches[3].push_back(
+                {on(k), kernels[k], (k < 2 ? 30.0 : 40.0) * j});
+    return batches;
 }
 
 } // namespace
@@ -70,29 +104,36 @@ TEST(SweepEngine, BatchMatchesDirectSimulatorCalls)
     const soc::SocSimulator sim(soc::xavierLike());
     const std::size_t gpu = static_cast<std::size_t>(
         sim.config().puIndex(soc::PuKind::Gpu));
-    const auto points = gpuSweepPoints(sim, gpu);
+    std::vector<std::vector<runner::EvalPoint>> batches =
+        irregularBatches(sim);
+    batches.push_back(gpuSweepPoints(sim, gpu));
 
     for (const unsigned jobs : {1u, 4u}) {
         runner::SweepEngine engine(jobs);
-        const std::vector<double> batch =
-            engine.evaluateBatch(sim, points);
-        ASSERT_EQ(batch.size(), points.size());
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            const runner::EvalPoint &p = points[i];
-            const double direct = sim.relativeSpeedUnderPressure(
-                p.puIndex, p.kernel, p.externalBw);
-            EXPECT_EQ(batch[i], direct) << "jobs " << jobs;
-            EXPECT_EQ(engine.evaluate(sim, p.puIndex, p.kernel,
-                                      p.externalBw),
-                      direct)
-                << "jobs " << jobs;
-            const soc::StandaloneProfile prof =
-                engine.profile(sim, p.puIndex, p.kernel);
-            const soc::StandaloneProfile want =
-                sim.profile(p.puIndex, p.kernel);
-            EXPECT_EQ(prof.bandwidthDemand, want.bandwidthDemand);
-            EXPECT_EQ(prof.seconds, want.seconds);
-            EXPECT_EQ(prof.rate, want.rate);
+        for (std::size_t b = 0; b < batches.size(); ++b) {
+            const std::vector<runner::EvalPoint> &points = batches[b];
+            const std::vector<double> batch =
+                engine.evaluateBatch(sim, points);
+            ASSERT_EQ(batch.size(), points.size()) << "batch " << b;
+            for (std::size_t i = 0; i < points.size(); ++i) {
+                const runner::EvalPoint &p = points[i];
+                const double direct = sim.relativeSpeedUnderPressure(
+                    p.puIndex, p.kernel, p.externalBw);
+                EXPECT_EQ(std::memcmp(&batch[i], &direct, sizeof direct),
+                          0)
+                    << "jobs " << jobs << " batch " << b << " point " << i;
+                EXPECT_EQ(engine.evaluate(sim, p.puIndex, p.kernel,
+                                          p.externalBw),
+                          direct)
+                    << "jobs " << jobs;
+                const soc::StandaloneProfile prof =
+                    engine.profile(sim, p.puIndex, p.kernel);
+                const soc::StandaloneProfile want =
+                    sim.profile(p.puIndex, p.kernel);
+                EXPECT_EQ(prof.bandwidthDemand, want.bandwidthDemand);
+                EXPECT_EQ(prof.seconds, want.seconds);
+                EXPECT_EQ(prof.rate, want.rate);
+            }
         }
     }
 }

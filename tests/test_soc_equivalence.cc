@@ -2,10 +2,10 @@
  * @file
  * Bit-exactness of the allocation-free SoC evaluation path.
  *
- * The per-point path (SocSimulator::relativeSpeedUnderPressure), the
- * water-fill allocator and the calibrator bisection all stop their
- * bisections at a fixed point and build demand lists in stack
- * buffers. Each is compared bitwise (memcmp) against a test-local
+ * The kernel x pressure grid (SocSimulator::relativeSpeedGrid) and
+ * its 1x1 case relativeSpeedUnderPressure, the water-fill allocator
+ * and the calibrator bisection all stop their bisections at a fixed
+ * point and build demand lists in stack buffers. Each is compared bitwise (memcmp) against a test-local
  * reference that composes vectors and runs every bisection step: the
  * straightforward form of the same model. Randomized SoCs span 1 to 20
  * PUs, so demand lists both fit the inline buffer and spill to the
@@ -276,6 +276,76 @@ TEST(SocEquivalence, RelativeSpeedUnderPressureMatchesVectorReference)
     }
     EXPECT_EQ(points, 400u * 3u * 13u);
     EXPECT_GT(spilled, 100u);
+}
+
+TEST(SocEquivalence, GridMatchesPerPointAndVectorReference)
+{
+    Rng rng(4242);
+    std::size_t cells = 0;
+    std::size_t spilled = 0;
+    std::size_t locality_changes = 0;
+    for (int c = 0; c < 200; ++c) {
+        const std::size_t n = 1 + static_cast<std::size_t>(c) % 20;
+        const AllocationPolicy policy =
+            c % 2 == 0 ? AllocationPolicy::FairWaterFill
+                       : AllocationPolicy::Proportional;
+        const SocConfig soc = randomSoc(rng, n, c % 3 == 0, policy);
+        const SocSimulator sim(soc);
+        const SharedMemorySystem mem(soc.memory);
+        if (n > inlineDemands)
+            ++spilled;
+
+        // Kernels in runs that share a locality, so the hoisted rate
+        // terms are both reused and recomputed mid-grid.
+        std::vector<KernelProfile> kernels;
+        const std::size_t rows = 1 + rng.below(7);
+        for (std::size_t i = 0; i < rows; ++i) {
+            KernelProfile k = randomKernel(rng);
+            if (i > 0 && rng.chance(0.5))
+                k.locality = kernels.back().locality;
+            else if (i > 0)
+                ++locality_changes;
+            kernels.push_back(k);
+        }
+        // A ladder from 0 (no external demand) to saturation.
+        std::vector<GBps> ladder{0.0};
+        const std::size_t cols = 1 + rng.below(12);
+        for (std::size_t j = 1; j < cols; ++j)
+            ladder.push_back(rng.uniform(0.0, 3.0) *
+                             soc.memory.peakBandwidth);
+
+        const std::size_t pu = rng.below(n);
+        std::vector<double> grid(rows * cols, -1.0);
+        sim.relativeSpeedGrid(pu, kernels, ladder, grid);
+        for (std::size_t i = 0; i < rows; ++i) {
+            for (std::size_t j = 0; j < cols; ++j) {
+                const double got = grid[i * cols + j];
+                const double point =
+                    sim.relativeSpeedUnderPressure(pu, kernels[i], ladder[j]);
+                const double want = refRelativeSpeed(
+                    mem, soc.pus[pu], kernels[i],
+                    refExternalDemands(soc, pu, ladder[j]));
+                ASSERT_TRUE(bitEqual(got, point))
+                    << "soc " << c << " (" << n << " PUs) cell " << i
+                    << "," << j << ": " << got << " vs " << point;
+                ASSERT_TRUE(bitEqual(got, want))
+                    << "soc " << c << " cell " << i << "," << j;
+                ++cells;
+            }
+        }
+    }
+    EXPECT_GT(cells, 1000u);
+    EXPECT_GT(spilled, 50u);
+    EXPECT_GT(locality_changes, 100u);
+}
+
+TEST(SocEquivalence, GridOfNoCellsWritesNothing)
+{
+    const SocSimulator sim(xavierLike());
+    const std::vector<KernelProfile> kernels(2);
+    const std::vector<GBps> ladder{10.0, 20.0};
+    sim.relativeSpeedGrid(0, kernels, {}, {});
+    sim.relativeSpeedGrid(0, {}, ladder, {});
 }
 
 TEST(SocEquivalence, StandaloneProfileMatchesVectorReference)
